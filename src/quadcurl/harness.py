@@ -131,7 +131,6 @@ def convergence_study(
     orders,
     levels: Sequence[int],
     num: int = 1,
-    zero_tol: float = 1e-8,
     mesh_factory: Callable[[int], Mesh] = generate_cube_mesh,
 ) -> ConvergenceTable:
     """Run one problem over refinement levels and collect a rate table.
@@ -195,11 +194,11 @@ def convergence_study(
                              sol.errors["phi"], eh, sol.p_ratio])
             else:
                 if problem == "maxwell-eig":
-                    res = solve_maxwell_eig(mesh, order, num, zero_tol=zero_tol)
+                    res = solve_maxwell_eig(mesh, order, num)
                     sp = setup_spaces(mesh, order)
                     dims = (sp.u0.num_free, 0)
                 else:
-                    res = solve_quadcurl_eig(mesh, order, num, zero_tol=zero_tol)
+                    res = solve_quadcurl_eig(mesh, order, num)
                     sp = setup_spaces(mesh, order)
                     dims = (sp.u0.num_free, sp.uf.num_active)
                 rows.append([order, n, mesh.h_max, dims[0], dims[1],
@@ -271,14 +270,13 @@ def _dump_matrices(directory: str, mesh: Mesh, order: int, kind: str) -> None:
         mat.dump(os.path.join(directory, f"{name}.txt"))
 
 
-def _eig_single_table(kind: str, mesh: Mesh, order: int, num: int,
-                      zero_tol: float) -> ConvergenceTable:
+def _eig_single_table(kind: str, mesh: Mesh, order: int, num: int) -> ConvergenceTable:
     sp = setup_spaces(mesh, order)
     if kind == "maxwell":
-        res = solve_maxwell_eig(mesh, order, num, zero_tol=zero_tol)
+        res = solve_maxwell_eig(mesh, order, num)
         dof = sp.u0.num_free
     else:
-        res = solve_quadcurl_eig(mesh, order, num, zero_tol=zero_tol)
+        res = solve_quadcurl_eig(mesh, order, num)
         dof = sp.u0.num_free + sp.uf.num_active
     table = ConvergenceTable(problem=f"{kind}-eig",
                              headers=["index", "lambda", "dof"])
@@ -311,8 +309,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", default=None, help="CSV output path (default stdout)")
         p.add_argument("--dump-matrices", default=None, metavar="DIR",
                        help="dump assembled matrices in coordinate text format")
-        p.add_argument("--zero-tol", type=float, default=1e-8,
-                       help="relative zero-eigenvalue threshold")
 
     add_common(sub.add_parser("eig", help="quad-curl eigenvalues"))
     add_common(sub.add_parser("maxwell", help="curl-curl eigenvalues"))
@@ -377,13 +373,12 @@ def run_cli(argv) -> int:
             if args.levels is not None:
                 levels = _parse_levels(args.levels)
                 table = convergence_study(f"{kind}-eig", args.order, levels,
-                                          num=args.num, zero_tol=args.zero_tol)
+                                          num=args.num)
             else:
                 mesh = parse_mesh_spec(args.mesh)
                 if args.dump_matrices:
                     _dump_matrices(args.dump_matrices, mesh, args.order, kind)
-                table = _eig_single_table(kind, mesh, args.order, args.num,
-                                          args.zero_tol)
+                table = _eig_single_table(kind, mesh, args.order, args.num)
         elif args.command == "source-conv":
             problem = "quadcurl-src" if args.problem == "quadcurl" else "curlcurl-src"
             levels = _parse_levels(args.levels) if args.levels is not None \

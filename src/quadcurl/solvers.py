@@ -1,11 +1,12 @@
 """Linear algebra kernels: SPD solve, saddle-point solve, symmetric eigensolve.
 
-These wrap LAPACK/SuperLU behind small contracts: every solve verifies its
-relative residual, SPD factorizations reject non-positive pivots, and the
-generalized eigensolver guarantees B-orthonormal vectors with checked
-residuals.  The eigensolver densifies up to dimension 6000 (a fixed,
-reproducible crossover); above that it runs LOBPCG, optionally deflating a
-known nullspace basis.
+These wrap LAPACK/SuperLU/ARPACK behind small contracts: every solve verifies
+its relative residual, SPD factorizations reject non-positive pivots, and the
+generalized eigensolver returns B-orthonormal vectors whose relative
+residuals it checks against a tolerance.  The eigensolver is one sparse path:
+Lanczos in shift-invert mode on a single symmetric-mode LU of A - sigma B,
+with a known subspace (the discrete gradients) projected out B-orthogonally
+from every iterate, so its modes never appear.
 """
 
 from __future__ import annotations
@@ -20,25 +21,30 @@ import scipy.sparse.linalg as spla
 from .assembly import SparseMatrix
 from .errors import EigenSolveError, NotSPDError, SingularSystemError
 
-DENSE_EIG_LIMIT = 6000
-
 _SPD_RESIDUAL_TOL = 1e-10
 _SADDLE_RESIDUAL_TOL = 1e-9
+# ARPACK's Ritz-value tolerance.  Machine precision (ARPACK's default) took
+# 1.4x the operator applications of 1e-12 on the order-1 and order-2 cube
+# pencils; residuals stayed below 1e-12 either way, far under the 1e-8 gate.
+_LANCZOS_TOL = 1e-12
 
 
 @dataclass
 class EigenResult:
     """Ascending eigenvalues, B-orthonormal eigenvector columns, residuals.
 
-    ``n_zero`` and ``div_residuals`` are filled by the system-level solvers
-    that filter the gradient nullspace; plain gen_sym_eig leaves them None.
+    ``residuals`` are the relative residuals ||A x - lam B x|| / (|lam| ||B x||).
+    ``n_zero`` is P, the dimension of the deflated subspace (0 without one);
+    those modes sit at lam = 0 for the model problems and are never returned.
+    ``div_residuals`` are ||(B Y)^T x|| / ||B x|| for the deflation basis Y:
+    for the gradient space, the discrete divergence of each vector.
     """
 
     values: np.ndarray
     vectors: np.ndarray
     residuals: np.ndarray
-    n_zero: int | None = None
-    div_residuals: np.ndarray | None = None
+    n_zero: int
+    div_residuals: np.ndarray
 
 
 def _unwrap(A):
@@ -61,6 +67,21 @@ def _rel_residual(A, x, b) -> float:
     return float(np.linalg.norm(A @ x - b) / nb)
 
 
+def _symmetric_lu(A):
+    """SuperLU with a symmetric ordering and no pivoting.
+
+    Safe for SPD and for symmetric quasi-definite matrices
+    [[D1, C^T], [C, -D2]] with D1, D2 SPD, which factor stably without
+    pivoting under any symmetric ordering (Vanderbei, SIAM J. Optim. 5, 1995).
+    """
+    return spla.splu(
+        sp.csc_matrix(A),
+        diag_pivot_thresh=0.0,
+        permc_spec="MMD_AT_PLUS_A",
+        options={"SymmetricMode": True},
+    )
+
+
 def spd_solve(A, b) -> np.ndarray:
     """Solve Ax = b for symmetric positive definite A.
 
@@ -79,12 +100,7 @@ def spd_solve(A, b) -> np.ndarray:
         x = sla.cho_solve((c, low), b)
     else:
         try:
-            lu = spla.splu(
-                A.tocsc(),
-                diag_pivot_thresh=0.0,
-                permc_spec="MMD_AT_PLUS_A",
-                options={"SymmetricMode": True},
-            )
+            lu = _symmetric_lu(A)
         except RuntimeError as exc:
             raise SingularSystemError(f"factorization failed: {exc}") from exc
         if lu.U.diagonal().min() <= 0.0:
@@ -124,74 +140,115 @@ def saddle_solve(K, G, f, g=None):
     return x[:n], x[n:], res
 
 
-def _eig_residuals(A, B, vals, vecs) -> np.ndarray:
-    AX = A @ vecs
-    BX = B @ vecs
-    out = np.empty(len(vals))
-    for i, lam in enumerate(vals):
-        out[i] = np.linalg.norm(AX[:, i] - lam * BX[:, i]) / np.linalg.norm(vecs[:, i])
-    return out
+def _b_projector(Y: sp.csr_matrix, B: sp.csr_matrix):
+    """In-place B-orthogonal projection off range(Y): z -= Y (Y^T B Y)^-1 (B Y)^T z.
 
-
-def gen_sym_eig(
-    A,
-    B,
-    count: int,
-    method: str = "auto",
-    nullspace: np.ndarray | None = None,
-    tol: float = 1e-8,
-) -> EigenResult:
-    """Smallest `count` eigenpairs of the symmetric pencil A x = lambda B x.
-
-    A must be symmetric positive semidefinite and B symmetric positive
-    definite.  The dense path returns the smallest eigenvalues including any
-    A-nullspace modes (reported as values at roundoff scale).  The iterative
-    path (dimension > 6000, or method="lobpcg") deflates the columns of
-    ``nullspace`` and therefore skips those zero modes.
+    Returns the projector and (B Y)^T.  Y^T B Y is factored once; a
+    non-positive pivot means the columns of Y are not B-independent, so the
+    deflated dimension would not be P.
     """
-    Araw, Braw = _unwrap(A), _unwrap(B)
-    n = Araw.shape[0]
-    if Araw.shape != (n, n) or Braw.shape != (n, n):
+    BYt = (B @ Y).T.tocsr()
+    try:
+        gram = _symmetric_lu(BYt @ Y)
+    except RuntimeError as exc:
+        raise EigenSolveError(f"deflation Gram matrix is singular: {exc}") from exc
+    if gram.U.diagonal().min() <= 0.0:
+        raise EigenSolveError("non-positive pivot in the deflation Gram matrix Y^T B Y")
+
+    def project(z: np.ndarray) -> np.ndarray:
+        z -= Y @ gram.solve(BYt @ z)
+        return z
+
+    return project, BYt
+
+
+def _range_ritz(op, A, B, nonzero_rows: np.ndarray, rank: int):
+    """All `rank` eigenpairs by Rayleigh-Ritz on range(op), which they span exactly.
+
+    B vanishes off ``nonzero_rows``, so op applied to those unit vectors spans
+    range(op); the B-Gram matrix of that spanning set has exactly `rank`
+    nonzero eigenvalues, which give a B-orthonormal basis with no threshold.
+    """
+    E = np.zeros((A.shape[0], len(nonzero_rows)))
+    E[nonzero_rows, np.arange(len(nonzero_rows))] = 1.0
+    X = op(E)
+    d, V = sla.eigh(X.T @ (B @ X))
+    Q = X @ (V[:, -rank:] / np.sqrt(d[-rank:]))
+    H = Q.T @ (A @ Q)
+    vals, Z = sla.eigh(0.5 * (H + H.T))
+    return vals, Q @ Z
+
+
+def gen_sym_eig(A, B, count: int, sigma: float, deflate=None, tol: float = 1e-8) -> EigenResult:
+    """The `count` smallest eigenpairs of A x = lam B x off the deflated subspace.
+
+    A and B are sparse symmetric, B positive semidefinite and definite on its
+    nonzero rows, and A - sigma B (sigma < 0) must factor without pivoting:
+    SPD, or symmetric quasi-definite like the quad-curl block pencil.
+    ``deflate`` (n x P) spans a subspace to leave out, typically the nullspace
+    of A; its B-Gram matrix must be positive definite.  Every eigenvalue of
+    the rest must be positive.
+
+    A - sigma B is factored once; each Lanczos step applies the projected
+    shift-invert operator (A - sigma B)^-1 to the B-image ARPACK supplies
+    (mode 3, which accepts a semidefinite B).  The operator has rank
+    R - P, R the count of nonzero rows of B; when `count` equals that rank,
+    Lanczos has no room, and a Rayleigh-Ritz on the operator's range gives
+    the whole spectrum exactly.  Raises EigenSolveError when ARPACK fails or
+    any relative residual exceeds `tol`.
+    """
+    A = sp.csr_matrix(_unwrap(A), dtype=np.float64)
+    B = sp.csr_matrix(_unwrap(B), dtype=np.float64)
+    n = A.shape[0]
+    if A.shape != (n, n) or B.shape != (n, n):
         raise EigenSolveError("pencil matrices must be square and equal-sized")
-    if not 1 <= count <= n:
-        raise EigenSolveError(f"count {count} out of range for dimension {n}")
+    if not sigma < 0.0:
+        raise EigenSolveError(f"shift sigma must be negative, got {sigma}")
+    Y = sp.csr_matrix((n, 0)) if deflate is None else sp.csr_matrix(_unwrap(deflate))
+    if Y.shape[0] != n:
+        raise EigenSolveError(f"deflation basis has {Y.shape[0]} rows, pencil has {n}")
+    P = Y.shape[1]
+    nonzero_rows = np.flatnonzero(B.getnnz(axis=1))
+    rank = len(nonzero_rows) - P
+    if not 1 <= count <= rank:
+        raise EigenSolveError(f"count {count} out of range for {rank} eigenvalues")
 
-    if method == "auto":
-        method = "dense" if n <= DENSE_EIG_LIMIT else "lobpcg"
+    try:
+        lu = _symmetric_lu(A - sigma * B)
+    except RuntimeError as exc:
+        raise EigenSolveError(f"shifted pencil A - sigma B is singular: {exc}") from exc
+    if P:
+        project, BYt = _b_projector(Y, B)
+    else:
+        project, BYt = (lambda z: z), sp.csr_matrix((0, n))
 
-    if method == "dense":
-        Ad, Bd = _as_dense(Araw), _as_dense(Braw)
-        Ad = 0.5 * (Ad + Ad.T)
-        Bd = 0.5 * (Bd + Bd.T)
+    def op(v):
+        return project(lu.solve(v))
+
+    if count == rank:
+        vals, vecs = _range_ritz(op, A, B, nonzero_rows, rank)
+    else:
+        ncv = min(max(2 * count + 1, 20), rank)
+        v0 = np.random.default_rng(0).standard_normal(n)
+        opinv = spla.LinearOperator((n, n), matvec=op, dtype=np.float64)
         try:
-            if count == n:
-                vals, vecs = sla.eigh(Ad, Bd)
-            else:
-                vals, vecs = sla.eigh(Ad, Bd, subset_by_index=[0, count - 1])
-        except np.linalg.LinAlgError as exc:
-            raise NotSPDError(f"generalized eigensolve failed (B not SPD?): {exc}") from exc
-    elif method == "lobpcg":
-        rng = np.random.default_rng(0)
-        X0 = rng.standard_normal((n, count))
-        if sp.issparse(Araw):
-            norm_a = float(np.abs(Araw).sum(axis=0).max())
-        elif isinstance(Araw, np.ndarray):
-            norm_a = float(np.abs(Araw).sum(axis=0).max())
-        else:
-            norm_a = 1.0  # LinearOperator: scale folded into the tol argument
-        vals, vecs = spla.lobpcg(
-            Araw,
-            X0,
-            B=Braw,
-            Y=nullspace,
-            largest=False,
-            tol=tol * max(norm_a, 1.0),
-            maxiter=1000,
-        )
+            vals, vecs = spla.eigsh(A, count, M=B, sigma=sigma, which="LM",
+                                    OPinv=opinv, ncv=ncv, v0=v0, tol=_LANCZOS_TOL)
+        except (spla.ArpackNoConvergence, spla.ArpackError) as exc:
+            raise EigenSolveError(f"shift-invert Lanczos failed: {exc}") from exc
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
-    else:
-        raise EigenSolveError(f"unknown eigensolver method {method!r}")
 
-    residuals = _eig_residuals(Araw, Braw, vals, vecs)
-    return EigenResult(values=vals, vectors=vecs, residuals=residuals)
+    if vals[0] <= 0.0:
+        raise EigenSolveError(
+            f"eigenvalue {vals[0]:.3e} <= 0: A is not positive definite off the deflated space"
+        )
+    BX = B @ vecs
+    bnorm = np.linalg.norm(BX, axis=0)
+    residuals = np.linalg.norm(A @ vecs - BX * vals, axis=0) / (vals * bnorm)
+    div = np.linalg.norm(BYt @ vecs, axis=0) / bnorm
+    worst = float(np.max(residuals))
+    if not worst <= tol:  # a NaN residual fails too
+        raise EigenSolveError(f"eigenpair relative residual {worst:.3e} exceeds {tol:.1e}")
+    return EigenResult(values=vals, vectors=vecs, residuals=residuals, n_zero=P,
+                       div_residuals=div)

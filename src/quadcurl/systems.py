@@ -15,18 +15,19 @@
 
   has the same nonzero eigenvalues as the Schur form S = K^T M_M^{-1} K
   against M_N.  Nonzero modes are automatically discretely divergence-free,
-  so gradient modes land exactly at zero and are filtered by a relative
-  threshold.  The zero multiplicity equals dim(free S_h).
+  so gradient modes land exactly at zero; their multiplicity is
+  dim(free S_h) = P.  The eigensolver projects the gradient space [G0; 0]
+  out of every shift-invert iterate, so those modes are never computed and
+  no zero threshold is applied.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .assembly import (
     SparseMatrix,
@@ -36,13 +37,11 @@ from .assembly import (
     assemble_mass,
     restrict,
 )
-from .errors import EigenSolveError, NotSPDError, SpaceError
+from .errors import NotSPDError, SpaceError
 from .fespace import DofVector, FESpace, integrate_errors, make_space
 from .manufactured import ManufacturedCase
 from .mesh import Mesh, boundary_classification, build_topology
-from .solvers import DENSE_EIG_LIMIT, EigenResult, gen_sym_eig, saddle_solve
-
-ZERO_TOL = 1e-8
+from .solvers import EigenResult, gen_sym_eig, saddle_solve
 
 
 @dataclass
@@ -87,19 +86,13 @@ class PencilSystem:
         return self.G0.shape[1]
 
     def block_pencil(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-        """Full (N+M) symmetric block pencil for cross-validation."""
-        N, M = self.n_free, self.m_total
-        A = sp.bmat(
-            [[sp.csr_matrix((N, N)), self.K.mat.T], [self.K.mat, -self.M_M.mat]],
-            format="csr",
-        )
-        B = sp.bmat(
-            [[self.M_N.mat, None], [None, sp.csr_matrix((M, M))]], format="csr"
-        )
+        """Full (N+M) symmetric block pencil (A, B) that the eigensolver factors."""
+        A = sp.bmat([[None, self.K.mat.T], [self.K.mat, -self.M_M.mat]], format="csr")
+        B = sp.block_diag([self.M_N.mat, sp.csr_matrix((self.m_total,) * 2)], format="csr")
         return A, B
 
     def schur_dense(self) -> np.ndarray:
-        """S = K^T M_M^{-1} K as a dense symmetric PSD matrix.
+        """S = K^T M_M^{-1} K as a dense symmetric PSD matrix (a test oracle).
 
         Formed as W^T W with W = L^{-1} K from the Cholesky factor of M_M,
         which keeps S symmetric PSD by construction.
@@ -112,17 +105,6 @@ class PencilSystem:
         W = sla.solve_triangular(L, self.K.to_dense(), lower=True)
         S = W.T @ W
         return 0.5 * (S + S.T)
-
-    def schur_operator(self) -> spla.LinearOperator:
-        """S as a matrix-free operator (sparse factorization of M_M)."""
-        lu = spla.splu(self.M_M.mat.tocsc())
-        Km = self.K.mat
-
-        def matmat(X):
-            return Km.T @ lu.solve(Km @ X)
-
-        N = self.n_free
-        return spla.LinearOperator((N, N), matvec=matmat, matmat=matmat)
 
 
 def build_quadcurl_pencil(mesh: Mesh, order: int, spaces: Spaces | None = None) -> PencilSystem:
@@ -139,112 +121,48 @@ def build_quadcurl_pencil(mesh: Mesh, order: int, spaces: Spaces | None = None) 
     return PencilSystem(K=K, M_N=M_N, M_M=Mf, G0=G0, spaces=s)
 
 
-def _filter_spectrum(
-    raw: EigenResult,
-    count: int,
-    zero_tol: float,
-    G0: SparseMatrix,
-    M_N: SparseMatrix,
-) -> EigenResult:
-    """Drop near-zero (gradient) modes, keep the first `count` nonzero pairs."""
-    vals = raw.values
-    thr = zero_tol * max(float(np.abs(vals).max()), 1e-300)
-    keep = np.flatnonzero(vals > thr)
-    n_zero = len(vals) - len(keep)
-    if len(keep) < count:
-        raise EigenSolveError(
-            f"only {len(keep)} nonzero eigenvalues available, {count} requested"
-        )
-    keep = keep[:count]
-    vecs = raw.vectors[:, keep]
-    Mu = M_N.mat @ vecs
-    den = np.linalg.norm(Mu, axis=0)
-    num = np.linalg.norm(G0.mat.T @ Mu, axis=0)
-    div = np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)
-    return EigenResult(
-        values=vals[keep],
-        vectors=vecs,
-        residuals=raw.residuals[keep],
-        n_zero=n_zero,
-        div_residuals=div,
-    )
+def _shift(mesh: Mesh, power: int) -> float:
+    """Lanczos shift below the spectrum, scaled with the domain.
+
+    The first eigenvalue of curl^(power/2) on a domain of volume |Omega|
+    scales like (2 pi)^power |Omega|^(-power/3); sigma is minus half of that.
+    A fixed shift would let the residuals grow with the eigenvalue's scale.
+    """
+    return -0.5 * (2.0 * np.pi) ** power * float(mesh.volumes().sum()) ** (-power / 3.0)
 
 
 def solve_quadcurl_eig(
     mesh: Mesh,
     order: int,
     count: int,
-    zero_tol: float = ZERO_TOL,
-    method: str = "auto",
     pencil: PencilSystem | None = None,
 ) -> EigenResult:
-    """First `count` nonzero eigenvalues of the fourth-order pencil, ascending."""
-    if count < 1:
-        raise EigenSolveError("count must be >= 1")
+    """First `count` nonzero eigenvalues of the fourth-order pencil, ascending.
+
+    The block pencil is solved with the gradients [G0; 0] deflated; the
+    returned vectors are the u block (length N), M_N-orthonormal.
+    """
     pen = pencil if pencil is not None else build_quadcurl_pencil(mesh, order)
-    N, P = pen.n_free, pen.p_free
-    if N - P < count:
-        raise EigenSolveError(
-            f"pencil has only {N - P} nonzero eigenvalues, {count} requested"
-        )
-    if method == "auto":
-        method = "dense" if N <= DENSE_EIG_LIMIT else "lobpcg"
-    if method == "dense":
-        S = pen.schur_dense()
-        raw = gen_sym_eig(S, pen.M_N.to_dense(), min(count + P, N), method="dense")
-        return _filter_spectrum(raw, count, zero_tol, pen.G0, pen.M_N)
-    # Iterative path: the gradient nullspace is deflated, so no zero modes
-    # appear and no filtering window is needed.
-    raw = gen_sym_eig(
-        pen.schur_operator(),
-        pen.M_N.mat,
-        count,
-        method="lobpcg",
-        nullspace=pen.G0.mat.toarray(),
-        tol=1e-10 * float(np.abs(pen.K.mat).sum(axis=0).max()),
-    )
-    res = _filter_spectrum(raw, count, zero_tol, pen.G0, pen.M_N)
-    res.n_zero = P  # deflated exactly, by construction
-    return res
+    A, B = pen.block_pencil()
+    deflate = sp.vstack([pen.G0.mat, sp.csr_matrix((pen.m_total, pen.p_free))])
+    res = gen_sym_eig(A, B, count, _shift(mesh, 4), deflate=deflate)
+    return replace(res, vectors=res.vectors[: pen.n_free])
 
 
 def solve_maxwell_eig(
     mesh: Mesh,
     order: int,
     count: int,
-    zero_tol: float = ZERO_TOL,
-    method: str = "auto",
     spaces: Spaces | None = None,
 ) -> EigenResult:
     """First `count` nonzero curl-curl (Maxwell) eigenvalues on U_{0,h}."""
-    if count < 1:
-        raise EigenSolveError("count must be >= 1")
     s = spaces if spaces is not None else setup_spaces(mesh, order)
     if s.u0.num_free == 0:
         raise SpaceError("mesh has no interior edge DoFs")
     C0 = assemble_curlcurl(s.u0, s.u0)
     M0 = assemble_mass(s.u0)
     G0 = assemble_gradient_map(s.s0, s.u0)
-    N, P = C0.shape[0], G0.shape[1]
-    if N - P < count:
-        raise EigenSolveError(
-            f"pencil has only {N - P} nonzero eigenvalues, {count} requested"
-        )
-    if method == "auto":
-        method = "dense" if N <= DENSE_EIG_LIMIT else "lobpcg"
-    if method == "dense":
-        raw = gen_sym_eig(C0.to_dense(), M0.to_dense(), min(count + P, N), method="dense")
-        return _filter_spectrum(raw, count, zero_tol, G0, M0)
-    raw = gen_sym_eig(
-        C0.mat,
-        M0.mat,
-        count,
-        method="lobpcg",
-        nullspace=G0.mat.toarray(),
-    )
-    res = _filter_spectrum(raw, count, zero_tol, G0, M0)
-    res.n_zero = P
-    return res
+    return gen_sym_eig(C0, M0, count, _shift(mesh, 2), deflate=G0)
 
 
 def divergence_residual(edge_space: FESpace, nodal_space: FESpace, u) -> float:

@@ -196,7 +196,7 @@ def test_criterion_6_structural_properties(kuhn_ladder):
         pen, res = kuhn_ladder[n]
         assert res.n_zero == pen.p_free
 
-    # (b) Schur route vs the full block pencil, dense QZ cross-check
+    # (b) shift-invert route vs dense QZ on the full block pencil
     pen3, res3 = kuhn_ladder[3]
     A, B = pen3.block_pencil()
     assert A.shape[0] <= 400
