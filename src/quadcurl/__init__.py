@@ -2,10 +2,10 @@
 
 from .mesh import Mesh, Topology, BoundarySet, generate_cube_mesh, read_gmsh, build_topology, boundary_classification
 from .fespace import FESpace, DofVector, make_space, interpolate, eval_field, integrate_errors
-from .quadrature import QuadRule, quadrature_rule, tet_rule, triangle_rule, segment_rule
+from .quadrature import QuadRule, tet_rule, triangle_rule, segment_rule
 from .reference import reference_shape_functions
 from .assembly import SparseMatrix, assemble_mass, assemble_curlcurl, assemble_gradient_map, assemble_load, restrict
-from .solvers import EigenResult, spd_solve, saddle_solve, gen_sym_eig
+from .solvers import EigenResult, saddle_solve, gen_sym_eig
 from .manufactured import ManufacturedCase, curlcurl_sine_case, quadcurl_sin3_case
 from .systems import (
     PencilSystem,

@@ -1,10 +1,22 @@
 """Global matrix and load vector assembly.
 
-All element integrals are computed on the reference tetrahedron through the
-covariant transform: values map by J^{-T}, curls by J / det J, and volume
-elements by |det J|.  Local blocks for every tet are produced in one batched
-einsum and scattered by triplet accumulation; duplicate triplets merge by
-addition when the store is compressed.  The result does not depend on the
+The maps from the reference tet are affine, so every element integral is a
+small per-tet geometry tensor contracted with one reference tensor (the
+"tensor representation" of Kirby & Logg, ACM TOMS 32, 2006).  With the
+push-forward maps A_t of :func:`~quadcurl.fespace.push_forward` and the
+reference table r_qi (Q points, n basis functions, c components),
+
+    int_t (A_t r_i) . (A_t r_j) = sum_ab G_t[a,b] R[ab,ij],
+    G_t = |det J_t| A_t^T A_t,   R[ab,ij] = sum_q w_q r_qia r_qjb,
+
+which is the one kernel :func:`_gram` behind the edge mass (A = J^{-T} on
+values), the curl-curl matrix (A = J / det J on curls) and the nodal mass
+(a 1x1 map).  Loads pull f back instead, f(x) . (A r_i) = (A^T f) . r_i, and
+contract once with the reference table.  Default quadrature degrees are the
+exact ones: 2k for mass and 2k - 2 for curl-curl at order k.
+
+Local blocks are scattered by triplet accumulation; duplicate triplets merge
+by addition when the store is compressed.  The result does not depend on the
 order of the element loop beyond roundoff (~1e-13 relative), which also makes
 a partitioned/merged parallel assembly admissible.
 
@@ -20,7 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import SpaceError
-from .fespace import DofVector, FESpace, cell_geometry, map_points
+from .fespace import DofVector, FESpace, map_points, push_forward, reference_basis
 from .quadrature import tet_rule
 from .reference import ref_gradient_matrix
 
@@ -96,18 +108,24 @@ def _scatter_square(space_rows: FESpace, space_cols: FESpace, local: np.ndarray,
     return restrict(full, space_rows.active_dofs, space_cols.active_dofs)
 
 
+def _gram(ref: np.ndarray, A: np.ndarray, absdet: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Local blocks int_t (A_t r_i) . (A_t r_j), shape (T, n, n).
+
+    ``ref`` is the reference table (Q, n, c) at the rule's points, ``A`` the
+    per-tet push-forward (T, d, c) and ``absdet`` the |det J| per tet.
+    """
+    _, n, c = ref.shape
+    R = np.einsum("q,qia,qjb->abij", weights, ref, ref).reshape(c * c, n * n)
+    G = absdet[:, None, None] * (A.transpose(0, 2, 1) @ A)
+    return (G.reshape(-1, c * c) @ R).reshape(-1, n, n)
+
+
 def assemble_mass(space: FESpace, degree: int | None = None) -> SparseMatrix:
     """Mass matrix (phi_j, phi_i) on the active DoF set of the space."""
-    rule = tet_rule(degree if degree is not None else 2 * space.order + 2)
-    J, Jinv, detJ, absdet = cell_geometry(space.mesh)
-    if space.family == "edge":
-        rv, _ = space.element.tabulate(rule.points)
-        mapped = np.einsum("tba,qib->tqia", Jinv, rv)
-        local = np.einsum("q,tqia,tqja,t->tij", rule.weights, mapped, mapped, absdet)
-    else:
-        rv, _ = space.element.tabulate(rule.points)
-        ref_local = np.einsum("q,qi,qj->ij", rule.weights, rv, rv)
-        local = ref_local[None, :, :] * absdet[:, None, None]
+    rule = tet_rule(degree if degree is not None else 2 * space.order)
+    value_map, _, absdet = push_forward(space)
+    ref, _ = reference_basis(space, rule.points)
+    local = _gram(ref, value_map, absdet, rule.weights)
     return _scatter_square(space, space, local, symmetric=True)
 
 
@@ -120,11 +138,10 @@ def assemble_curlcurl(row_space: FESpace, col_space: FESpace | None = None, degr
     if col_space is None:
         col_space = row_space
     _check_edge_pair(row_space, col_space)
-    rule = tet_rule(degree if degree is not None else 2 * row_space.order + 2)
-    J, Jinv, detJ, absdet = cell_geometry(row_space.mesh)
-    _, rc = row_space.element.tabulate(rule.points)
-    mapped = np.einsum("tab,qib->tqia", J, rc) / detJ[:, None, None, None]
-    local = np.einsum("q,tqia,tqja,t->tij", rule.weights, mapped, mapped, absdet)
+    rule = tet_rule(degree if degree is not None else 2 * row_space.order - 2)
+    _, curl_map, absdet = push_forward(row_space)
+    _, ref = reference_basis(row_space, rule.points)
+    local = _gram(ref, curl_map, absdet, rule.weights)
     return _scatter_square(row_space, col_space, local, symmetric=row_space is col_space)
 
 
@@ -158,18 +175,14 @@ def assemble_gradient_map(nodal_space: FESpace, edge_space: FESpace) -> SparseMa
 def assemble_load(space: FESpace, f, degree: int = LOAD_DEGREE) -> DofVector:
     """Load vector entries (f, phi_i) over the full DoF layout."""
     rule = tet_rule(degree)
-    J, Jinv, detJ, absdet = cell_geometry(space.mesh)
-    X = map_points(space.mesh, rule.points)
-    fv = f(X)
-    if space.family == "edge":
-        rv, _ = space.element.tabulate(rule.points)
-        mapped = np.einsum("tba,qib->tqia", Jinv, rv)
-        local = np.einsum("q,tqa,tqia,t->ti", rule.weights, fv, mapped, absdet)
-    else:
-        rv, _ = space.element.tabulate(rule.points)
-        local = np.einsum("q,tq,qi,t->ti", rule.weights, fv, rv, absdet)
-    out = np.zeros(space.ndofs)
-    np.add.at(out, space.cell_dofs, local)
+    value_map, _, absdet = push_forward(space)
+    ref, _ = reference_basis(space, rule.points)
+    Q, n, c = ref.shape
+    T = len(absdet)
+    pulled = f(map_points(space.mesh, rule.points)).reshape(T, Q, -1) @ value_map
+    pulled *= rule.weights[:, None]
+    local = absdet[:, None] * (pulled.reshape(T, Q * c) @ ref.transpose(0, 2, 1).reshape(Q * c, n))
+    out = np.bincount(space.cell_dofs.ravel(), local.ravel(), minlength=space.ndofs)
     return DofVector(space, out)
 
 

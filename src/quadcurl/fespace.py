@@ -3,8 +3,7 @@
 A space couples a mesh with one reference family:
 
 * ``edge`` order k: one DoF per edge moment (k per edge) plus, for k = 2,
-  two per face.  Fields transform covariantly, u = J^{-T} u_hat, so curls
-  transform as curl u = (J / det J) curl_hat u_hat.
+  two per face.
 * ``nodal`` order k: scalar Lagrange, one DoF per vertex (and per edge
   midpoint for k = 2).
 
@@ -14,6 +13,19 @@ without sign or permutation fixes.
 
 The constrained variants (essential boundary condition u x n = 0, or scalar
 trace zero) keep the full-length DoF layout and record the free subset.
+
+Geometry.  The maps from the reference tet are affine, x = x_0 + J x_hat, and
+the mesh keeps J, J^{-1} and det J of every tet.  A basis function with
+reference value r and reference derivative d has the physical value A r and
+derivative D d, where :func:`push_forward` gives the per-tet matrices:
+
+* edge (covariant): A = J^{-T}, and the curl maps by D = J / det J;
+* nodal: A = 1 (a 1x1 map of the one-component value), gradients by
+  D = J^{-T}.
+
+This is the only place where the family changes the math: every element
+integral and field evaluation is a contraction of a reference table with
+these maps.
 """
 
 from __future__ import annotations
@@ -138,28 +150,50 @@ def make_space(
 
 
 def cell_geometry(mesh: Mesh):
-    """Per-tet affine data: J (T,3,3), its inverse, det J, |det J|."""
-    J = mesh.jacobians()
-    detJ = np.linalg.det(J)
-    Jinv = np.linalg.inv(J)
-    return J, Jinv, detJ, np.abs(detJ)
+    """Per-tet affine data kept on the mesh: J (T,3,3), its inverse, det J, |det J|."""
+    return mesh.jac, mesh.jac_inv, mesh.jac_det, np.abs(mesh.jac_det)
 
 
 def map_points(mesh: Mesh, ref_points: np.ndarray) -> np.ndarray:
     """Push reference points to every tet: (T, n, 3)."""
-    J = mesh.jacobians()
     origin = mesh.vertices[mesh.tets[:, 0]]
-    return origin[:, None, :] + np.einsum("tab,qb->tqa", J, ref_points)
+    return origin[:, None, :] + ref_points @ mesh.jac.transpose(0, 2, 1)
 
 
 def physical_to_reference(mesh: Mesh, tet: int, x: np.ndarray) -> np.ndarray:
     """Pull physical points back to the reference tet of one cell."""
-    corners = mesh.vertices[mesh.tets[tet]]
-    J = (corners[1:] - corners[0]).T
-    return np.linalg.solve(J, (np.atleast_2d(x) - corners[0]).T).T
+    x0 = mesh.vertices[mesh.tets[tet, 0]]
+    return (np.atleast_2d(x) - x0) @ mesh.jac_inv[tet].T
+
+
+def reference_basis(space: FESpace, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reference basis values and derivatives at points, each (Q, n, c).
+
+    Nodal values get a trailing axis of length 1, so both families push
+    forward through the (T, d, c) maps of :func:`push_forward`.
+    """
+    vals, derivs = space.element.tabulate(points)
+    return vals.reshape(derivs.shape[:2] + (-1,)), derivs
+
+
+def push_forward(space: FESpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-tet maps of reference values and derivatives, and |det J|.
+
+    Returns (value_map, deriv_map, absdet); see the module docstring.
+    """
+    J, Jinv, detJ, absdet = cell_geometry(space.mesh)
+    JinvT = Jinv.transpose(0, 2, 1)
+    if space.family == "edge":
+        return JinvT, J / detJ[:, None, None], absdet
+    return np.ones((len(J), 1, 1)), JinvT, absdet
 
 
 # --- evaluation -------------------------------------------------------------
+
+
+def _pushed_field(coeffs: np.ndarray, ref: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """Field (T, Q, d) of per-tet coefficients (T, n) on a reference table (Q, n, c)."""
+    return np.tensordot(coeffs, ref, axes=(1, 1)) @ A.transpose(0, 2, 1)
 
 
 def eval_cells(space: FESpace, vec: DofVector, ref_points: np.ndarray):
@@ -169,20 +203,13 @@ def eval_cells(space: FESpace, vec: DofVector, ref_points: np.ndarray):
     shape (T, n, 3); for the nodal family, values (T, n) and gradients
     (T, n, 3).
     """
-    J, Jinv, detJ, _ = cell_geometry(space.mesh)
+    rv, rd = reference_basis(space, ref_points)
+    value_map, deriv_map, _ = push_forward(space)
     coeffs = vec.values[space.cell_dofs]
-    if space.family == "edge":
-        rv, rc = space.element.tabulate(ref_points)
-        ref_vals = np.einsum("qic,ti->tqc", rv, coeffs)
-        ref_curls = np.einsum("qic,ti->tqc", rc, coeffs)
-        vals = np.einsum("tba,tqb->tqa", Jinv, ref_vals)
-        curls = np.einsum("tab,tqb->tqa", J, ref_curls) / detJ[:, None, None]
-        return vals, curls
-    rv, rg = space.element.tabulate(ref_points)
-    vals = np.einsum("qi,ti->tq", rv, coeffs)
-    ref_grads = np.einsum("qic,ti->tqc", rg, coeffs)
-    grads = np.einsum("tba,tqb->tqa", Jinv, ref_grads)
-    return vals, grads
+    vals = _pushed_field(coeffs, rv, value_map)
+    if space.family == "nodal":
+        vals = vals[..., 0]
+    return vals, _pushed_field(coeffs, rd, deriv_map)
 
 
 def eval_field(space: FESpace, vec: DofVector, tet: int, ref_point: np.ndarray):
@@ -277,15 +304,14 @@ def integrate_errors(
     rule = tet_rule(degree)
     vals, derivs = eval_cells(space, vec, rule.points)
     X = map_points(space.mesh, rule.points)
-    _, _, _, absdet = cell_geometry(space.mesh)
     if exact_value is not None:
         vals = vals - exact_value(X)
     if exact_deriv is not None:
         derivs = derivs - exact_deriv(X)
-    if space.family == "edge":
-        e_val = np.einsum("q,tqc,tqc,t->", rule.weights, vals, vals, absdet)
-        e_der = np.einsum("q,tqc,tqc,t->", rule.weights, derivs, derivs, absdet)
-    else:
-        e_val = np.einsum("q,tq,tq,t->", rule.weights, vals, vals, absdet)
-        e_der = np.einsum("q,tqc,tqc,t->", rule.weights, derivs, derivs, absdet)
-    return float(np.sqrt(e_val)), float(np.sqrt(e_der))
+    absdet = cell_geometry(space.mesh)[3]
+
+    def norm(v):
+        sq = (v * v).reshape(len(absdet), len(rule.weights), -1).sum(axis=2)
+        return float(np.sqrt(absdet @ sq @ rule.weights))
+
+    return norm(vals), norm(derivs)

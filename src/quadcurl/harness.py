@@ -178,29 +178,21 @@ def convergence_study(
                 rows.append([order, n, mesh.h_max, space.ndofs, 0, e0, e1, eh])
             elif problem == "curlcurl-src":
                 sol = solve_curlcurl_source(mesh, order, curlcurl_sine_case())
-                sp = setup_spaces(mesh, order)
                 eh = sol.errors["hcurl"]
                 errs.append(eh)
-                rows.append([order, n, mesh.h_max, sp.u0.num_free,
-                             sp.uf.num_active, sol.errors["l2"],
-                             sol.errors["curl"], eh, sol.p_ratio])
+                rows.append([order, n, mesh.h_max, *_source_dims(sol),
+                             sol.errors["l2"], sol.errors["curl"], eh,
+                             sol.p_ratio])
             elif problem == "quadcurl-src":
                 sol = solve_quadcurl_source(mesh, order, quadcurl_sin3_case())
-                sp = setup_spaces(mesh, order)
                 eh = sol.errors["combined"]
                 errs.append(eh)
-                rows.append([order, n, mesh.h_max, sp.u0.num_free,
-                             sp.uf.num_active, sol.errors["curl_u"],
-                             sol.errors["phi"], eh, sol.p_ratio])
+                rows.append([order, n, mesh.h_max, *_source_dims(sol),
+                             sol.errors["curl_u"], sol.errors["phi"], eh,
+                             sol.p_ratio])
             else:
-                if problem == "maxwell-eig":
-                    res = solve_maxwell_eig(mesh, order, num)
-                    sp = setup_spaces(mesh, order)
-                    dims = (sp.u0.num_free, 0)
-                else:
-                    res = solve_quadcurl_eig(mesh, order, num)
-                    sp = setup_spaces(mesh, order)
-                    dims = (sp.u0.num_free, sp.uf.num_active)
+                kind = "maxwell" if problem == "maxwell-eig" else "quadcurl"
+                res, dims = _solve_eig(kind, mesh, order, num)
                 rows.append([order, n, mesh.h_max, dims[0], dims[1],
                              *res.values[:num], sum(dims)])
         if problem in ("interp", "curlcurl-src", "quadcurl-src"):
@@ -270,18 +262,27 @@ def _dump_matrices(directory: str, mesh: Mesh, order: int, kind: str) -> None:
         mat.dump(os.path.join(directory, f"{name}.txt"))
 
 
-def _eig_single_table(kind: str, mesh: Mesh, order: int, num: int) -> ConvergenceTable:
-    sp = setup_spaces(mesh, order)
+def _source_dims(sol) -> tuple[int, int]:
+    """(N, M) of a source solve: free U_{0,h} DoFs and all U_h DoFs."""
+    return sol.u.space.num_free, sol.u.space.ndofs
+
+
+def _solve_eig(kind: str, mesh: Mesh, order: int, num: int):
+    """Eigen solve plus its (N, M); M is 0 for Maxwell, which has no w block."""
     if kind == "maxwell":
         res = solve_maxwell_eig(mesh, order, num)
-        dof = sp.u0.num_free
-    else:
-        res = solve_quadcurl_eig(mesh, order, num)
-        dof = sp.u0.num_free + sp.uf.num_active
+        return res, (res.vectors.shape[0], 0)
+    pen = build_quadcurl_pencil(mesh, order)
+    res = solve_quadcurl_eig(mesh, order, num, pencil=pen)
+    return res, (pen.n_free, pen.m_total)
+
+
+def _eig_single_table(kind: str, mesh: Mesh, order: int, num: int) -> ConvergenceTable:
+    res, dims = _solve_eig(kind, mesh, order, num)
     table = ConvergenceTable(problem=f"{kind}-eig",
                              headers=["index", "lambda", "dof"])
     for i, lam in enumerate(res.values[:num]):
-        table.rows.append([i + 1, lam, dof])
+        table.rows.append([i + 1, lam, sum(dims)])
     return table
 
 
@@ -332,11 +333,8 @@ def _parse_levels(text: str) -> list:
 
 
 def _info_table(mesh: Mesh, order: int) -> ConvergenceTable:
-    from .mesh import boundary_classification, build_topology
-
-    topo = build_topology(mesh)
-    bnd = boundary_classification(mesh, topo)
     sp = setup_spaces(mesh, order)
+    topo, bnd = sp.u0.topo, sp.u0.boundary
     table = ConvergenceTable(problem="info", headers=["key", "value"])
     pairs = [
         ("vertices", mesh.vertices.shape[0]),

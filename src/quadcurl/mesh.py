@@ -5,8 +5,11 @@ Tetrahedra are canonicalized to ascending vertex order at construction, so
 every local edge and face automatically runs from its lowest to its highest
 global vertex index.  Downstream code relies on this: shared edge and face
 degrees of freedom then have one well defined orientation, and no incidence
-sign bookkeeping is needed beyond the (trivially positive) sign arrays kept
-on the topology for completeness.
+sign bookkeeping is needed.
+
+The maps from the reference tetrahedron are affine, so each tet's Jacobian,
+its inverse and its determinant are computed once, at construction, and kept
+on the mesh.
 
 Entity numbering produced by :func:`build_topology` depends only on the set
 of tetrahedra, not on their order in the array: unique sorted vertex tuples
@@ -43,11 +46,18 @@ class Mesh:
     tets:
         Integer array of shape (T, 4).  Rows are sorted ascending during
         construction; the input order of the four vertices is irrelevant.
+
+    Construction also sets ``h_max`` (the longest edge) and the affine map
+    x = v_0 + J x_hat of every tet: ``jac`` (T, 3, 3), whose column d is
+    vertex d+1 minus vertex 0, ``jac_inv`` and ``jac_det``.
     """
 
     vertices: np.ndarray
     tets: np.ndarray
     h_max: float = field(init=False)
+    jac: np.ndarray = field(init=False, repr=False, compare=False)
+    jac_inv: np.ndarray = field(init=False, repr=False, compare=False)
+    jac_det: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.vertices = _freeze(np.ascontiguousarray(self.vertices, dtype=np.float64))
@@ -63,9 +73,12 @@ class Mesh:
             raise MeshError("tet vertex index out of range")
         if np.any(np.diff(tets, axis=1) == 0):
             raise MeshError("tet with repeated vertex")
-        vol6 = np.abs(np.linalg.det(self.jacobians()))
-        if vol6.min() <= 1e-14:
+        corners = self.vertices[tets]
+        self.jac = _freeze((corners[:, 1:, :] - corners[:, :1, :]).transpose(0, 2, 1))
+        self.jac_det = _freeze(np.linalg.det(self.jac))
+        if np.abs(self.jac_det).min() <= 1e-14:
             raise MeshError("degenerate tetrahedron (zero volume)")
+        self.jac_inv = _freeze(np.linalg.inv(self.jac))
         edges = self.vertices[tets[:, LOCAL_EDGES[:, 1]]] - self.vertices[tets[:, LOCAL_EDGES[:, 0]]]
         self.h_max = float(np.sqrt((edges**2).sum(axis=2)).max())
 
@@ -77,14 +90,9 @@ class Mesh:
     def num_tets(self) -> int:
         return self.tets.shape[0]
 
-    def jacobians(self) -> np.ndarray:
-        """Affine map Jacobians, shape (T, 3, 3); column d is vertex d+1 minus vertex 0."""
-        corners = self.vertices[self.tets]
-        return (corners[:, 1:, :] - corners[:, :1, :]).transpose(0, 2, 1)
-
     def volumes(self) -> np.ndarray:
         """Unsigned tet volumes."""
-        return np.abs(np.linalg.det(self.jacobians())) / 6.0
+        return np.abs(self.jac_det) / 6.0
 
 
 def generate_cube_mesh(n: int) -> Mesh:
@@ -200,11 +208,9 @@ class Topology:
     edges, faces:
         Global entities as ascending vertex tuples, ranked lexicographically.
     tet_edges, tet_faces:
-        Global entity index per (tet, local entity).
-    edge_signs, face_signs:
-        +1 where the local entity traversal agrees with the global low-to-high
-        orientation.  All +1 for canonicalized meshes; kept explicit so the
-        contract is visible.
+        Global entity index per (tet, local entity).  Local traversal is
+        low-to-high within the sorted cell tuple, which is the global
+        orientation, so no incidence signs are needed.
     face_tets:
         For each face, the one or two incident tets (-1 when absent).
     """
@@ -213,8 +219,6 @@ class Topology:
     faces: np.ndarray
     tet_edges: np.ndarray
     tet_faces: np.ndarray
-    edge_signs: np.ndarray
-    face_signs: np.ndarray
     face_tets: np.ndarray
 
     @property
@@ -256,20 +260,11 @@ def build_topology(mesh: Mesh) -> Topology:
             face_tets[f, slot[f]] = t
             slot[f] += 1
 
-    # Local traversal is low-to-high within the cell tuple; after sorting the
-    # cells, this coincides with the global orientation everywhere.
-    edge_signs = np.where(
-        tets[:, LOCAL_EDGES[:, 0]] < tets[:, LOCAL_EDGES[:, 1]], 1, -1
-    ).astype(np.int8)
-    face_signs = np.ones((T, 4), dtype=np.int8)
-
     return Topology(
         edges=_freeze(edges),
         faces=_freeze(faces),
         tet_edges=_freeze(tet_edges),
         tet_faces=_freeze(tet_faces),
-        edge_signs=_freeze(edge_signs),
-        face_signs=_freeze(face_signs),
         face_tets=_freeze(face_tets),
     )
 

@@ -84,7 +84,3 @@ def segment_rule(degree: int) -> QuadRule:
     x, w = _gauss_jacobi01(n, 0)
     return QuadRule(x[:, None], w, degree)
 
-
-def quadrature_rule(degree: int) -> QuadRule:
-    """Tetrahedron rule of the requested polynomial degree (the default domain)."""
-    return tet_rule(degree)

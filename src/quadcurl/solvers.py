@@ -1,8 +1,7 @@
-"""Linear algebra kernels: SPD solve, saddle-point solve, symmetric eigensolve.
+"""Linear algebra kernels: saddle-point solve and symmetric eigensolve.
 
-These wrap LAPACK/SuperLU/ARPACK behind small contracts: every solve verifies
-its relative residual, SPD factorizations reject non-positive pivots, and the
-generalized eigensolver returns B-orthonormal vectors whose relative
+These wrap LAPACK/SuperLU/ARPACK behind small contracts: the saddle solve
+verifies its relative residual, and the generalized eigensolver returns B-orthonormal vectors whose relative
 residuals it checks against a tolerance.  The eigensolver is one sparse path:
 Lanczos in shift-invert mode on a single symmetric-mode LU of A - sigma B,
 with a known subspace (the discrete gradients) projected out B-orthogonally
@@ -19,9 +18,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import SparseMatrix
-from .errors import EigenSolveError, NotSPDError, SingularSystemError
+from .errors import EigenSolveError, SingularSystemError
 
-_SPD_RESIDUAL_TOL = 1e-10
 _SADDLE_RESIDUAL_TOL = 1e-9
 # ARPACK's Ritz-value tolerance.  Machine precision (ARPACK's default) took
 # 1.4x the operator applications of 1e-12 on the order-1 and order-2 cube
@@ -53,13 +51,6 @@ def _unwrap(A):
     return A
 
 
-def _as_dense(A) -> np.ndarray:
-    A = _unwrap(A)
-    if sp.issparse(A):
-        return A.toarray()
-    return np.asarray(A, dtype=np.float64)
-
-
 def _rel_residual(A, x, b) -> float:
     nb = np.linalg.norm(b)
     if nb == 0.0:
@@ -80,36 +71,6 @@ def _symmetric_lu(A):
         permc_spec="MMD_AT_PLUS_A",
         options={"SymmetricMode": True},
     )
-
-
-def spd_solve(A, b) -> np.ndarray:
-    """Solve Ax = b for symmetric positive definite A.
-
-    Dense inputs (or small sparse ones) go through Cholesky; larger sparse
-    matrices use a symmetric-mode LU whose pivots are checked for positivity.
-    b may carry multiple right-hand sides as columns.
-    """
-    b = np.asarray(b, dtype=np.float64)
-    A = _unwrap(A)
-    if not sp.issparse(A) or A.shape[0] <= 500:
-        Ad = _as_dense(A)
-        try:
-            c, low = sla.cho_factor(Ad, lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise NotSPDError(f"Cholesky failed: {exc}") from exc
-        x = sla.cho_solve((c, low), b)
-    else:
-        try:
-            lu = _symmetric_lu(A)
-        except RuntimeError as exc:
-            raise SingularSystemError(f"factorization failed: {exc}") from exc
-        if lu.U.diagonal().min() <= 0.0:
-            raise NotSPDError("non-positive pivot in symmetric factorization")
-        x = lu.solve(b)
-    res = _rel_residual(A, x, b)
-    if res > _SPD_RESIDUAL_TOL:
-        raise SingularSystemError(f"SPD solve residual {res:.3e} exceeds {_SPD_RESIDUAL_TOL}")
-    return x
 
 
 def saddle_solve(K, G, f, g=None):

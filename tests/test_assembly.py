@@ -10,6 +10,7 @@ from quadcurl import (
 from quadcurl.errors import SpaceError
 from quadcurl.fespace import eval_cells
 from quadcurl.mesh import Mesh
+from quadcurl.quadrature import tet_rule
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -41,12 +42,82 @@ def test_curlcurl_annihilates_discrete_gradients(order):
     assert (np.abs(CG.data).max() if CG.nnz else 0.0) < 1e-12
 
 
-@pytest.mark.parametrize("order", [1, 2])
-def test_default_quadrature_degree_saturates(order, cube2):
+@pytest.mark.parametrize(
+    "assemble, order",
+    [
+        pytest.param(assemble_mass, 1, id="1"),
+        pytest.param(assemble_mass, 2, id="2"),
+        pytest.param(assemble_curlcurl, 1, id="curlcurl-1"),
+        pytest.param(assemble_curlcurl, 2, id="curlcurl-2"),
+    ],
+)
+def test_default_quadrature_degree_saturates(assemble, order, cube2):
+    """The default degrees (2k for mass, 2k - 2 for curl-curl) are exact."""
     space = make_space(cube2, "edge", order)
-    M_default = assemble_mass(space).to_dense()
-    M_high = assemble_mass(space, degree=2 * order + 6).to_dense()
+    M_default = assemble(space).to_dense()
+    M_high = assemble(space, degree=2 * order + 6).to_dense()
     assert np.abs(M_default - M_high).max() < 1e-13 * np.abs(M_high).max()
+
+
+def _poly_load(x):
+    """Quadratic load: every (f, phi_i) is integrated exactly by both rules below."""
+    x = np.asarray(x)
+    return np.stack([x[..., 1] * x[..., 2] + 1.0, x[..., 0] ** 2 - x[..., 2],
+                     x[..., 0] + x[..., 1] * x[..., 2]], axis=-1)
+
+
+def _poly_load_scalar(x):
+    x = np.asarray(x)
+    return x[..., 0] * x[..., 1] - 2.0 * x[..., 2] + 0.5
+
+
+def _oracle(kind, space, f):
+    """Plain per-tet, per-point assembly on the full layout.
+
+    Explicit J per tet from its vertices, the element's own tabulation and a
+    degree-(2k + 4) rule; edge values map by J^{-T}, curls by J / det J.
+    """
+    rule = tet_rule(2 * space.order + 4)
+    vals, derivs = space.element.tabulate(rule.points)
+    n = space.element.ndofs
+    out = np.zeros(space.ndofs) if kind == "load" else np.zeros((space.ndofs, space.ndofs))
+    for t, cell in enumerate(space.mesh.tets):
+        v = space.mesh.vertices[cell]
+        J = (v[1:] - v[0]).T
+        det = np.linalg.det(J)
+        dofs = space.cell_dofs[t]
+        for x_hat, w, r, d in zip(rule.points, rule.weights, vals, derivs):
+            r = r.reshape(n, -1)
+            if kind == "curlcurl":
+                phi = d @ J.T / det
+            elif space.family == "edge":
+                phi = np.linalg.solve(J.T, r.T).T
+            else:
+                phi = r
+            if kind == "load":
+                out[dofs] += w * abs(det) * (phi @ np.atleast_1d(f(v[0] + J @ x_hat)))
+            else:
+                out[np.ix_(dofs, dofs)] += w * abs(det) * (phi @ phi.T)
+    return out
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize(
+    "family, kind",
+    [("edge", "mass"), ("edge", "curlcurl"), ("edge", "load"), ("nodal", "mass"), ("nodal", "load")],
+)
+def test_assembly_matches_pointwise_oracle(family, kind, order):
+    mesh = jittered_cube_mesh(2, seed=21)
+    space = make_space(mesh, family, order)
+    f = _poly_load if family == "edge" else _poly_load_scalar
+    expected = _oracle(kind, space, f)
+    if kind == "mass":
+        got = assemble_mass(space).to_dense()
+    elif kind == "curlcurl":
+        got = assemble_curlcurl(space).to_dense()
+    else:
+        got = assemble_load(space, f).values
+    assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 def test_assembly_invariant_under_tet_relabeling(cube2):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from quadcurl import quadrature_rule, segment_rule, tet_rule, triangle_rule
+from quadcurl import segment_rule, tet_rule, triangle_rule
 from quadcurl.errors import QuadratureError
 
 
@@ -65,12 +65,6 @@ def test_segment_rule_exactness(degree):
     for a in range(degree + 1):
         got = float(np.dot(rule.weights, s**a))
         assert abs(got - 1.0 / (a + 1)) < 1e-14, a
-
-
-def test_quadrature_rule_is_tet_rule():
-    a, b = quadrature_rule(4), tet_rule(4)
-    assert np.array_equal(a.points, b.points)
-    assert np.array_equal(a.weights, b.weights)
 
 
 def test_rule_metadata():

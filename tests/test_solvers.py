@@ -3,55 +3,14 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from quadcurl import SparseMatrix, gen_sym_eig, saddle_solve, spd_solve
-from quadcurl.errors import EigenSolveError, NotSPDError, SingularSystemError
+from quadcurl import gen_sym_eig, saddle_solve
+from quadcurl.errors import EigenSolveError, SingularSystemError
 
 
 def _random_spd(n, seed):
     rng = np.random.default_rng(seed)
     R = rng.standard_normal((n, n))
     return R @ R.T + n * np.eye(n)
-
-
-def test_spd_solve_dense_single_and_multi_rhs():
-    A = _random_spd(8, 0)
-    rng = np.random.default_rng(1)
-    x = rng.standard_normal(8)
-    assert np.abs(spd_solve(A, A @ x) - x).max() < 1e-10
-    X = rng.standard_normal((8, 3))
-    assert np.abs(spd_solve(A, A @ X) - X).max() < 1e-10
-
-
-def test_spd_solve_sparse_path():
-    n = 600
-    main = 2.0 * np.ones(n)
-    off = -np.ones(n - 1)
-    A = sp.diags([off, main, off], [-1, 0, 1], format="csr")
-    rng = np.random.default_rng(2)
-    x = rng.standard_normal(n)
-    b = A @ x
-    got = spd_solve(SparseMatrix(A.tocsr(), symmetric=True), b)
-    assert np.abs(got - x).max() < 1e-8
-
-
-def test_spd_solve_rejects_indefinite_dense():
-    A = np.diag([1.0, -1.0, 2.0])
-    with pytest.raises(NotSPDError):
-        spd_solve(A, np.ones(3))
-
-
-def test_spd_solve_rejects_negative_pivot_sparse():
-    A = -sp.identity(600, format="csr")
-    with pytest.raises(NotSPDError):
-        spd_solve(A, np.ones(600))
-
-
-def test_spd_solve_singular_sparse():
-    d = np.ones(600)
-    d[300] = 0.0
-    A = sp.diags([d], [0], format="csr")
-    with pytest.raises((SingularSystemError, NotSPDError)):
-        spd_solve(A, np.ones(600))
 
 
 def test_saddle_solve_manufactured_solution():
