@@ -54,9 +54,9 @@ def test_curlcurl_annihilates_discrete_gradients(order):
 def test_default_quadrature_degree_saturates(assemble, order, cube2):
     """The default degrees (2k for mass, 2k - 2 for curl-curl) are exact."""
     space = make_space(cube2, "edge", order)
-    M_default = assemble(space).to_dense()
-    M_high = assemble(space, degree=2 * order + 6).to_dense()
-    assert np.abs(M_default - M_high).max() < 1e-13 * np.abs(M_high).max()
+    default = assemble(space).to_dense()
+    high = assemble(space, degree=2 * order + 6).to_dense()
+    assert np.abs(default - high).max() < 1e-13 * np.abs(high).max()
 
 
 def _poly_load(x):
