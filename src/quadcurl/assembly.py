@@ -150,8 +150,9 @@ def assemble_gradient_map(nodal_space: FESpace, edge_space: FESpace) -> SparseMa
 
     The reference matrix of edge-moment functionals applied to nodal shape
     gradients is the same on every tet (gradients pull back covariantly), so
-    assembly reduces to scattering one constant block.  Entries from adjacent
-    tets agree, so duplicates are deduplicated rather than accumulated.
+    assembly reduces to scattering one constant block.  Every tet sharing an
+    edge DoF gives it the same row, so each row is taken from one owner tet,
+    and the block's exact zeros are not stored.
     """
     if nodal_space.family != "nodal" or edge_space.family != "edge":
         raise SpaceError("gradient map needs (nodal, edge) spaces")
@@ -160,14 +161,14 @@ def assemble_gradient_map(nodal_space: FESpace, edge_space: FESpace) -> SparseMa
     if nodal_space.mesh is not edge_space.mesh:
         raise SpaceError("gradient map spaces live on different meshes")
     g_ref = ref_gradient_matrix(edge_space.order)
-    T = edge_space.mesh.num_tets
-    rows = np.broadcast_to(edge_space.cell_dofs[:, :, None], (T,) + g_ref.shape).ravel()
-    cols = np.broadcast_to(nodal_space.cell_dofs[:, None, :], (T,) + g_ref.shape).ravel()
-    vals = np.broadcast_to(g_ref[None, :, :], (T,) + g_ref.shape).ravel()
-    key = rows * nodal_space.ndofs + cols
-    _, keep = np.unique(key, return_index=True)
+    rows, first = np.unique(edge_space.cell_dofs.ravel(), return_index=True)
+    owner, local = np.divmod(first, g_ref.shape[0])
+    vals = g_ref[local]
+    cols = nodal_space.cell_dofs[owner]
+    nz = vals != 0.0
     full = SparseMatrix.from_triplets(
-        (edge_space.ndofs, nodal_space.ndofs), rows[keep], cols[keep], vals[keep]
+        (edge_space.ndofs, nodal_space.ndofs),
+        np.broadcast_to(rows[:, None], vals.shape)[nz], cols[nz], vals[nz],
     )
     return restrict(full, edge_space.active_dofs, nodal_space.active_dofs)
 

@@ -31,6 +31,7 @@ these maps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -170,10 +171,20 @@ def reference_basis(space: FESpace, points: np.ndarray) -> tuple[np.ndarray, np.
     """Reference basis values and derivatives at points, each (Q, n, c).
 
     Nodal values get a trailing axis of length 1, so both families push
-    forward through the (T, d, c) maps of :func:`push_forward`.
+    forward through the (T, d, c) maps of :func:`push_forward`.  The tables
+    are tabulated once per (family, order, points) and shared read-only.
     """
-    vals, derivs = space.element.tabulate(points)
-    return vals.reshape(derivs.shape[:2] + (-1,)), derivs
+    pts = np.ascontiguousarray(points, dtype=np.float64)
+    return _reference_tables(space.family, space.order, pts.shape, pts.tobytes())
+
+
+@lru_cache(maxsize=32)  # bounded: eval_field passes arbitrary points
+def _reference_tables(family: str, order: int, shape: tuple, points: bytes):
+    vals, derivs = get_element(family, order).tabulate(np.frombuffer(points).reshape(shape))
+    tables = vals.reshape(derivs.shape[:2] + (-1,)), derivs
+    for t in tables:
+        t.flags.writeable = False
+    return tables
 
 
 def push_forward(space: FESpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

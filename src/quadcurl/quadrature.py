@@ -14,6 +14,7 @@ strictly positive weights at interior points, for any requested degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import roots_jacobi
@@ -50,8 +51,12 @@ def _npoints_for(degree: int) -> int:
     return degree // 2 + 1
 
 
+@lru_cache(maxsize=None)  # bounded: only degrees 0..MAX_DEGREE succeed
 def tet_rule(degree: int) -> QuadRule:
-    """Rule exact for polynomials of total degree <= degree on the unit tet."""
+    """Rule exact for polynomials of total degree <= degree on the unit tet.
+
+    Each rule is built once and shared; its arrays are read-only.
+    """
     n = _npoints_for(degree)
     a, wa = _gauss_jacobi01(n, 2)
     b, wb = _gauss_jacobi01(n, 1)
@@ -62,7 +67,9 @@ def tet_rule(degree: int) -> QuadRule:
     z = C * (1.0 - A) * (1.0 - B)
     W = wa[:, None, None] * wb[None, :, None] * wc[None, None, :]
     pts = np.stack([x.ravel(), y.ravel(), z.ravel()], axis=1)
-    return QuadRule(pts, W.ravel(), degree)
+    W = W.ravel()
+    pts.flags.writeable = W.flags.writeable = False
+    return QuadRule(pts, W, degree)
 
 
 def triangle_rule(degree: int) -> QuadRule:

@@ -28,6 +28,8 @@ global degree of freedom per mesh entity well defined.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import SpaceError
@@ -259,16 +261,20 @@ def get_element(family: str, order: int):
     return _ELEMENT_CACHE[key]
 
 
+@lru_cache(maxsize=None)
 def ref_gradient_matrix(order: int) -> np.ndarray:
     """Edge-space DoF values of the gradients of the nodal shape functions.
 
     Because gradients pull back to reference gradients under the covariant
     map, this one constant matrix realizes the nodal-to-edge gradient map on
-    every tetrahedron of every mesh.
+    every tetrahedron of every mesh.  It is computed once per order and
+    shared read-only.
     """
     edge_el = get_element("edge", order)
     nodal_el = get_element("nodal", order)
-    return edge_el.apply_functionals(lambda pts: nodal_el.tabulate(pts)[1])
+    g = edge_el.apply_functionals(lambda pts: nodal_el.tabulate(pts)[1])
+    g.flags.writeable = False
+    return g
 
 
 def reference_shape_functions(family: str, order: int, points: np.ndarray):

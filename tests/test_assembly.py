@@ -147,6 +147,32 @@ def test_gradient_map_lowest_order_is_signed_incidence(cube2):
     assert np.abs(G - expected).max() < 1e-13
 
 
+@pytest.mark.parametrize("constrained", [False, True])
+@pytest.mark.parametrize("order", [1, 2])
+def test_gradient_map_matches_triplet_reference_without_zeros(order, constrained):
+    """One owner row per edge DoF equals scattering every tet's block, minus zeros."""
+    from quadcurl.reference import ref_gradient_matrix
+
+    mesh = jittered_cube_mesh(2, seed=17)
+    edge = make_space(mesh, "edge", order, constrained)
+    nodal = make_space(mesh, "nodal", order, constrained)
+    G = assemble_gradient_map(nodal, edge)
+    assert np.all(G.mat.data != 0.0)
+
+    g_ref = ref_gradient_matrix(order)
+    ref = {}
+    for t in range(mesh.num_tets):
+        for i, row in enumerate(edge.cell_dofs[t]):
+            for j, col in enumerate(nodal.cell_dofs[t]):
+                ref.setdefault((row, col), g_ref[i, j])
+    dense = np.zeros((edge.ndofs, nodal.ndofs))
+    for (row, col), v in ref.items():
+        dense[row, col] = v
+    dense = dense[np.ix_(edge.active_dofs, nodal.active_dofs)]
+    assert G.shape == dense.shape
+    assert np.abs(G.to_dense() - dense).max() <= 1e-15
+
+
 @pytest.mark.parametrize("order", [1, 2])
 def test_gradient_map_matches_pointwise_gradient(order):
     mesh = jittered_cube_mesh(2, seed=17)

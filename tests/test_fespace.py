@@ -7,7 +7,8 @@ from quadcurl import (
     integrate_errors, interpolate, make_space,
 )
 from quadcurl.errors import SpaceError
-from quadcurl.fespace import eval_cells, map_points, physical_to_reference
+from quadcurl.fespace import eval_cells, map_points, physical_to_reference, reference_basis
+from quadcurl.quadrature import tet_rule
 
 REF_PTS = np.array([[0.25, 0.25, 0.25], [0.1, 0.2, 0.3], [0.55, 0.1, 0.15],
                     [0.05, 0.6, 0.1]])
@@ -172,3 +173,26 @@ def test_dofvector_length_checked(cube2):
     space = make_space(cube2, "edge", 1)
     with pytest.raises(SpaceError):
         DofVector(space, np.zeros(space.ndofs + 1))
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("family", ["edge", "nodal"])
+def test_reference_tables_cached_read_only(family, order, cube2):
+    """Tables are tabulated once per (family, order, points) and cannot be written."""
+    space = make_space(cube2, family, order)
+    points = tet_rule(10).points
+    vals, derivs = reference_basis(space, points)
+    fresh_vals, fresh_derivs = space.element.tabulate(points)
+    assert np.array_equal(vals, fresh_vals.reshape(vals.shape[:2] + (-1,)))
+    assert np.array_equal(derivs, fresh_derivs)
+    assert vals.shape[:2] == derivs.shape[:2] == (len(points), space.element.ndofs)
+
+    again = reference_basis(make_space(cube2, family, order, constrained=True), points.copy())
+    assert again[0] is vals and again[1] is derivs
+    for table in (vals, derivs):
+        with pytest.raises(ValueError):
+            table[0, 0, 0] = 1.0
+
+    other = reference_basis(space, REF_PTS)
+    assert other[0].shape[0] == len(REF_PTS)
+    assert np.array_equal(other[1], space.element.tabulate(REF_PTS)[1])

@@ -1,7 +1,45 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
+import sympy as sp
 
-from quadcurl import curlcurl_sine_case, quadcurl_sin3_case
+import quadcurl
+from quadcurl import curlcurl_sine_case, generate_cube_mesh, quadcurl_sin3_case
+
+FIELDS = ("u", "curl_u", "curl2_u", "f")
+X, Y, Z = sp.symbols("x y z")
+
+
+def sym_curl(F):
+    return [
+        sp.diff(F[2], Y) - sp.diff(F[1], Z),
+        sp.diff(F[0], Z) - sp.diff(F[2], X),
+        sp.diff(F[1], X) - sp.diff(F[0], Y),
+    ]
+
+
+def case_expressions(name):
+    """The four sympy fields (u, curl u, curl^2 u, f) of a case, derived here."""
+    if name == "sine":
+        u = [0, 0, sp.sin(sp.pi * X) * sp.sin(sp.pi * Y)]
+        cu = sym_curl(u)
+        c2u = sym_curl(cu)
+        return curlcurl_sine_case(), (u, cu, c2u, c2u)
+    psi = (sp.sin(sp.pi * X) * sp.sin(sp.pi * Y) * sp.sin(sp.pi * Z)) ** 3
+    u = sym_curl([0, 0, psi])
+    cu = sym_curl(u)
+    c2u = sym_curl(cu)
+    return quadcurl_sin3_case(), (u, cu, c2u, sym_curl(sym_curl(c2u)))
+
+
+def plain_eval(exprs, pts):
+    """Per-component lambdify without common subexpressions or blocks."""
+    x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
+    comps = [np.broadcast_to(sp.lambdify((X, Y, Z), e, modules="numpy")(x, y, z), x.shape)
+             for e in exprs]
+    return np.stack(comps, axis=-1)
 
 
 def fd_curl(F, pts, h=1e-5):
@@ -84,3 +122,62 @@ def test_sin3_source_satisfies_energy_identity():
 def test_cases_are_cached():
     assert curlcurl_sine_case() is curlcurl_sine_case()
     assert quadcurl_sin3_case() is quadcurl_sin3_case()
+
+
+@pytest.mark.parametrize("shape", [(3,), (0, 3), (5, 1703, 3)])
+@pytest.mark.parametrize("name", ["sine", "sin3"])
+def test_case_fields_match_plain_lambdify(name, shape):
+    """Shared subexpressions and blocked evaluation change no value beyond roundoff.
+
+    5 x 1703 points span three evaluation blocks, the last one partial.
+    """
+    case, exprs = case_expressions(name)
+    pts = np.random.default_rng(2).random(shape)
+    for field, e in zip(FIELDS, exprs):
+        got = getattr(case, field)(pts)
+        ref = plain_eval(e, pts)
+        assert got.shape == shape
+        assert np.abs(got - ref).max(initial=0.0) <= 1e-13 * np.abs(ref).max(initial=1.0)
+
+
+def test_sine_case_zero_components_broadcast():
+    case = curlcurl_sine_case()
+    pts = np.random.default_rng(4).random((3, 7, 3))
+    for field, zero in (("u", [0, 1]), ("curl_u", [2]), ("curl2_u", [0, 1]), ("f", [0, 1])):
+        vals = getattr(case, field)(pts)
+        assert vals.shape == pts.shape
+        assert np.all(vals[..., zero] == 0.0)
+        assert np.all(np.isfinite(vals))
+
+
+def test_case_fields_reject_points_without_three_coordinates():
+    with pytest.raises(ValueError):
+        quadcurl_sin3_case().f(np.zeros((4, 2)))
+
+
+def _bench_spans():
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_source_solve_spans_every_field_evaluation():
+    """The benchmark's tracer sees each of the four field callables.
+
+    It wraps u, curl_u, curl2_u and f of the returned case; a solve that
+    evaluated the fields some other way would read zero field time.
+    """
+    spans = _bench_spans()
+    mesh = generate_cube_mesh(2)
+    tracer = spans.Tracer()
+    with spans.traced(quadcurl, tracer):
+        case = quadcurl.quadcurl_sin3_case()
+        request = tracer.begin(0)
+        quadcurl.solve_quadcurl_source(mesh, 1, case)
+        tracer.end(request)
+    names = [s[0] for s in tracer.spans]
+    assert names.count("manufactured.eval") == 4
+    assert tracer.counts["manufactured.eval_points"] == 4 * mesh.num_tets * 216
+    assert tracer.self_times()["manufactured.eval"] > 0.0

@@ -81,3 +81,12 @@ def test_negative_degree_rejected():
 def test_excessive_degree_rejected():
     with pytest.raises(QuadratureError):
         tet_rule(100)
+
+
+def test_tet_rule_built_once_and_read_only():
+    rule = tet_rule(10)
+    assert tet_rule(10) is rule
+    with pytest.raises(ValueError):
+        rule.points[0, 0] = 0.5
+    with pytest.raises(ValueError):
+        rule.weights[0] = 0.5

@@ -119,6 +119,7 @@ def test_gradient_matrix_maps_nodal_gradients(order):
     nodal_el = get_element("nodal", order)
     G = ref_gradient_matrix(order)
     assert G.shape == (edge_el.ndofs, nodal_el.ndofs)
+    assert ref_gradient_matrix(order) is G and not G.flags.writeable
     pts = interior_points(10)
     vals, curls = edge_el.tabulate(pts)
     _, grads = nodal_el.tabulate(pts)
