@@ -253,12 +253,13 @@ def build_topology(mesh: Mesh) -> Topology:
             f"face {tuple(faces[bad])} is shared by {counts.max()} tets"
         )
 
+    # Stable sort groups each face's (tet, local face) slots in ascending tet
+    # order; the slot is the rank within the face's run.
+    order = np.argsort(tet_faces.ravel(), kind="stable")
+    sorted_faces = tet_faces.ravel()[order]
+    slot = np.arange(order.size) - np.searchsorted(sorted_faces, sorted_faces)
     face_tets = -np.ones((len(faces), 2), dtype=np.int64)
-    slot = np.zeros(len(faces), dtype=np.int64)
-    for t in range(T):
-        for f in tet_faces[t]:
-            face_tets[f, slot[f]] = t
-            slot[f] += 1
+    face_tets[sorted_faces, slot] = order // 4
 
     return Topology(
         edges=_freeze(edges),

@@ -273,6 +273,9 @@ def ref_gradient_matrix(order: int) -> np.ndarray:
     edge_el = get_element("edge", order)
     nodal_el = get_element("nodal", order)
     g = edge_el.apply_functionals(lambda pts: nodal_el.tabulate(pts)[1])
+    # Every true entry is a small rational (±1, ±2/3, ±1/6 or -4/3 at orders
+    # 1-2), so the quadrature roundoff left in place of a zero is snapped to 0.
+    g[np.abs(g) < 1e-12] = 0.0
     g.flags.writeable = False
     return g
 

@@ -17,7 +17,6 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import SparseMatrix
 from .errors import EigenSolveError, SingularSystemError
 
 _SADDLE_RESIDUAL_TOL = 1e-9
@@ -45,12 +44,6 @@ class EigenResult:
     div_residuals: np.ndarray
 
 
-def _unwrap(A):
-    if isinstance(A, SparseMatrix):
-        return A.mat
-    return A
-
-
 def _rel_residual(A, x, b) -> float:
     nb = np.linalg.norm(b)
     if nb == 0.0:
@@ -76,12 +69,13 @@ def _symmetric_lu(A):
 def saddle_solve(K, G, f, g=None):
     """Solve the symmetric saddle system [[K, G], [G^T, 0]] (u, p) = (f, g).
 
-    K must be symmetric (typically PSD) and the full block matrix
-    nonsingular.  Blocks may themselves be block matrices; only symmetry of
-    the assembled system matters to the factorization.
+    K and G are scipy sparse matrices or arrays; K must be symmetric
+    (typically PSD) and the full block matrix nonsingular.  Blocks may
+    themselves be block matrices; only symmetry of the assembled system
+    matters to the factorization.
     """
-    Km = sp.csr_matrix(_unwrap(K))
-    Gm = sp.csr_matrix(_unwrap(G))
+    Km = sp.csr_matrix(K)
+    Gm = sp.csr_matrix(G)
     n, p = Gm.shape
     f = np.asarray(f, dtype=np.float64)
     rhs = np.concatenate([f, np.zeros(p) if g is None else np.asarray(g, dtype=np.float64)])
@@ -158,14 +152,14 @@ def gen_sym_eig(A, B, count: int, sigma: float, deflate=None, tol: float = 1e-8)
     the whole spectrum exactly.  Raises EigenSolveError when ARPACK fails or
     any relative residual exceeds `tol`.
     """
-    A = sp.csr_matrix(_unwrap(A), dtype=np.float64)
-    B = sp.csr_matrix(_unwrap(B), dtype=np.float64)
+    A = sp.csr_matrix(A, dtype=np.float64)
+    B = sp.csr_matrix(B, dtype=np.float64)
     n = A.shape[0]
     if A.shape != (n, n) or B.shape != (n, n):
         raise EigenSolveError("pencil matrices must be square and equal-sized")
     if not sigma < 0.0:
         raise EigenSolveError(f"shift sigma must be negative, got {sigma}")
-    Y = sp.csr_matrix((n, 0)) if deflate is None else sp.csr_matrix(_unwrap(deflate))
+    Y = sp.csr_matrix((n, 0)) if deflate is None else sp.csr_matrix(deflate)
     if Y.shape[0] != n:
         raise EigenSolveError(f"deflation basis has {Y.shape[0]} rows, pencil has {n}")
     P = Y.shape[1]

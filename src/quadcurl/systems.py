@@ -4,8 +4,12 @@
   multiplier vanishes for divergence-free loads),
 * fourth-order (quad-curl) source problem: find u in U_{0,h} and the
   auxiliary field phi in U_h with (phi, v) - (curl v, curl u) = 0 for all v
-  and (curl phi, curl w) = (f, w) for all w, both fields pinned to the
-  discretely divergence-free subspace by scalar multipliers p, q in S_h,
+  and (curl phi, curl w) = (f, w) for all w.  It is the eigen pencil's
+  operator below, with u pinned to the discretely divergence-free subspace
+  by one scalar multiplier p in S_h through exactly the gradient block the
+  eigensolver deflates.  phi needs no multiplier: it equals M_M^{-1} K u,
+  and (grad s, phi) = (curl grad s, curl u) = 0 for every nodal s, so phi
+  is discretely divergence-free by itself,
 * the fourth-order eigenvalue problem, assembled WITHOUT divergence
   multipliers: with K(i,j) = (curl phi_j^0, curl phi_i) rectangular between
   the constrained and unconstrained edge spaces, the pencil
@@ -91,6 +95,10 @@ class PencilSystem:
         B = sp.block_diag([self.M_N.mat, sp.csr_matrix((self.m_total,) * 2)], format="csr")
         return A, B
 
+    def gradient_block(self) -> sp.csr_matrix:
+        """Gradient block Y = [G0; 0] of the (N+M) pencil, the kernel of A."""
+        return sp.vstack([self.G0.mat, sp.csr_matrix((self.m_total, self.p_free))], format="csr")
+
     def schur_dense(self) -> np.ndarray:
         """S = K^T M_M^{-1} K as a dense symmetric PSD matrix (a test oracle).
 
@@ -144,8 +152,7 @@ def solve_quadcurl_eig(
     """
     pen = pencil if pencil is not None else build_quadcurl_pencil(mesh, order)
     A, B = pen.block_pencil()
-    deflate = sp.vstack([pen.G0.mat, sp.csr_matrix((pen.m_total, pen.p_free))])
-    res = gen_sym_eig(A, B, count, _shift(mesh, 4), deflate=deflate)
+    res = gen_sym_eig(A, B, count, _shift(mesh, 4), deflate=pen.gradient_block())
     return replace(res, vectors=res.vectors[: pen.n_free])
 
 
@@ -162,7 +169,7 @@ def solve_maxwell_eig(
     C0 = assemble_curlcurl(s.u0, s.u0)
     M0 = assemble_mass(s.u0)
     G0 = assemble_gradient_map(s.s0, s.u0)
-    return gen_sym_eig(C0, M0, count, _shift(mesh, 2), deflate=G0)
+    return gen_sym_eig(C0.mat, M0.mat, count, _shift(mesh, 2), deflate=G0.mat)
 
 
 def divergence_residual(edge_space: FESpace, nodal_space: FESpace, u) -> float:
@@ -182,25 +189,27 @@ class SourceSolution:
     """Solution bundle of a source problem.
 
     ``u`` is the primary field; ``phi`` the auxiliary field of the
-    fourth-order problem (None for curl-curl); ``p``/``q`` the scalar
-    multipliers.  ``p_ratio`` is ||p_h|| / ||u_h|| in L2, the numerical
-    version of the multiplier-vanishes statement for divergence-free loads.
+    fourth-order problem (None for curl-curl); ``p`` the scalar multiplier
+    that keeps u discretely divergence-free.  ``p_ratio`` is ||p_h|| / ||u_h||
+    in L2, the numerical version of the multiplier-vanishes statement for
+    divergence-free loads.
     """
 
     u: DofVector
     phi: DofVector | None
     p: DofVector | None
-    q: DofVector | None
     residual: float
     p_ratio: float
     errors: dict | None = None
 
 
-def _l2_norm_sq(M: SparseMatrix, v: np.ndarray) -> float:
-    return float(v @ (M.mat @ v))
+def _p_ratio(s: Spaces, M_u: SparseMatrix, u: np.ndarray, p: np.ndarray) -> float:
+    """||p_h|| / ||u_h|| in L2, with u's mass matrix M_u (0 when p_h = 0)."""
+    norm_p = np.sqrt(float(p @ (assemble_mass(s.s0).mat @ p)))
+    return norm_p / max(np.sqrt(float(u @ (M_u.mat @ u))), 1e-300) if norm_p > 0 else 0.0
 
 
-def solve_curlcurl_source(mesh: Mesh, order: int, f, load_degree: int = 10) -> SourceSolution:
+def solve_curlcurl_source(mesh: Mesh, order: int, f) -> SourceSolution:
     """Second-order curl-curl source problem with a scalar multiplier.
 
     f may be a callable (the load) or a ManufacturedCase; with a case, L2 and
@@ -215,14 +224,11 @@ def solve_curlcurl_source(mesh: Mesh, order: int, f, load_degree: int = 10) -> S
     M0 = assemble_mass(s.u0)
     G0 = assemble_gradient_map(s.s0, s.u0)
     B = M0.mat @ G0.mat
-    F = assemble_load(s.uf, fn, degree=load_degree).values[s.u0.free_dofs]
+    F = assemble_load(s.uf, fn).values[s.u0.free_dofs]
     uvals, pvals, res = saddle_solve(C0.mat, B, F)
     u = s.u0.embed(uvals)
     p = s.s0.embed(pvals)
-    Mp = assemble_mass(s.s0)
-    norm_u = np.sqrt(_l2_norm_sq(M0, uvals))
-    norm_p = np.sqrt(_l2_norm_sq(Mp, pvals))
-    ratio = norm_p / max(norm_u, 1e-300) if norm_p > 0 else 0.0
+    ratio = _p_ratio(s, M0, uvals, pvals)
     errors = None
     if case is not None:
         e_l2, e_curl = integrate_errors(s.u0, u, case.u, case.curl_u)
@@ -231,7 +237,7 @@ def solve_curlcurl_source(mesh: Mesh, order: int, f, load_degree: int = 10) -> S
             "curl": e_curl,
             "hcurl": float(np.hypot(e_l2, e_curl)),
         }
-    return SourceSolution(u=u, phi=None, p=p, q=None, residual=res, p_ratio=ratio, errors=errors)
+    return SourceSolution(u=u, phi=None, p=p, residual=res, p_ratio=ratio, errors=errors)
 
 
 def solve_quadcurl_source(
@@ -239,24 +245,24 @@ def solve_quadcurl_source(
     order: int,
     f=None,
     load: np.ndarray | None = None,
-    load_degree: int = 10,
     spaces: Spaces | None = None,
 ) -> SourceSolution:
-    """Fourth-order source problem via the symmetric four-field saddle system.
+    """Fourth-order source problem on the eigen pencil's blocks.
 
-    Unknowns (u, phi, p, q); the first block row tests with U_{0,h}, the
-    second with U_h, the last two enforce discrete divergence-freedom of u
-    and phi.  Either an analytic load f (callable or ManufacturedCase) or a
-    pre-assembled load vector on the free edge DoFs may be given.
+    Unknowns (u, phi, p): with the pencil (A, B) and its gradient block
+    Y = [G0; 0], solves [[A, B Y], [(B Y)^T, 0]] (u, phi, p) = (F, 0, 0).
+    The first block row tests with U_{0,h}, the second with U_h, and p
+    keeps u discretely divergence-free, the same constraint the eigensolver
+    deflates.  phi = M_M^{-1} K u needs no multiplier of its own: K^T maps
+    every discrete gradient in U_h to zero (curl grad = 0), so phi is
+    M_M-orthogonal to all of them for every u.  Either an analytic load f
+    (callable or ManufacturedCase) or a pre-assembled load vector on the
+    free edge DoFs may be given.
     """
     case = f if isinstance(f, ManufacturedCase) else None
     s = spaces if spaces is not None else setup_spaces(mesh, order)
-    if s.u0.num_free == 0:
-        raise SpaceError("mesh has no interior edge DoFs")
     pen = build_quadcurl_pencil(mesh, order, spaces=s)
-    K, M_N, Mf, G0 = pen.K, pen.M_N, pen.M_M, pen.G0
-    GM = assemble_gradient_map(s.s0, s.uf)
-    N, M, P = pen.n_free, pen.m_total, pen.p_free
+    N = pen.n_free
 
     if load is not None:
         F = np.asarray(load, dtype=np.float64)
@@ -264,27 +270,16 @@ def solve_quadcurl_source(
             raise SpaceError(f"load vector must have length {N}")
     else:
         fn = case.f if case is not None else f
-        F = assemble_load(s.uf, fn, degree=load_degree).values[s.u0.free_dofs]
+        F = assemble_load(s.uf, fn).values[s.u0.free_dofs]
 
-    A = sp.bmat(
-        [[sp.csr_matrix((N, N)), K.mat.T], [K.mat, -Mf.mat]], format="csr"
-    )
-    B_N = M_N.mat @ G0.mat
-    B_M = Mf.mat @ GM.mat
-    G = sp.bmat(
-        [[B_N, sp.csr_matrix((N, P))], [sp.csr_matrix((M, P)), -B_M]], format="csr"
-    )
-    rhs = np.concatenate([F, np.zeros(M)])
-    x, y, res = saddle_solve(A, G, rhs)
+    A, B = pen.block_pencil()
+    rhs = np.concatenate([F, np.zeros(pen.m_total)])
+    x, pvals, res = saddle_solve(A, B @ pen.gradient_block(), rhs)
 
     u = s.u0.embed(x[:N])
     phi = DofVector(s.uf, x[N:])
-    p = s.s0.embed(y[:P])
-    q = s.s0.embed(y[P:])
-    Mp = assemble_mass(s.s0)
-    norm_u = np.sqrt(_l2_norm_sq(M_N, x[:N]))
-    norm_p = np.sqrt(_l2_norm_sq(Mp, y[:P]))
-    ratio = norm_p / max(norm_u, 1e-300) if norm_p > 0 else 0.0
+    p = s.s0.embed(pvals)
+    ratio = _p_ratio(s, pen.M_N, x[:N], pvals)
     errors = None
     if case is not None:
         e_l2, e_curl = integrate_errors(s.u0, u, case.u, case.curl_u)
@@ -295,4 +290,4 @@ def solve_quadcurl_source(
             "phi": e_phi,
             "combined": e_curl + e_phi,
         }
-    return SourceSolution(u=u, phi=phi, p=p, q=q, residual=res, p_ratio=ratio, errors=errors)
+    return SourceSolution(u=u, phi=phi, p=p, residual=res, p_ratio=ratio, errors=errors)

@@ -130,6 +130,14 @@ def test_gradient_matrix_maps_nodal_gradients(order):
         assert np.abs(rcurl).max() < 1e-11
 
 
+@pytest.mark.parametrize("order", [1, 2])
+def test_gradient_matrix_stores_exact_zeros(order):
+    """No roundoff in place of a zero: every entry is 0 or at least 1e-12."""
+    G = np.abs(ref_gradient_matrix(order))
+    assert not np.any((G > 0.0) & (G < 1e-12))
+    assert np.count_nonzero(G) == {1: 12, 2: 62}[order]
+
+
 def test_gradient_matrix_order1_is_signed_incidence():
     G = ref_gradient_matrix(1)
     expected = np.zeros((6, 4))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from meshes import jittered_cube_mesh
 from quadcurl import (
     Mesh, build_quadcurl_pencil, curlcurl_sine_case, divergence_residual,
     generate_cube_mesh, quadcurl_sin3_case, setup_spaces, solve_curlcurl_source,
@@ -11,6 +12,7 @@ from quadcurl.assembly import (
     assemble_curlcurl, assemble_gradient_map, assemble_load, assemble_mass,
 )
 from quadcurl.errors import EigenSolveError, SpaceError
+from quadcurl.fespace import make_space
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +50,10 @@ def test_pencil_shapes_and_gradient_compatibility(pencil2):
     assert pencil2.G0.shape == (N, P)
     KG = pencil2.K.mat @ pencil2.G0.mat
     assert (np.abs(KG.data).max() if KG.nnz else 0.0) < 1e-13
+    Y = pencil2.gradient_block()  # [G0; 0], the kernel of the block operator
+    assert Y.shape == (N + M, P)
+    AY = pencil2.block_pencil()[0] @ Y
+    assert (np.abs(AY.data).max() if AY.nnz else 0.0) < 1e-13
 
 
 def test_zero_multiplicity_matches_scalar_space(cube2, cube3):
@@ -152,7 +158,7 @@ def test_maxwell_eig_matches_dense(cube3):
 
 def test_curlcurl_source_on_manufactured_case(cube2):
     sol = solve_curlcurl_source(cube2, 1, curlcurl_sine_case())
-    assert sol.phi is None and sol.q is None
+    assert sol.phi is None
     assert sol.residual < 1e-9
     assert sol.p_ratio < 1e-8
     assert set(sol.errors) == {"l2", "curl", "hcurl"}
@@ -198,12 +204,32 @@ def test_quadcurl_source_zero_load(cube2):
 
 
 def test_quadcurl_source_manufactured_errors(cube2):
-    sol = solve_quadcurl_source(cube2, 1, quadcurl_sin3_case())
+    s = setup_spaces(cube2, 1)
+    sol = solve_quadcurl_source(cube2, 1, quadcurl_sin3_case(), spaces=s)
     assert set(sol.errors) == {"l2_u", "curl_u", "phi", "combined"}
     assert sol.errors["combined"] == pytest.approx(
         sol.errors["curl_u"] + sol.errors["phi"])
     assert sol.residual < 1e-9
-    assert np.linalg.norm(sol.q.values) < 1e-10 * np.linalg.norm(sol.phi.values)
+    # ||GM^T M_M phi|| / ||M_M phi||, GM = assemble_gradient_map(s.s0, s.uf):
+    # phi is discretely divergence-free with no multiplier of its own
+    assert divergence_residual(s.uf, s.s0, sol.phi) <= 1e-10
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("constrained", [True, False])
+def test_curl_annihilates_edge_space_gradients(order, constrained):
+    """GM^T K = 0 to roundoff: curl grad = 0, so phi = M_M^-1 K u is discretely
+    divergence-free in U_h without a multiplier, against interior and
+    boundary nodal gradients alike."""
+    mesh = jittered_cube_mesh(2, seed=19)
+    pen = build_quadcurl_pencil(mesh, order)
+    s = pen.spaces
+    nodal = s.s0 if constrained else make_space(mesh, "nodal", order, constrained=False)
+    GM = assemble_gradient_map(nodal, s.uf)
+    GMK = (GM.mat.T @ pen.K.mat).tocsr()
+    scale = abs(GM.mat).max() * abs(pen.K.mat).max()
+    assert GMK.shape == (nodal.num_active, pen.n_free)
+    assert np.abs(GMK.data).max() <= 1e-13 * scale
 
 
 def test_quadcurl_source_rejects_bad_load_length(cube2):
@@ -214,8 +240,8 @@ def test_quadcurl_source_rejects_bad_load_length(cube2):
 def test_inverse_power_iteration_reaches_first_eigenvalue(cube2, pencil2):
     """Repeated source solves with recycled loads converge to lambda_1.
 
-    This ties the four-field source solver to the eigensolver through a
-    completely different algebraic route.
+    This ties the three-field (u, phi, p) source solver to the eigensolver
+    through a completely different algebraic route.
     """
     s = pencil2.spaces
     rng = np.random.default_rng(0)
@@ -231,7 +257,7 @@ def test_inverse_power_iteration_reaches_first_eigenvalue(cube2, pencil2):
     eig = solve_quadcurl_eig(cube2, 1, 1, pencil=pencil2)
     assert lam == pytest.approx(eig.values[0], rel=1e-6)
     assert eig.values[0] == pytest.approx(738.7206201, rel=1e-8)
-    assert np.linalg.norm(sol.q.values) < 1e-10 * np.linalg.norm(sol.phi.values)
+    assert divergence_residual(s.uf, s.s0, sol.phi) <= 1e-10
 
 
 def test_pencil_requires_interior_edges():
