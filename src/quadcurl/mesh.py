@@ -237,13 +237,20 @@ def build_topology(mesh: Mesh) -> Topology:
     """
     tets = mesh.tets
     T = tets.shape[0]
+    V = mesh.num_vertices
+    if V > 2**21:  # face keys reach V^3 - 1, which must fit in int64
+        raise MeshError(f"{V} vertices overflow the int64 face keys")
 
-    edge_keys = tets[:, LOCAL_EDGES].reshape(-1, 2)
-    edges, tet_edges = np.unique(edge_keys, axis=0, return_inverse=True)
+    # Ascending vertex tuples as scalar keys a V + b and (a V + b) V + c:
+    # their numeric order is the lexicographic order of the tuples.
+    e = tets[:, LOCAL_EDGES]
+    ekeys, tet_edges = np.unique(e[..., 0] * V + e[..., 1], return_inverse=True)
+    edges = np.stack([ekeys // V, ekeys % V], axis=1)
     tet_edges = tet_edges.reshape(T, 6)
 
-    face_keys = tets[:, LOCAL_FACES].reshape(-1, 3)
-    faces, tet_faces = np.unique(face_keys, axis=0, return_inverse=True)
+    f = tets[:, LOCAL_FACES]
+    fkeys, tet_faces = np.unique((f[..., 0] * V + f[..., 1]) * V + f[..., 2], return_inverse=True)
+    faces = np.stack([fkeys // (V * V), fkeys // V % V, fkeys % V], axis=1)
     tet_faces = tet_faces.reshape(T, 4)
 
     counts = np.bincount(tet_faces.ravel(), minlength=len(faces))

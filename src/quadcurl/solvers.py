@@ -1,11 +1,15 @@
-"""Linear algebra kernels: saddle-point solve and symmetric eigensolve.
+"""Linear algebra kernels: symmetric eigensolve and saddle-point solve.
 
-These wrap LAPACK/SuperLU/ARPACK behind small contracts: the saddle solve
-verifies its relative residual, and the generalized eigensolver returns B-orthonormal vectors whose relative
-residuals it checks against a tolerance.  The eigensolver is one sparse path:
-Lanczos in shift-invert mode on a single symmetric-mode LU of A - sigma B,
-with a known subspace (the discrete gradients) projected out B-orthogonally
-from every iterate, so its modes never appear.
+Both rest on one set-up: a symmetric-mode LU of A - sigma B with no
+pivoting (sigma < 0, A - sigma B SPD or quasi-definite), and the
+B-orthogonal projector off a known subspace range(Y), the discrete
+gradients, which span the kernel of A.  The eigensolver runs Lanczos in
+shift-invert mode on that factor and projects every iterate, so the
+gradient modes never appear.  The saddle solve takes its multiplier in
+closed form from the Gram factor of the projector and its primal field by
+projected iterative refinement on the same kind of factor, so no bordered
+matrix is ever factored.  Each verifies its relative residuals and raises
+when a contract is broken.
 """
 
 from __future__ import annotations
@@ -20,6 +24,18 @@ import scipy.sparse.linalg as spla
 from .errors import EigenSolveError, SingularSystemError
 
 _SADDLE_RESIDUAL_TOL = 1e-9
+# The saddle refinement factors K - rho B with rho = _SHIFT_FRACTION * sigma,
+# sigma the pencil's eigen shift (about -lambda_1 / 2).  Each step contracts
+# the error by |rho| / (lambda_1 + |rho|), about 5e-4, so 4-6 steps reach
+# roundoff on the cube meshes.  A smaller |rho| saves a step or two (about
+# 1 ms each against a 20-60 ms factor) but moves the factor toward the
+# singular K: at 1e-11 the order-2 refinement stalled.  At 1e-2 it took 7-9
+# steps, and 1e-1 did not converge within the cap.
+_SHIFT_FRACTION = 1e-3
+_REFINE_STEPS = 10
+# Refinement stops at the first step that does not cut the residual of the
+# first block row by this factor: roundoff floor reached.
+_REFINE_STALL = 0.5
 # ARPACK's Ritz-value tolerance.  Machine precision (ARPACK's default) took
 # 1.4x the operator applications of 1e-12 on the order-1 and order-2 cube
 # pencils; residuals stayed below 1e-12 either way, far under the 1e-8 gate.
@@ -44,13 +60,6 @@ class EigenResult:
     div_residuals: np.ndarray
 
 
-def _rel_residual(A, x, b) -> float:
-    nb = np.linalg.norm(b)
-    if nb == 0.0:
-        return float(np.linalg.norm(A @ x))
-    return float(np.linalg.norm(A @ x - b) / nb)
-
-
 def _symmetric_lu(A):
     """SuperLU with a symmetric ordering and no pivoting.
 
@@ -66,55 +75,100 @@ def _symmetric_lu(A):
     )
 
 
-def saddle_solve(K, G, f, g=None):
-    """Solve the symmetric saddle system [[K, G], [G^T, 0]] (u, p) = (f, g).
-
-    K and G are scipy sparse matrices or arrays; K must be symmetric
-    (typically PSD) and the full block matrix nonsingular.  Blocks may
-    themselves be block matrices; only symmetry of the assembled system
-    matters to the factorization.
-    """
-    Km = sp.csr_matrix(K)
-    Gm = sp.csr_matrix(G)
-    n, p = Gm.shape
-    f = np.asarray(f, dtype=np.float64)
-    rhs = np.concatenate([f, np.zeros(p) if g is None else np.asarray(g, dtype=np.float64)])
-    A = sp.bmat([[Km, Gm], [Gm.T, None]], format="csc")
-    try:
-        lu = spla.splu(A)
-    except RuntimeError as exc:
-        raise SingularSystemError(f"saddle factorization failed: {exc}") from exc
-    x = lu.solve(rhs)
-    if not np.all(np.isfinite(x)):
-        raise SingularSystemError("saddle solve produced non-finite values")
-    res = _rel_residual(A, x, rhs)
-    if res > _SADDLE_RESIDUAL_TOL:
-        raise SingularSystemError(
-            f"saddle solve residual {res:.3e} exceeds {_SADDLE_RESIDUAL_TOL}"
-        )
-    return x[:n], x[n:], res
-
-
-def _b_projector(Y: sp.csr_matrix, B: sp.csr_matrix):
+def _b_projector(Y: sp.csr_matrix, B: sp.csr_matrix, error):
     """In-place B-orthogonal projection off range(Y): z -= Y (Y^T B Y)^-1 (B Y)^T z.
 
-    Returns the projector and (B Y)^T.  Y^T B Y is factored once; a
-    non-positive pivot means the columns of Y are not B-independent, so the
-    deflated dimension would not be P.
+    Returns the projector, (B Y)^T and the solve with Y^T B Y, which is
+    factored once; a non-positive pivot means the columns of Y are not
+    B-independent, so the deflated dimension would not be P.  Failures raise
+    ``error``.
     """
     BYt = (B @ Y).T.tocsr()
     try:
         gram = _symmetric_lu(BYt @ Y)
     except RuntimeError as exc:
-        raise EigenSolveError(f"deflation Gram matrix is singular: {exc}") from exc
+        raise error(f"deflation Gram matrix is singular: {exc}") from exc
     if gram.U.diagonal().min() <= 0.0:
-        raise EigenSolveError("non-positive pivot in the deflation Gram matrix Y^T B Y")
+        raise error("non-positive pivot in the deflation Gram matrix Y^T B Y")
 
     def project(z: np.ndarray) -> np.ndarray:
         z -= Y @ gram.solve(BYt @ z)
         return z
 
-    return project, BYt
+    return project, BYt, gram.solve
+
+
+def _shifted_factor(A, B, sigma: float, Y: sp.csr_matrix, error):
+    """The shared set-up: symmetric LU of A - sigma B and the projector off range(Y).
+
+    Returns (lu, project, (B Y)^T, gram_solve); with no columns in Y the
+    projector is the identity.  Failures raise ``error``.
+    """
+    try:
+        lu = _symmetric_lu(A - sigma * B)
+    except RuntimeError as exc:
+        raise error(f"shifted pencil A - sigma B is singular: {exc}") from exc
+    if Y.shape[1]:
+        return (lu, *_b_projector(Y, B, error))
+    return lu, (lambda z: z), sp.csr_matrix((0, A.shape[0])), (lambda b: b)
+
+
+def saddle_solve(K, G, f, B, deflate, sigma: float):
+    """Solve [[K, G], [G^T, 0]] (u, p) = (f, 0) where G = B Y and K Y = 0.
+
+    K and B are sparse symmetric, B positive semidefinite; Y = ``deflate``
+    (n x P) spans the kernel of K and has a positive definite Gram matrix
+    Y^T B Y; K - rho B must factor without pivoting for rho < 0 (SPD, or
+    quasi-definite like the quad-curl block pencil).  ``sigma`` < 0 is the
+    pencil's eigen shift, about -lambda_1 / 2.
+
+    No bordered matrix is factored.  Y^T times the first block row leaves
+    (Y^T B Y) p = Y^T f, because Y^T K = 0, so p comes from the Gram factor.
+    u then solves K u = f - G p with (B Y)^T u = 0, by iterative refinement
+    on the LU of K - rho B, rho = _SHIFT_FRACTION * sigma, each correction
+    passed through the B-orthogonal projector off range(Y).
+
+    Returns (u, p, residual, steps): the relative residual of the bordered
+    system with K and G as given, and the refinement steps taken.  Raises
+    SingularSystemError when the factor fails, the Gram matrix has a
+    non-positive pivot, refinement has not converged within _REFINE_STEPS
+    steps, or the residual exceeds _SADDLE_RESIDUAL_TOL.  A kernel of K
+    larger than range(Y), or a G other than B Y, ends in one of the last two.
+    """
+    K = sp.csr_matrix(K, dtype=np.float64)
+    G = sp.csr_matrix(G, dtype=np.float64)
+    B = sp.csr_matrix(B, dtype=np.float64)
+    Y = sp.csr_matrix(deflate, dtype=np.float64)
+    f = np.asarray(f, dtype=np.float64)
+    n, P = G.shape
+    if K.shape != (n, n) or B.shape != (n, n) or Y.shape != (n, P) or f.shape != (n,):
+        raise SingularSystemError("saddle blocks and load have inconsistent shapes")
+    if not sigma < 0.0:
+        raise SingularSystemError(f"shift sigma must be negative, got {sigma}")
+    lu, project, _, gram_solve = _shifted_factor(
+        K, B, _SHIFT_FRACTION * sigma, Y, SingularSystemError)
+
+    p = gram_solve(Y.T @ f)
+    r = f - G @ p
+    scale = max(np.linalg.norm(f), np.finfo(np.float64).tiny)
+    u = np.zeros(n)
+    d = r  # residual of the first block row, f - G p - K u
+    last = np.linalg.norm(d) / scale
+    for steps in range(1, _REFINE_STEPS + 1):
+        u += project(lu.solve(d))
+        d = r - K @ u
+        res = np.linalg.norm(d) / scale
+        if not res < _REFINE_STALL * last:  # a NaN stops here too
+            break
+        last = res
+    else:
+        raise SingularSystemError(
+            f"saddle refinement did not converge in {_REFINE_STEPS} steps")
+    res = float(np.hypot(np.linalg.norm(d), np.linalg.norm(G.T @ u)) / scale)
+    if not res <= _SADDLE_RESIDUAL_TOL:  # a NaN residual fails too
+        raise SingularSystemError(
+            f"saddle solve residual {res:.3e} exceeds {_SADDLE_RESIDUAL_TOL}")
+    return u, p, res, steps
 
 
 def _range_ritz(op, A, B, nonzero_rows: np.ndarray, rank: int):
@@ -168,14 +222,7 @@ def gen_sym_eig(A, B, count: int, sigma: float, deflate=None, tol: float = 1e-8)
     if not 1 <= count <= rank:
         raise EigenSolveError(f"count {count} out of range for {rank} eigenvalues")
 
-    try:
-        lu = _symmetric_lu(A - sigma * B)
-    except RuntimeError as exc:
-        raise EigenSolveError(f"shifted pencil A - sigma B is singular: {exc}") from exc
-    if P:
-        project, BYt = _b_projector(Y, B)
-    else:
-        project, BYt = (lambda z: z), sp.csr_matrix((0, n))
+    lu, project, BYt, _ = _shifted_factor(A, B, sigma, Y, EigenSolveError)
 
     def op(v):
         return project(lu.solve(v))

@@ -1,6 +1,3 @@
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 import pytest
 import sympy as sp
@@ -155,21 +152,13 @@ def test_case_fields_reject_points_without_three_coordinates():
         quadcurl_sin3_case().f(np.zeros((4, 2)))
 
 
-def _bench_spans():
-    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("bench_spans", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_traced_source_solve_spans_every_field_evaluation():
+def test_traced_source_solve_spans_every_field_evaluation(bench_spans):
     """The benchmark's tracer sees each of the four field callables.
 
     It wraps u, curl_u, curl2_u and f of the returned case; a solve that
     evaluated the fields some other way would read zero field time.
     """
-    spans = _bench_spans()
+    spans = bench_spans
     mesh = generate_cube_mesh(2)
     tracer = spans.Tracer()
     with spans.traced(quadcurl, tracer):

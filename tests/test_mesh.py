@@ -6,6 +6,7 @@ from quadcurl import (
     Mesh, boundary_classification, build_topology, generate_cube_mesh, read_gmsh,
 )
 from quadcurl.errors import GmshParseError, MeshError, NonConformingMeshError
+from quadcurl.mesh import LOCAL_EDGES, LOCAL_FACES
 
 
 def topo_counts(mesh):
@@ -139,6 +140,24 @@ def test_face_tets_match_loop_oracle(permuted):
     boundary = topo.face_tets[:, 1] < 0  # the -1 slots are exercised
     assert boundary.any() and not boundary.all()
     assert np.all(topo.face_tets[:, 0] >= 0)
+
+
+@pytest.mark.parametrize("permuted", [False, True])
+def test_scalar_topology_keys_match_unique_rows_oracle(permuted):
+    """Edges and faces ranked by scalar keys equal np.unique over the vertex rows."""
+    mesh = jittered_cube_mesh(4, seed=31)
+    if permuted:
+        perm = np.random.default_rng(6).permutation(mesh.tets.shape[0])
+        mesh = Mesh(mesh.vertices.copy(), mesh.tets[perm])
+    topo = build_topology(mesh)
+    T = mesh.num_tets
+    for keys, table, index in ((LOCAL_EDGES, topo.edges, topo.tet_edges),
+                               (LOCAL_FACES, topo.faces, topo.tet_faces)):
+        rows = mesh.tets[:, keys].reshape(T * len(keys), -1)
+        expected, inverse = np.unique(rows, axis=0, return_inverse=True)
+        for got, want in ((table, expected), (index, inverse.reshape(T, len(keys)))):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 def test_nonconforming_mesh_detected():

@@ -5,6 +5,7 @@ import scipy.sparse as sp
 
 from quadcurl import gen_sym_eig, saddle_solve
 from quadcurl.errors import EigenSolveError, SingularSystemError
+from quadcurl.solvers import _REFINE_STEPS, _SHIFT_FRACTION
 
 
 def _random_spd(n, seed):
@@ -13,33 +14,95 @@ def _random_spd(n, seed):
     return R @ R.T + n * np.eye(n)
 
 
+def _kernel_pencil(n, P, seed, extra_kernel=0):
+    """SPD B, a PSD K with K Y = 0 for a known Y (n x P), and one more kernel vector
+    per `extra_kernel`, outside range(Y).  Off its kernel K has eigenvalues >= 1."""
+    rng = np.random.default_rng(seed)
+    Y = rng.standard_normal((n, P))
+    B = _random_spd(n, seed + 1) / n
+    Z = np.hstack([Y, rng.standard_normal((n, extra_kernel))])
+    Q = scipy.linalg.null_space(Z.T)  # Euclidean complement of the kernel
+    L = rng.standard_normal((Q.shape[1], Q.shape[1])) + 3.0 * np.eye(Q.shape[1])
+    K = Q @ (L @ L.T) @ Q.T
+    K = 0.5 * (K + K.T)
+    lam = scipy.linalg.eigh(K, B, eigvals_only=True)[P + extra_kernel]
+    return K, B, Y, -0.5 * lam
+
+
+def _bordered_dense(K, G, f):
+    n, P = G.shape
+    A = np.block([[K, G], [G.T, np.zeros((P, P))]])
+    x = np.linalg.solve(A, np.concatenate([f, np.zeros(P)]))
+    return x[:n], x[n:]
+
+
 def test_saddle_solve_manufactured_solution():
-    K = _random_spd(6, 3)
-    rng = np.random.default_rng(4)
-    G = rng.standard_normal((6, 2))
-    u_star = rng.standard_normal(6)
-    p_star = rng.standard_normal(2)
+    """u and p of the projected refinement match [[K, B Y], [(B Y)^T, 0]] solved densely.
+
+    The load is dominated by its gradient part G p*, which p absorbs; a
+    correction not projected off range(Y) would carry that part's roundoff
+    into u, amplified by 1 / |rho|.
+    """
+    K, B, Y, sigma = _kernel_pencil(14, 3, seed=21)
+    rng = np.random.default_rng(22)
+    G = B @ Y
+    u_star = rng.standard_normal(14)
+    u_star -= Y @ np.linalg.solve(G.T @ Y, G.T @ u_star)  # (B Y)^T u* = 0
+    p_star = 1e4 * rng.standard_normal(3)
     f = K @ u_star + G @ p_star
-    g = G.T @ u_star
-    u, p, res = saddle_solve(K, G, f, g)
-    assert np.abs(u - u_star).max() < 1e-10
-    assert np.abs(p - p_star).max() < 1e-10
-    assert res < 1e-9
-
-
-def test_saddle_solve_default_zero_constraint():
-    K = _random_spd(5, 7)
-    G = np.random.default_rng(8).standard_normal((5, 1))
-    f = np.ones(5)
-    u, p, _ = saddle_solve(K, G, f)
-    assert abs(G.T @ u).max() < 1e-10
+    u_dense, p_dense = _bordered_dense(K, G, f)
+    assert np.abs(u_dense - u_star).max() <= 1e-10 * np.abs(u_star).max()
+    u, p, res, steps = saddle_solve(sp.csr_matrix(K), G, f, B, Y, sigma)
+    for x, x_star in ((u, u_star), (p, p_star), (u, u_dense), (p, p_dense)):
+        assert np.abs(x - x_star).max() <= 1e-10 * np.abs(x_star).max()
+    assert res <= 1e-12
+    assert 1 <= steps <= _REFINE_STEPS
 
 
 def test_saddle_solve_rank_deficient_raises():
-    K = _random_spd(5, 9)
-    G = np.zeros((5, 2))
+    """A kernel vector of K outside range(Y) leaves the bordered system singular."""
+    K, B, Y, sigma = _kernel_pencil(14, 3, seed=23, extra_kernel=1)
+    f = np.random.default_rng(24).standard_normal(14)
     with pytest.raises(SingularSystemError):
-        saddle_solve(K, G, np.ones(5))
+        saddle_solve(K, B @ Y, f, B, Y, sigma)
+
+
+def test_saddle_solve_residual_gate_rejects_foreign_constraint():
+    """G other than B Y: refinement still converges, the bordered residual does not."""
+    K, B, Y, sigma = _kernel_pencil(14, 3, seed=25)
+    rng = np.random.default_rng(26)
+    W = rng.standard_normal((14, 3))
+    G = B @ Y + W - Y @ np.linalg.solve(Y.T @ Y, Y.T @ W)  # Y^T G = Y^T B Y
+    f = rng.standard_normal(14)
+    with pytest.raises(SingularSystemError, match="residual"):
+        saddle_solve(K, G, f, B, Y, sigma)
+
+
+def test_saddle_solve_shift_lies_below_the_spectrum():
+    """K - rho B is factored with rho = _SHIFT_FRACTION * sigma < 0.
+
+    The diagonal pencil has the eigenvalue |rho| on a mode the load does not
+    touch, so K - |rho| B would be exactly singular; K + |rho| B is not.
+    """
+    rho = _SHIFT_FRACTION * -1.0
+    K = sp.diags([0.0, -rho, 2.0, 3.0])
+    B = sp.identity(4, format="csr")
+    Y = np.eye(4)[:, :1]
+    f = np.array([5.0, 0.0, 4.0, 6.0])
+    u, p, res, _ = saddle_solve(K, B @ Y, f, B, Y, -1.0)
+    assert np.abs(u - np.array([0.0, 0.0, 2.0, 2.0])).max() < 1e-14
+    assert np.abs(p - 5.0).max() < 1e-14
+    with pytest.raises(SingularSystemError, match="shift"):
+        saddle_solve(K, B @ Y, f, B, Y, 1.0)
+
+
+def test_saddle_solve_gram_and_factor_failures_raise():
+    K, B, Y, sigma = _kernel_pencil(8, 2, seed=27)
+    f = np.ones(8)
+    with pytest.raises(SingularSystemError, match="Gram"):
+        saddle_solve(K, B @ Y, f, B, np.hstack([Y[:, :1], Y[:, :1]]), sigma)
+    with pytest.raises(SingularSystemError, match="singular"):
+        saddle_solve(np.zeros((8, 8)), B @ Y, f, np.zeros((8, 8)), Y, sigma)
 
 
 def test_gen_sym_eig_diagonal_oracle():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import quadcurl
 from meshes import jittered_cube_mesh
 from quadcurl import (
     Mesh, build_quadcurl_pencil, curlcurl_sine_case, divergence_residual,
@@ -13,6 +14,7 @@ from quadcurl.assembly import (
 )
 from quadcurl.errors import EigenSolveError, SpaceError
 from quadcurl.fespace import make_space
+from quadcurl.solvers import _REFINE_STEPS
 
 
 @pytest.fixture(scope="module")
@@ -230,6 +232,51 @@ def test_curl_annihilates_edge_space_gradients(order, constrained):
     scale = abs(GM.mat).max() * abs(pen.K.mat).max()
     assert GMK.shape == (nodal.num_active, pen.n_free)
     assert np.abs(GMK.data).max() <= 1e-13 * scale
+
+
+def test_source_multipliers_match_closed_form():
+    """p of both source solves is (G0^T M0 G0)^-1 G0^T F to roundoff.
+
+    Y^T times the first saddle row drops the curl terms (K Y = 0), so p has
+    this closed form for the quad-curl saddle (M_N = M0) and the curl-curl
+    one alike.  The sin^3 load is not discretely divergence-free at order 1,
+    so p is small but not roundoff.
+    """
+    mesh = jittered_cube_mesh(4, seed=7)
+    s = setup_spaces(mesh, 1)
+    M0 = assemble_mass(s.u0).mat
+    G0 = assemble_gradient_map(s.s0, s.u0).mat
+    case = quadcurl_sin3_case()
+    F = assemble_load(s.uf, case.f).values[s.u0.free_dofs]
+    p_star = np.linalg.solve((G0.T @ M0 @ G0).toarray(), G0.T @ F)
+    for sol in (solve_quadcurl_source(mesh, 1, case, spaces=s),
+                solve_curlcurl_source(mesh, 1, case.f)):
+        p = sol.p.values[s.s0.free_dofs]
+        assert np.abs(p - p_star).max() <= 1e-12 * np.abs(p_star).max()
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_source_solves_report_refinement_steps(cube2, order):
+    for sol in (solve_quadcurl_source(cube2, order, quadcurl_sin3_case()),
+                solve_curlcurl_source(cube2, order, curlcurl_sine_case())):
+        assert 2 <= sol.refine_steps <= _REFINE_STEPS
+        assert sol.residual <= 1e-9
+
+
+def test_traced_source_solve_reports_saddle_size(bench_spans):
+    """The benchmark's tracer binds saddle_solve's K and G by name for its counts."""
+    mesh = generate_cube_mesh(2)
+    tracer = bench_spans.Tracer()
+    with bench_spans.traced(quadcurl, tracer):
+        request = tracer.begin(0)
+        quadcurl.solve_quadcurl_source(mesh, 1, lambda x: np.ones(np.shape(x)))
+        tracer.end(request)
+    assert [sp[0] for sp in tracer.spans].count("solvers.saddle_solve") == 1
+    pen = build_quadcurl_pencil(mesh, 1)
+    K, B = pen.block_pencil()
+    G = B @ pen.gradient_block()
+    assert tracer.counts["solvers.saddle_dim"] == G.shape[0] + G.shape[1]
+    assert tracer.counts["solvers.saddle_nnz"] == K.nnz + 2 * G.nnz
 
 
 def test_quadcurl_source_rejects_bad_load_length(cube2):
