@@ -26,7 +26,7 @@ from .errors import EigenSolveError, SingularSystemError
 _SADDLE_RESIDUAL_TOL = 1e-9
 # The saddle refinement factors K - rho B with rho = _SHIFT_FRACTION * sigma,
 # sigma the pencil's eigen shift (about -lambda_1 / 2).  Each step contracts
-# the error by |rho| / (lambda_1 + |rho|), about 5e-4, so 4-6 steps reach
+# the error by |rho| / (lambda_1 + |rho|), about 5e-4, so 5-7 steps reach
 # roundoff on the cube meshes.  A smaller |rho| saves a step or two (about
 # 1 ms each against a 20-60 ms factor) but moves the factor toward the
 # singular K: at 1e-11 the order-2 refinement stalled.  At 1e-2 it took 7-9

@@ -158,10 +158,9 @@ def test_traced_source_solve_spans_every_field_evaluation(bench_spans):
     It wraps u, curl_u, curl2_u and f of the returned case; a solve that
     evaluated the fields some other way would read zero field time.
     """
-    spans = bench_spans
     mesh = generate_cube_mesh(2)
-    tracer = spans.Tracer()
-    with spans.traced(quadcurl, tracer):
+    tracer = bench_spans.Tracer()
+    with bench_spans.traced(quadcurl, tracer):
         case = quadcurl.quadcurl_sin3_case()
         request = tracer.begin(0)
         quadcurl.solve_quadcurl_source(mesh, 1, case)

@@ -15,8 +15,8 @@ def _random_spd(n, seed):
 
 
 def _kernel_pencil(n, P, seed, extra_kernel=0):
-    """SPD B, a PSD K with K Y = 0 for a known Y (n x P), and one more kernel vector
-    per `extra_kernel`, outside range(Y).  Off its kernel K has eigenvalues >= 1."""
+    """SPD B and a PSD K with K Y = 0 for a known Y (n x P), plus `extra_kernel`
+    kernel vectors outside range(Y); sigma is minus half the first eigenvalue."""
     rng = np.random.default_rng(seed)
     Y = rng.standard_normal((n, P))
     B = _random_spd(n, seed + 1) / n
@@ -89,7 +89,7 @@ def test_saddle_solve_shift_lies_below_the_spectrum():
     B = sp.identity(4, format="csr")
     Y = np.eye(4)[:, :1]
     f = np.array([5.0, 0.0, 4.0, 6.0])
-    u, p, res, _ = saddle_solve(K, B @ Y, f, B, Y, -1.0)
+    u, p, _, _ = saddle_solve(K, B @ Y, f, B, Y, -1.0)
     assert np.abs(u - np.array([0.0, 0.0, 2.0, 2.0])).max() < 1e-14
     assert np.abs(p - 5.0).max() < 1e-14
     with pytest.raises(SingularSystemError, match="shift"):

@@ -271,7 +271,7 @@ def test_traced_source_solve_reports_saddle_size(bench_spans):
         request = tracer.begin(0)
         quadcurl.solve_quadcurl_source(mesh, 1, lambda x: np.ones(np.shape(x)))
         tracer.end(request)
-    assert [sp[0] for sp in tracer.spans].count("solvers.saddle_solve") == 1
+    assert [span[0] for span in tracer.spans].count("solvers.saddle_solve") == 1
     pen = build_quadcurl_pencil(mesh, 1)
     K, B = pen.block_pencil()
     G = B @ pen.gradient_block()
