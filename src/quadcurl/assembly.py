@@ -22,6 +22,8 @@ a partitioned/merged parallel assembly admissible.
 
 Matrices are returned on the active DoF set of the space arguments: the full
 layout for unconstrained spaces, and the free subset for constrained ones.
+Triplets that touch an inactive DoF are dropped before compression, so a
+constrained operator is never built on the full layout and then sliced.
 """
 
 from __future__ import annotations
@@ -41,17 +43,16 @@ LOAD_DEGREE = 10  # default quadrature degree for analytic load integrands
 
 @dataclass
 class SparseMatrix:
-    """Compressed sparse matrix with a symmetry tag.
+    """Compressed sparse matrix built from triplets.
 
-    Built from triplets; duplicate (row, col) pairs merge by addition during
-    compression.  ``mat`` is the CSR store.
+    Duplicate (row, col) pairs merge by addition during compression.  ``mat``
+    is the CSR store.
     """
 
     mat: sp.csr_matrix
-    symmetric: bool = False
 
     @classmethod
-    def from_triplets(cls, shape, rows, cols, vals, symmetric=False) -> "SparseMatrix":
+    def from_triplets(cls, shape, rows, cols, vals) -> "SparseMatrix":
         rows = np.asarray(rows).ravel()
         cols = np.asarray(cols).ravel()
         if len(rows) and (
@@ -60,25 +61,14 @@ class SparseMatrix:
             raise SpaceError("triplet index out of range")
         m = sp.coo_matrix((np.asarray(vals).ravel(), (rows, cols)), shape=shape).tocsr()
         m.sum_duplicates()
-        return cls(m, symmetric)
+        return cls(m)
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.mat.shape
 
-    @property
-    def T(self) -> "SparseMatrix":
-        return SparseMatrix(self.mat.T.tocsr(), self.symmetric)
-
     def to_dense(self) -> np.ndarray:
         return self.mat.toarray()
-
-    def max_abs(self) -> float:
-        return float(np.abs(self.mat.data).max()) if self.mat.nnz else 0.0
-
-    def asymmetry(self) -> float:
-        d = self.mat - self.mat.T
-        return float(np.abs(d.data).max()) if d.nnz else 0.0
 
     def dump(self, path: str) -> None:
         """Coordinate text format: one 'row col value' line per stored entry."""
@@ -98,14 +88,35 @@ def _check_edge_pair(row_space: FESpace, col_space: FESpace) -> None:
         raise SpaceError("row/col spaces live on different meshes")
 
 
-def _scatter_square(space_rows: FESpace, space_cols: FESpace, local: np.ndarray, symmetric: bool) -> SparseMatrix:
-    nb = local.shape[1]
-    rows = np.broadcast_to(space_rows.cell_dofs[:, :, None], local.shape)
-    cols = np.broadcast_to(space_cols.cell_dofs[:, None, :], local.shape)
-    full = SparseMatrix.from_triplets(
-        (space_rows.ndofs, space_cols.ndofs), rows, cols, local, symmetric
+def _active_position(space: FESpace) -> np.ndarray:
+    """Position of every full-layout DoF in the active set, -1 where inactive."""
+    if not space.constrained:
+        return np.arange(space.ndofs)
+    pos = np.full(space.ndofs, -1)
+    pos[space.free_dofs] = np.arange(space.num_free)
+    return pos
+
+
+def _scatter(row_space: FESpace, col_space: FESpace, rows, cols, vals) -> SparseMatrix:
+    """Compress full-layout triplets onto the active DoF sets of the spaces.
+
+    ``rows``, ``cols`` and ``vals`` broadcast against each other.  Triplets in
+    an inactive row or column are dropped before the one compression, so no
+    full-layout matrix is built.
+    """
+    r, c, v = np.broadcast_arrays(
+        _active_position(row_space)[rows], _active_position(col_space)[cols], vals
     )
-    return restrict(full, space_rows.active_dofs, space_cols.active_dofs)
+    keep = (r >= 0) & (c >= 0)
+    return SparseMatrix.from_triplets(
+        (row_space.num_active, col_space.num_active), r[keep], c[keep], v[keep]
+    )
+
+
+def _scatter_square(row_space: FESpace, col_space: FESpace, local: np.ndarray) -> SparseMatrix:
+    """Scatter local blocks (T, n, n) by the cell DoFs of the row/col spaces."""
+    return _scatter(row_space, col_space, row_space.cell_dofs[:, :, None],
+                    col_space.cell_dofs[:, None, :], local)
 
 
 def _gram(ref: np.ndarray, A: np.ndarray, absdet: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -126,11 +137,11 @@ def assemble_mass(space: FESpace, degree: int | None = None) -> SparseMatrix:
     value_map, _, absdet = push_forward(space)
     ref, _ = reference_basis(space, rule.points)
     local = _gram(ref, value_map, absdet, rule.weights)
-    return _scatter_square(space, space, local, symmetric=True)
+    return _scatter_square(space, space, local)
 
 
 def assemble_curlcurl(row_space: FESpace, col_space: FESpace | None = None, degree: int | None = None) -> SparseMatrix:
-    """Curl-curl matrix (curl phi_j, curl phi_i), row/col active sets applied.
+    """Curl-curl matrix (curl phi_j, curl phi_i) on the row/col active sets.
 
     With distinct constraint flags this directly yields the rectangular
     coupling block between the constrained and unconstrained space.
@@ -142,7 +153,7 @@ def assemble_curlcurl(row_space: FESpace, col_space: FESpace | None = None, degr
     _, curl_map, absdet = push_forward(row_space)
     _, ref = reference_basis(row_space, rule.points)
     local = _gram(ref, curl_map, absdet, rule.weights)
-    return _scatter_square(row_space, col_space, local, symmetric=row_space is col_space)
+    return _scatter_square(row_space, col_space, local)
 
 
 def assemble_gradient_map(nodal_space: FESpace, edge_space: FESpace) -> SparseMatrix:
@@ -166,11 +177,8 @@ def assemble_gradient_map(nodal_space: FESpace, edge_space: FESpace) -> SparseMa
     vals = g_ref[local]
     cols = nodal_space.cell_dofs[owner]
     nz = vals != 0.0
-    full = SparseMatrix.from_triplets(
-        (edge_space.ndofs, nodal_space.ndofs),
-        np.broadcast_to(rows[:, None], vals.shape)[nz], cols[nz], vals[nz],
-    )
-    return restrict(full, edge_space.active_dofs, nodal_space.active_dofs)
+    return _scatter(edge_space, nodal_space, np.broadcast_to(rows[:, None], vals.shape)[nz],
+                    cols[nz], vals[nz])
 
 
 def assemble_load(space: FESpace, f, degree: int = LOAD_DEGREE) -> DofVector:
@@ -186,15 +194,3 @@ def assemble_load(space: FESpace, f, degree: int = LOAD_DEGREE) -> DofVector:
     out = np.bincount(space.cell_dofs.ravel(), local.ravel(), minlength=space.ndofs)
     return DofVector(space, out)
 
-
-def restrict(obj, rows: np.ndarray, cols: np.ndarray | None = None):
-    """Restrict a SparseMatrix (rows x cols) or a 1-D vector (rows)."""
-    if isinstance(obj, SparseMatrix):
-        if cols is None:
-            cols = rows
-        sub = obj.mat[rows][:, cols].tocsr()
-        sym = obj.symmetric and np.array_equal(rows, cols)
-        return SparseMatrix(sub, sym)
-    if isinstance(obj, DofVector):
-        return obj.values[rows]
-    return np.asarray(obj)[rows]

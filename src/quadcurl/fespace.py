@@ -36,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import SpaceError
-from .mesh import BoundarySet, LOCAL_FACES, Mesh, Topology, boundary_classification, build_topology
+from .mesh import BoundarySet, Mesh, Topology, boundary_classification, build_topology
 from .quadrature import segment_rule, tet_rule, triangle_rule
 from .reference import get_element
 
@@ -150,21 +150,10 @@ def make_space(
 # --- geometry ---------------------------------------------------------------
 
 
-def cell_geometry(mesh: Mesh):
-    """Per-tet affine data kept on the mesh: J (T,3,3), its inverse, det J, |det J|."""
-    return mesh.jac, mesh.jac_inv, mesh.jac_det, np.abs(mesh.jac_det)
-
-
 def map_points(mesh: Mesh, ref_points: np.ndarray) -> np.ndarray:
     """Push reference points to every tet: (T, n, 3)."""
     origin = mesh.vertices[mesh.tets[:, 0]]
     return origin[:, None, :] + ref_points @ mesh.jac.transpose(0, 2, 1)
-
-
-def physical_to_reference(mesh: Mesh, tet: int, x: np.ndarray) -> np.ndarray:
-    """Pull physical points back to the reference tet of one cell."""
-    x0 = mesh.vertices[mesh.tets[tet, 0]]
-    return (np.atleast_2d(x) - x0) @ mesh.jac_inv[tet].T
 
 
 def reference_basis(space: FESpace, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -178,7 +167,7 @@ def reference_basis(space: FESpace, points: np.ndarray) -> tuple[np.ndarray, np.
     return _reference_tables(space.family, space.order, pts.shape, pts.tobytes())
 
 
-@lru_cache(maxsize=32)  # bounded: eval_field passes arbitrary points
+@lru_cache(maxsize=32)  # bounded: eval_cells callers pass arbitrary points
 def _reference_tables(family: str, order: int, shape: tuple, points: bytes):
     vals, derivs = get_element(family, order).tabulate(np.frombuffer(points).reshape(shape))
     tables = vals.reshape(derivs.shape[:2] + (-1,)), derivs
@@ -192,11 +181,12 @@ def push_forward(space: FESpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Returns (value_map, deriv_map, absdet); see the module docstring.
     """
-    J, Jinv, detJ, absdet = cell_geometry(space.mesh)
-    JinvT = Jinv.transpose(0, 2, 1)
+    mesh = space.mesh
+    JinvT = mesh.jac_inv.transpose(0, 2, 1)
+    absdet = np.abs(mesh.jac_det)
     if space.family == "edge":
-        return JinvT, J / detJ[:, None, None], absdet
-    return np.ones((len(J), 1, 1)), JinvT, absdet
+        return JinvT, mesh.jac / mesh.jac_det[:, None, None], absdet
+    return np.ones((mesh.num_tets, 1, 1)), JinvT, absdet
 
 
 # --- evaluation -------------------------------------------------------------
@@ -221,26 +211,6 @@ def eval_cells(space: FESpace, vec: DofVector, ref_points: np.ndarray):
     if space.family == "nodal":
         vals = vals[..., 0]
     return vals, _pushed_field(coeffs, rd, deriv_map)
-
-
-def eval_field(space: FESpace, vec: DofVector, tet: int, ref_point: np.ndarray):
-    """Value and curl (edge family) or gradient (nodal) at one reference point."""
-    pts = np.atleast_2d(np.asarray(ref_point, dtype=np.float64))
-    tol = 1e-12
-    if pts.min() < -tol or pts.sum(axis=1).max() > 1.0 + tol:
-        raise SpaceError("evaluation point outside the reference tetrahedron")
-    sub = _single_cell_view(space, tet)
-    vals, derivs = eval_cells(sub, DofVector(sub, vec.values), pts)
-    return vals[0, 0], derivs[0, 0]
-
-
-def _single_cell_view(space: FESpace, tet: int) -> FESpace:
-    """Cheap facade restricting eval_cells to one tet."""
-    view = FESpace.__new__(FESpace)
-    view.__dict__.update(space.__dict__)
-    view.mesh = Mesh(space.mesh.vertices, space.mesh.tets[tet : tet + 1])
-    view.cell_dofs = space.cell_dofs[tet : tet + 1]
-    return view
 
 
 # --- interpolation ----------------------------------------------------------
@@ -319,7 +289,7 @@ def integrate_errors(
         vals = vals - exact_value(X)
     if exact_deriv is not None:
         derivs = derivs - exact_deriv(X)
-    absdet = cell_geometry(space.mesh)[3]
+    absdet = np.abs(space.mesh.jac_det)
 
     def norm(v):
         sq = (v * v).reshape(len(absdet), len(rule.weights), -1).sum(axis=2)

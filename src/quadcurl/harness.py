@@ -3,7 +3,9 @@
 Subcommands
 -----------
 ``eig``
-    Quad-curl eigenvalues on one mesh, or an eigenvalue table over ``--levels``.
+    Quad-curl eigenvalues on one mesh (``--mesh``, optionally
+    ``--dump-matrices``), or an eigenvalue table over ``--levels``; the two
+    modes do not mix.
 ``maxwell``
     Curl-curl (Maxwell) eigenvalues; same single-mesh / table switch.
 ``source-conv``
@@ -13,11 +15,12 @@ Subcommands
 ``info``
     Mesh and space dimensions for a given mesh/order.
 
-Mesh specs take the form ``cube:n=<int>`` (structured Kuhn mesh of the unit
-cube) or ``file:<path>`` (Gmsh ASCII v2.2). CSV output uses 10 significant
-digits. Exit codes: 0 success, 2 usage error, 1 numerical failure. Output
-files are only written after a run fully succeeds, so usage errors never
-leave partial files behind.
+Each subcommand accepts only the options it reads.  Mesh specs take the
+form ``cube:n=<int>`` (structured Kuhn mesh of the unit cube) or
+``file:<path>`` (Gmsh ASCII v2.2). CSV output uses 10 significant digits.
+Exit codes: 0 success, 2 usage error, 1 numerical failure. Output files are
+only written after a run fully succeeds, so usage errors never leave partial
+files behind.
 """
 
 from __future__ import annotations
@@ -293,32 +296,43 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+_OPTIONS = {
+    "--mesh": dict(default=None,
+                   help="mesh spec: cube:n=<int> or file:<path> (default cube:n=2)"),
+    "--order": dict(type=int, default=1, choices=(1, 2)),
+    "--num": dict(type=int, default=5, help="number of eigenvalues"),
+    "--levels": dict(default=None,
+                     help="comma-separated cube levels; switches to a table run"),
+    "--problem": dict(default="quadcurl", choices=("quadcurl", "curlcurl")),
+    "--out": dict(default=None, help="CSV output path (default stdout)"),
+    "--dump-matrices": dict(default=None, metavar="DIR",
+                            help="dump assembled matrices in coordinate text format"),
+}
+
+# Each subcommand accepts only the options it reads.
+_SUBCOMMANDS = {
+    "eig": ("quad-curl eigenvalues",
+            ("--mesh", "--order", "--num", "--levels", "--out", "--dump-matrices")),
+    "maxwell": ("curl-curl eigenvalues",
+                ("--mesh", "--order", "--num", "--levels", "--out", "--dump-matrices")),
+    "source-conv": ("source-problem convergence study",
+                    ("--order", "--levels", "--problem", "--out")),
+    "interp-conv": ("interpolation convergence study", ("--order", "--levels", "--out")),
+    "info": ("mesh and space dimensions", ("--mesh", "--order", "--out")),
+}
+
+DEFAULT_MESH = "cube:n=2"
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="quadcurl",
                      description="Mixed edge-element solvers for the "
                                  "quad-curl eigenvalue problem.")
     sub = parser.add_subparsers(dest="command")
-
-    def add_common(p, levels_default=None):
-        p.add_argument("--mesh", default="cube:n=2",
-                       help="mesh spec: cube:n=<int> or file:<path>")
-        p.add_argument("--order", type=int, default=1, choices=(1, 2))
-        p.add_argument("--num", type=int, default=5,
-                       help="number of eigenvalues (eigen runs)")
-        p.add_argument("--levels", default=levels_default,
-                       help="comma-separated cube levels; switches to a table run")
-        p.add_argument("--out", default=None, help="CSV output path (default stdout)")
-        p.add_argument("--dump-matrices", default=None, metavar="DIR",
-                       help="dump assembled matrices in coordinate text format")
-
-    add_common(sub.add_parser("eig", help="quad-curl eigenvalues"))
-    add_common(sub.add_parser("maxwell", help="curl-curl eigenvalues"))
-    psrc = sub.add_parser("source-conv", help="source-problem convergence study")
-    add_common(psrc)
-    psrc.add_argument("--problem", default="quadcurl",
-                      choices=("quadcurl", "curlcurl"))
-    add_common(sub.add_parser("interp-conv", help="interpolation convergence study"))
-    add_common(sub.add_parser("info", help="mesh and space dimensions"))
+    for name, (help_text, options) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option])
     return parser
 
 
@@ -364,17 +378,20 @@ def run_cli(argv) -> int:
                              "(eig, maxwell, source-conv, interp-conv, info)")
 
         if args.command == "info":
-            mesh = parse_mesh_spec(args.mesh)
+            mesh = parse_mesh_spec(DEFAULT_MESH if args.mesh is None else args.mesh)
             table = _info_table(mesh, args.order)
         elif args.command in ("eig", "maxwell"):
             kind = "quadcurl" if args.command == "eig" else "maxwell"
             if args.levels is not None:
+                if args.mesh is not None or args.dump_matrices is not None:
+                    raise UsageError("--levels runs on cube levels; it takes "
+                                     "neither --mesh nor --dump-matrices")
                 levels = _parse_levels(args.levels)
                 table = convergence_study(f"{kind}-eig", args.order, levels,
                                           num=args.num)
             else:
-                mesh = parse_mesh_spec(args.mesh)
-                if args.dump_matrices:
+                mesh = parse_mesh_spec(DEFAULT_MESH if args.mesh is None else args.mesh)
+                if args.dump_matrices is not None:
                     _dump_matrices(args.dump_matrices, mesh, args.order, kind)
                 table = _eig_single_table(kind, mesh, args.order, args.num)
         elif args.command == "source-conv":

@@ -42,10 +42,12 @@ class Mesh:
     Parameters
     ----------
     vertices:
-        Float array of shape (V, 3).
+        Finite float array of shape (V, 3).
     tets:
-        Integer array of shape (T, 4).  Rows are sorted ascending during
-        construction; the input order of the four vertices is irrelevant.
+        Integer array of shape (T, 4); whole-valued floats are accepted.
+        Rows are sorted ascending during construction; the input order of
+        the four vertices is irrelevant.  A tet whose |det J| is at most
+        1e-12 times the cube of its longest edge is rejected as degenerate.
 
     Construction also sets ``h_max`` (the longest edge) and the affine map
     x = v_0 + J x_hat of every tet: ``jac`` (T, 3, 3), whose column d is
@@ -61,26 +63,34 @@ class Mesh:
 
     def __post_init__(self) -> None:
         self.vertices = _freeze(np.ascontiguousarray(self.vertices, dtype=np.float64))
-        tets = np.sort(np.ascontiguousarray(self.tets, dtype=np.int64), axis=1)
-        self.tets = _freeze(tets)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
             raise MeshError("vertices must have shape (V, 3)")
-        if self.tets.ndim != 2 or self.tets.shape[1] != 4:
+        if not np.isfinite(self.vertices).all():
+            raise MeshError("vertex coordinates must be finite")
+        tets = np.asarray(self.tets)
+        if tets.ndim != 2 or tets.shape[1] != 4:
             raise MeshError("tets must have shape (T, 4)")
-        if self.tets.shape[0] == 0:
+        if tets.shape[0] == 0:
             raise MeshError("mesh has no tetrahedra")
-        if self.tets.min() < 0 or self.tets.max() >= len(self.vertices):
+        whole = tets.dtype.kind in "iu" or (tets.dtype.kind == "f" and (tets == np.round(tets)).all())
+        if not whole:
+            raise MeshError("tet vertex indices must be integers")
+        if tets.min() < 0 or tets.max() >= len(self.vertices):
             raise MeshError("tet vertex index out of range")
+        tets = np.sort(tets.astype(np.int64), axis=1)
+        self.tets = _freeze(tets)
         if np.any(np.diff(tets, axis=1) == 0):
             raise MeshError("tet with repeated vertex")
         corners = self.vertices[tets]
+        edges = corners[:, LOCAL_EDGES[:, 1]] - corners[:, LOCAL_EDGES[:, 0]]
+        longest = np.sqrt((edges**2).sum(axis=2)).max(axis=1)
+        self.h_max = float(longest.max())
         self.jac = _freeze((corners[:, 1:, :] - corners[:, :1, :]).transpose(0, 2, 1))
         self.jac_det = _freeze(np.linalg.det(self.jac))
-        if np.abs(self.jac_det).min() <= 1e-14:
+        # Relative to the cube of the longest edge, so the test is scale-free.
+        if (np.abs(self.jac_det) <= 1e-12 * longest**3).any():
             raise MeshError("degenerate tetrahedron (zero volume)")
         self.jac_inv = _freeze(np.linalg.inv(self.jac))
-        edges = self.vertices[tets[:, LOCAL_EDGES[:, 1]]] - self.vertices[tets[:, LOCAL_EDGES[:, 0]]]
-        self.h_max = float(np.sqrt((edges**2).sum(axis=2)).max())
 
     @property
     def num_vertices(self) -> int:

@@ -279,16 +279,3 @@ def ref_gradient_matrix(order: int) -> np.ndarray:
     g.flags.writeable = False
     return g
 
-
-def reference_shape_functions(family: str, order: int, points: np.ndarray):
-    """Tabulate reference basis functions at points inside the reference tet.
-
-    Returns (values, curls) for the edge family and (values, gradients) for
-    the nodal family.  Points outside the reference tetrahedron (beyond a
-    1e-12 tolerance) are rejected.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    tol = 1e-12
-    if pts.min() < -tol or pts.sum(axis=1).max() > 1.0 + tol:
-        raise SpaceError("point outside the reference tetrahedron")
-    return get_element(family, order).tabulate(pts)

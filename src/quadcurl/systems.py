@@ -46,7 +46,6 @@ from .assembly import (
     assemble_gradient_map,
     assemble_load,
     assemble_mass,
-    restrict,
 )
 from .errors import NotSPDError, SpaceError
 from .fespace import DofVector, FESpace, integrate_errors, make_space
@@ -76,7 +75,7 @@ def setup_spaces(mesh: Mesh, order: int) -> Spaces:
 
 @dataclass
 class PencilSystem:
-    """Restricted blocks of the fourth-order eigenvalue pencil."""
+    """Blocks of the fourth-order eigenvalue pencil, on active DoF sets."""
 
     K: SparseMatrix  # (M x N): (curl phi_j^0, curl phi_i), columns on free DoFs
     M_N: SparseMatrix  # U_{0,h} mass
@@ -123,17 +122,17 @@ class PencilSystem:
 
 
 def build_quadcurl_pencil(mesh: Mesh, order: int, spaces: Spaces | None = None) -> PencilSystem:
-    """Assemble and restrict K, M_N, M_M (and the gradient block) for a mesh."""
+    """Assemble K, M_N, M_M and the gradient block on their active DoF sets."""
     s = spaces if spaces is not None else setup_spaces(mesh, order)
     if s.u0.num_free == 0:
         raise SpaceError("mesh has no interior edge DoFs; pencil is empty")
-    Cf = assemble_curlcurl(s.uf, s.uf)
-    Mf = assemble_mass(s.uf)
-    all_rows = np.arange(s.uf.ndofs)
-    K = restrict(Cf, all_rows, s.u0.free_dofs)
-    M_N = restrict(Mf, s.u0.free_dofs, s.u0.free_dofs)
-    G0 = assemble_gradient_map(s.s0, s.u0)
-    return PencilSystem(K=K, M_N=M_N, M_M=Mf, G0=G0, spaces=s)
+    return PencilSystem(
+        K=assemble_curlcurl(s.uf, s.u0),
+        M_N=assemble_mass(s.u0),
+        M_M=assemble_mass(s.uf),
+        G0=assemble_gradient_map(s.s0, s.u0),
+        spaces=s,
+    )
 
 
 def _shift(mesh: Mesh, power: int) -> float:
@@ -266,10 +265,12 @@ def solve_quadcurl_source(
     keeps u discretely divergence-free, the same constraint the eigensolver
     deflates.  phi = M_M^{-1} K u needs no multiplier of its own: K^T maps
     every discrete gradient in U_h to zero (curl grad = 0), so phi is
-    M_M-orthogonal to all of them for every u.  Either an analytic load f
-    (callable or ManufacturedCase) or a pre-assembled load vector on the
-    free edge DoFs may be given.
+    M_M-orthogonal to all of them for every u.  Exactly one of an analytic
+    load f (callable or ManufacturedCase) and a pre-assembled load vector on
+    the free edge DoFs must be given; SpaceError otherwise.
     """
+    if (f is None) == (load is None):
+        raise SpaceError("give exactly one of f and load")
     case = f if isinstance(f, ManufacturedCase) else None
     s = spaces if spaces is not None else setup_spaces(mesh, order)
     pen = build_quadcurl_pencil(mesh, order, spaces=s)

@@ -1,0 +1,32 @@
+"""The program names that the benchmark under ``bench/`` reads stay in place."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import quadcurl
+from quadcurl import generate_cube_mesh
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_bench_selftest_passes():
+    """The benchmark's own self-test: generator, verifier and pencil dimensions."""
+    proc = subprocess.run([sys.executable, "bench/selftest.py"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_traced_eig_solve_counts_assembled_matrices(bench_spans):
+    """The tracer reads ``out.mat.nnz`` and the space/degree parameter names."""
+    tracer = bench_spans.Tracer()
+    with bench_spans.traced(quadcurl, tracer):
+        request = tracer.begin(0)
+        quadcurl.solve_quadcurl_eig(generate_cube_mesh(2), 1, 2)
+        tracer.end(request)
+    names = [span[0] for span in tracer.spans]
+    assert names.count("assembly.assemble_curlcurl") == 1
+    assert "assembly.restrict" not in names
+    assert tracer.counts["assembly.calls"] > 0
+    assert tracer.counts["assembly.nnz"] > 0
+    assert tracer.counts["assembly.local_flops"] > 0

@@ -154,6 +154,17 @@ def test_cli_stdout_default(capsys):
     ["eig", "--order", "3"],
     ["eig", "--levels", "4,2"],
     [],
+    ["eig", "--levels", "1,2", "--dump-matrices", "never"],
+    ["eig", "--levels", "1,2", "--mesh", "cube:n=2"],
+    ["maxwell", "--levels", "1,2", "--mesh", "cube:n=2"],
+    ["source-conv", "--levels", "1,2", "--dump-matrices", "never"],
+    ["source-conv", "--levels", "1,2", "--mesh", "cube:n=2"],
+    ["source-conv", "--levels", "1,2", "--num", "3"],
+    ["interp-conv", "--levels", "1,2", "--mesh", "cube:n=2"],
+    ["interp-conv", "--levels", "1,2", "--num", "3"],
+    ["info", "--levels", "1,2"],
+    ["info", "--dump-matrices", "never"],
+    ["info", "--num", "3"],
 ])
 def test_cli_usage_errors_exit_2(argv, capsys):
     assert run_cli(argv) == 2

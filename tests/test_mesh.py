@@ -82,6 +82,37 @@ def test_degenerate_tet_rejected():
         Mesh(verts, np.array([[0, 1, 2, 3]]))
 
 
+def test_tiny_tet_accepted_and_flat_tiny_tet_rejected():
+    """The degeneracy test is relative to the tet's own size."""
+    verts = 1e-5 * np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0], [0.0, 0, 1]])
+    assert Mesh(verts, np.array([[0, 1, 2, 3]])).volumes()[0] == pytest.approx(1e-15 / 6)
+    flat = verts.copy()
+    flat[3, 2] = 1e-18
+    with pytest.raises(MeshError):
+        Mesh(flat, np.array([[0, 1, 2, 3]]))
+
+
+def test_one_dimensional_tets_rejected():
+    verts = np.eye(4, 3)
+    with pytest.raises(MeshError):
+        Mesh(verts, np.array([0, 1, 2, 3]))
+
+
+def test_nonfinite_vertex_rejected():
+    verts = np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0], [0.0, 0, np.nan]])
+    with pytest.raises(MeshError):
+        Mesh(verts, np.array([[0, 1, 2, 3]]))
+
+
+def test_non_integer_index_rejected():
+    verts = np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0], [0.0, 0, 1]])
+    with pytest.raises(MeshError):
+        Mesh(verts, np.array([[0, 1.7, 2, 3]]))
+    whole = Mesh(verts, np.array([[3.0, 0.0, 2.0, 1.0]]))
+    assert whole.tets.dtype == np.int64
+    assert whole.tets.tolist() == [[0, 1, 2, 3]]
+
+
 def test_out_of_range_index_rejected():
     verts = np.eye(4, 3)
     with pytest.raises(MeshError):

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from quadcurl.errors import SpaceError
-from quadcurl.reference import (
-    get_element, ref_gradient_matrix, reference_shape_functions,
-)
+from quadcurl.reference import get_element, ref_gradient_matrix
 
 RNG = np.random.default_rng(42)
 
@@ -163,18 +161,6 @@ def test_nodal_order2_kronecker_property():
     nodes = np.vstack([verts, mids])
     vals, _ = el.tabulate(nodes)
     assert np.abs(vals - np.eye(10)).max() < 1e-12
-
-
-def test_reference_shape_functions_api():
-    pts = interior_points(4)
-    vals, curls = reference_shape_functions("edge", 1, pts)
-    assert vals.shape == (4, 6, 3)
-    assert curls.shape == (4, 6, 3)
-
-
-def test_point_outside_reference_tet_rejected():
-    with pytest.raises(SpaceError):
-        reference_shape_functions("edge", 1, np.array([[0.7, 0.7, 0.7]]))
 
 
 def test_unknown_family_rejected():
