@@ -1,6 +1,6 @@
 """Curl-conforming tetrahedral FEM toolkit for curl-curl and quad-curl problems."""
 
-from .mesh import Mesh, Topology, BoundarySet, generate_cube_mesh, read_gmsh, build_topology, boundary_classification
+from .mesh import Mesh, Topology, generate_cube_mesh, read_gmsh, build_topology
 from .fespace import FESpace, DofVector, make_space, interpolate, integrate_errors
 from .quadrature import QuadRule, tet_rule, triangle_rule, segment_rule
 from .assembly import SparseMatrix, assemble_mass, assemble_curlcurl, assemble_gradient_map, assemble_load

@@ -12,7 +12,8 @@ identically by every cell that shares it and local DoFs map to global DoFs
 without sign or permutation fixes.
 
 The constrained variants (essential boundary condition u x n = 0, or scalar
-trace zero) keep the full-length DoF layout and record the free subset.
+trace zero) keep the full-length DoF layout and record the free subset: the
+DoFs on entities off the topology's boundary masks.
 
 Geometry.  The maps from the reference tet are affine, x = x_0 + J x_hat, and
 the mesh keeps J, J^{-1} and det J of every tet.  A basis function with
@@ -36,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import SpaceError
-from .mesh import BoundarySet, Mesh, Topology, boundary_classification, build_topology
+from .mesh import Mesh, Topology, build_topology
 from .quadrature import segment_rule, tet_rule, triangle_rule
 from .reference import get_element
 
@@ -49,7 +50,6 @@ class FESpace:
 
     mesh: Mesh
     topo: Topology
-    boundary: BoundarySet
     family: str
     order: int
     constrained: bool
@@ -63,9 +63,9 @@ class FESpace:
         if self.order not in (1, 2):
             raise SpaceError(f"order must be 1 or 2, got {self.order}")
         self.element = get_element(self.family, self.order)
-        topo, bnd = self.topo, self.boundary
+        topo = self.topo
         E, F, V = topo.num_edges, topo.num_faces, self.mesh.num_vertices
-        emask, fmask, vmask = bnd.edge_mask(), bnd.face_mask(), bnd.vertex_mask()
+        emask, fmask, vmask = topo.boundary_edges, topo.boundary_faces, topo.boundary_vertices
 
         if self.family == "edge" and self.order == 1:
             self.ndofs = E
@@ -137,14 +137,11 @@ def make_space(
     order: int,
     constrained: bool = False,
     topo: Topology | None = None,
-    boundary: BoundarySet | None = None,
 ) -> FESpace:
-    """Build a global space; topology/boundary are derived when not supplied."""
+    """Build a global space; the topology is derived when not supplied."""
     if topo is None:
         topo = build_topology(mesh)
-    if boundary is None:
-        boundary = boundary_classification(mesh, topo)
-    return FESpace(mesh, topo, boundary, family, order, constrained)
+    return FESpace(mesh, topo, family, order, constrained)
 
 
 # --- geometry ---------------------------------------------------------------

@@ -35,16 +35,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .assembly import assemble_curlcurl, assemble_gradient_map, assemble_mass
 from .errors import QuadCurlError, UsageError
 from .fespace import integrate_errors, interpolate, make_space
 from .manufactured import curlcurl_sine_case, quadcurl_sin3_case
 from .mesh import Mesh, generate_cube_mesh, read_gmsh
 from .systems import (
+    _curlcurl_blocks,
+    _maxwell_eig,
     build_quadcurl_pencil,
     setup_spaces,
     solve_curlcurl_source,
-    solve_maxwell_eig,
     solve_quadcurl_eig,
     solve_quadcurl_source,
 )
@@ -195,7 +195,7 @@ def convergence_study(
                              sol.p_ratio])
             else:
                 kind = "maxwell" if problem == "maxwell-eig" else "quadcurl"
-                res, dims = _solve_eig(kind, mesh, order, num)
+                res, dims, _ = _solve_eig(kind, mesh, order, num)
                 rows.append([order, n, mesh.h_max, dims[0], dims[1],
                              *res.values[:num], sum(dims)])
         if problem in ("interp", "curlcurl-src", "quadcurl-src"):
@@ -247,22 +247,14 @@ def parse_mesh_spec(spec: str) -> Mesh:
     raise UsageError(f"bad mesh spec {spec!r}; expected cube:n=<int> or file:<path>")
 
 
-def _dump_matrices(directory: str, mesh: Mesh, order: int, kind: str) -> None:
-    """Dump assembled system matrices in coordinate text format."""
-    os.makedirs(directory, exist_ok=True)
-    sp = setup_spaces(mesh, order)
-    if kind == "quadcurl":
-        pencil = build_quadcurl_pencil(mesh, order, spaces=sp)
-        named = {"K": pencil.K, "M_N": pencil.M_N, "M_M": pencil.M_M,
-                 "G0": pencil.G0}
-    else:
-        named = {
-            "C0": assemble_curlcurl(sp.u0),
-            "M0": assemble_mass(sp.u0),
-            "G0": assemble_gradient_map(sp.s0, sp.u0),
-        }
-    for name, mat in named.items():
-        mat.dump(os.path.join(directory, f"{name}.txt"))
+def _dump_matrices(directory: str, blocks: dict) -> None:
+    """Dump named system matrices in coordinate text format."""
+    try:
+        os.makedirs(directory, exist_ok=True)
+        for name, mat in blocks.items():
+            mat.dump(os.path.join(directory, f"{name}.txt"))
+    except OSError as exc:
+        raise UsageError(f"dump directory unwritable: {exc}")
 
 
 def _source_dims(sol) -> tuple[int, int]:
@@ -271,22 +263,25 @@ def _source_dims(sol) -> tuple[int, int]:
 
 
 def _solve_eig(kind: str, mesh: Mesh, order: int, num: int):
-    """Eigen solve plus its (N, M); M is 0 for Maxwell, which has no w block."""
+    """Eigen solve, its (N, M) and named blocks; M is 0 for Maxwell (no w block)."""
     if kind == "maxwell":
-        res = solve_maxwell_eig(mesh, order, num)
-        return res, (res.vectors.shape[0], 0)
+        C0, M0, G0 = _curlcurl_blocks(setup_spaces(mesh, order))
+        res = _maxwell_eig(mesh, C0, M0, G0, num)
+        return res, (res.vectors.shape[0], 0), {"C0": C0, "M0": M0, "G0": G0}
     pen = build_quadcurl_pencil(mesh, order)
     res = solve_quadcurl_eig(mesh, order, num, pencil=pen)
-    return res, (pen.n_free, pen.m_total)
+    blocks = {"K": pen.K, "M_N": pen.M_N, "M_M": pen.M_M, "G0": pen.G0}
+    return res, (pen.n_free, pen.m_total), blocks
 
 
-def _eig_single_table(kind: str, mesh: Mesh, order: int, num: int) -> ConvergenceTable:
-    res, dims = _solve_eig(kind, mesh, order, num)
+def _eig_single_table(kind: str, mesh: Mesh, order: int, num: int):
+    """One mesh's eigenvalue table and the named blocks it was solved from."""
+    res, dims, blocks = _solve_eig(kind, mesh, order, num)
     table = ConvergenceTable(problem=f"{kind}-eig",
                              headers=["index", "lambda", "dof"])
     for i, lam in enumerate(res.values[:num]):
         table.rows.append([i + 1, lam, sum(dims)])
-    return table
+    return table, blocks
 
 
 class _Parser(argparse.ArgumentParser):
@@ -348,15 +343,15 @@ def _parse_levels(text: str) -> list:
 
 def _info_table(mesh: Mesh, order: int) -> ConvergenceTable:
     sp = setup_spaces(mesh, order)
-    topo, bnd = sp.u0.topo, sp.u0.boundary
+    topo = sp.u0.topo
     table = ConvergenceTable(problem="info", headers=["key", "value"])
     pairs = [
         ("vertices", mesh.vertices.shape[0]),
         ("tets", mesh.tets.shape[0]),
         ("edges", topo.edges.shape[0]),
         ("faces", topo.faces.shape[0]),
-        ("boundary_edges", bnd.edges.size),
-        ("boundary_faces", bnd.faces.size),
+        ("boundary_edges", int(topo.boundary_edges.sum())),
+        ("boundary_faces", int(topo.boundary_faces.sum())),
         ("h_max", mesh.h_max),
         ("order", order),
         ("N_edge_constrained", sp.u0.num_free),
@@ -391,9 +386,9 @@ def run_cli(argv) -> int:
                                           num=args.num)
             else:
                 mesh = parse_mesh_spec(DEFAULT_MESH if args.mesh is None else args.mesh)
+                table, blocks = _eig_single_table(kind, mesh, args.order, args.num)
                 if args.dump_matrices is not None:
-                    _dump_matrices(args.dump_matrices, mesh, args.order, kind)
-                table = _eig_single_table(kind, mesh, args.order, args.num)
+                    _dump_matrices(args.dump_matrices, blocks)
         elif args.command == "source-conv":
             problem = "quadcurl-src" if args.problem == "quadcurl" else "curlcurl-src"
             levels = _parse_levels(args.levels) if args.levels is not None \

@@ -1,4 +1,4 @@
-"""Tetrahedral meshes, their entity topology, and boundary classification.
+"""Tetrahedral meshes and their entity topology, boundary masks included.
 
 A mesh stores vertex coordinates and tetrahedra as vertex index quadruples.
 Tetrahedra are canonicalized to ascending vertex order at construction, so
@@ -13,7 +13,9 @@ on the mesh.
 
 Entity numbering produced by :func:`build_topology` depends only on the set
 of tetrahedra, not on their order in the array: unique sorted vertex tuples
-are ranked lexicographically.
+are ranked lexicographically.  The same pass marks the boundary: a face is on
+it when it has one incident tet, and an edge or vertex when it lies on such a
+face.
 """
 
 from __future__ import annotations
@@ -28,6 +30,9 @@ from .errors import GmshParseError, MeshError, NonConformingMeshError
 # cell's own 4-tuple, each ascending).
 LOCAL_EDGES = np.array([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 LOCAL_FACES = np.array([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+# Local edges of each local face: LOCAL_EDGES[FACE_EDGES[f]] are the vertex
+# pairs of LOCAL_FACES[f].
+FACE_EDGES = np.array([(0, 1, 3), (0, 2, 4), (1, 2, 5), (3, 4, 5)])
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -223,6 +228,10 @@ class Topology:
         orientation, so no incidence signs are needed.
     face_tets:
         For each face, the one or two incident tets (-1 when absent).
+    boundary_vertices, boundary_edges, boundary_faces:
+        Read-only masks over vertices, edges and faces: a face is on the
+        boundary when it has one incident tet, an edge or vertex when it lies
+        on a boundary face.
     """
 
     edges: np.ndarray
@@ -230,6 +239,9 @@ class Topology:
     tet_edges: np.ndarray
     tet_faces: np.ndarray
     face_tets: np.ndarray
+    boundary_vertices: np.ndarray
+    boundary_edges: np.ndarray
+    boundary_faces: np.ndarray
 
     @property
     def num_edges(self) -> int:
@@ -278,71 +290,22 @@ def build_topology(mesh: Mesh) -> Topology:
     face_tets = -np.ones((len(faces), 2), dtype=np.int64)
     face_tets[sorted_faces, slot] = order // 4
 
+    # A boundary face's one (tet, local face) slot names its edges and vertices.
+    boundary_faces = face_tets[:, 1] < 0
+    t, lf = np.nonzero(boundary_faces[tet_faces])
+    boundary_edges = np.zeros(len(edges), dtype=bool)
+    boundary_edges[tet_edges[t[:, None], FACE_EDGES[lf]]] = True
+    boundary_vertices = np.zeros(V, dtype=bool)
+    boundary_vertices[tets[t[:, None], LOCAL_FACES[lf]]] = True
+
     return Topology(
         edges=_freeze(edges),
         faces=_freeze(faces),
         tet_edges=_freeze(tet_edges),
         tet_faces=_freeze(tet_faces),
         face_tets=_freeze(face_tets),
+        boundary_vertices=_freeze(boundary_vertices),
+        boundary_edges=_freeze(boundary_edges),
+        boundary_faces=_freeze(boundary_faces),
     )
 
-
-@dataclass
-class BoundarySet:
-    """Index sets of boundary entities, with mask accessors."""
-
-    vertices: np.ndarray
-    edges: np.ndarray
-    faces: np.ndarray
-    num_vertices: int
-    num_edges: int
-    num_faces: int
-
-    def vertex_mask(self) -> np.ndarray:
-        m = np.zeros(self.num_vertices, dtype=bool)
-        m[self.vertices] = True
-        return m
-
-    def edge_mask(self) -> np.ndarray:
-        m = np.zeros(self.num_edges, dtype=bool)
-        m[self.edges] = True
-        return m
-
-    def face_mask(self) -> np.ndarray:
-        m = np.zeros(self.num_faces, dtype=bool)
-        m[self.faces] = True
-        return m
-
-
-def boundary_classification(mesh: Mesh, topo: Topology) -> BoundarySet:
-    """Classify entities as boundary or interior.
-
-    A face is boundary iff it has exactly one incident tet; boundary edges and
-    vertices are those lying on some boundary face.
-    """
-    bfaces = np.flatnonzero(topo.face_tets[:, 1] < 0)
-    bverts = np.unique(topo.faces[bfaces].ravel())
-    # An edge is on the boundary iff it is an edge of a boundary face.
-    fverts = topo.faces[bfaces]
-    pair_keys = np.concatenate(
-        [fverts[:, [0, 1]], fverts[:, [0, 2]], fverts[:, [1, 2]]], axis=0
-    )
-    bedges = _edge_lookup(topo.edges, np.unique(pair_keys, axis=0))
-    return BoundarySet(
-        vertices=_freeze(bverts),
-        edges=_freeze(bedges),
-        faces=_freeze(bfaces),
-        num_vertices=mesh.num_vertices,
-        num_edges=topo.num_edges,
-        num_faces=topo.num_faces,
-    )
-
-
-def _edge_lookup(edges: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Indices into the (lexicographically sorted) edge table for given pairs."""
-    base = int(edges.max()) + 1
-    idx = np.searchsorted(edges[:, 0] * base + edges[:, 1], keys[:, 0] * base + keys[:, 1])
-    idx = np.minimum(idx, len(edges) - 1)
-    if not np.array_equal(edges[idx], keys):
-        raise MeshError("edge lookup failed; inconsistent topology")
-    return idx

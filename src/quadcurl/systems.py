@@ -50,7 +50,7 @@ from .assembly import (
 from .errors import NotSPDError, SpaceError
 from .fespace import DofVector, FESpace, integrate_errors, make_space
 from .manufactured import ManufacturedCase
-from .mesh import Mesh, boundary_classification, build_topology
+from .mesh import Mesh, build_topology
 from .solvers import EigenResult, gen_sym_eig, saddle_solve
 
 
@@ -65,11 +65,10 @@ class Spaces:
 
 def setup_spaces(mesh: Mesh, order: int) -> Spaces:
     topo = build_topology(mesh)
-    bnd = boundary_classification(mesh, topo)
     return Spaces(
-        u0=make_space(mesh, "edge", order, constrained=True, topo=topo, boundary=bnd),
-        uf=make_space(mesh, "edge", order, constrained=False, topo=topo, boundary=bnd),
-        s0=make_space(mesh, "nodal", order, constrained=True, topo=topo, boundary=bnd),
+        u0=make_space(mesh, "edge", order, constrained=True, topo=topo),
+        uf=make_space(mesh, "edge", order, constrained=False, topo=topo),
+        s0=make_space(mesh, "nodal", order, constrained=True, topo=topo),
     )
 
 
@@ -170,11 +169,18 @@ def solve_maxwell_eig(
 ) -> EigenResult:
     """First `count` nonzero curl-curl (Maxwell) eigenvalues on U_{0,h}."""
     s = spaces if spaces is not None else setup_spaces(mesh, order)
+    return _maxwell_eig(mesh, *_curlcurl_blocks(s), count)
+
+
+def _curlcurl_blocks(s: Spaces) -> tuple[SparseMatrix, SparseMatrix, SparseMatrix]:
+    """Curl-curl C0 and mass M0 on U_{0,h}, and the gradient map G0 from S_h."""
     if s.u0.num_free == 0:
         raise SpaceError("mesh has no interior edge DoFs")
-    C0 = assemble_curlcurl(s.u0, s.u0)
-    M0 = assemble_mass(s.u0)
-    G0 = assemble_gradient_map(s.s0, s.u0)
+    return assemble_curlcurl(s.u0, s.u0), assemble_mass(s.u0), assemble_gradient_map(s.s0, s.u0)
+
+
+def _maxwell_eig(mesh: Mesh, C0, M0, G0, count: int) -> EigenResult:
+    """Maxwell eigenpairs of the pencil (C0, M0) with the gradients G0 deflated."""
     return gen_sym_eig(C0.mat, M0.mat, count, _shift(mesh, 2), deflate=G0.mat)
 
 
@@ -227,11 +233,7 @@ def solve_curlcurl_source(mesh: Mesh, order: int, f) -> SourceSolution:
     case = f if isinstance(f, ManufacturedCase) else None
     fn = case.f if case is not None else f
     s = setup_spaces(mesh, order)
-    if s.u0.num_free == 0:
-        raise SpaceError("mesh has no interior edge DoFs")
-    C0 = assemble_curlcurl(s.u0, s.u0)
-    M0 = assemble_mass(s.u0)
-    G0 = assemble_gradient_map(s.s0, s.u0)
+    C0, M0, G0 = _curlcurl_blocks(s)
     F = assemble_load(s.uf, fn).values[s.u0.free_dofs]
     uvals, pvals, res, steps = saddle_solve(
         C0.mat, M0.mat @ G0.mat, F, M0.mat, G0.mat, _shift(mesh, 2))

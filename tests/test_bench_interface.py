@@ -30,3 +30,15 @@ def test_traced_eig_solve_counts_assembled_matrices(bench_spans):
     assert tracer.counts["assembly.calls"] > 0
     assert tracer.counts["assembly.nnz"] > 0
     assert tracer.counts["assembly.local_flops"] > 0
+
+
+def test_traced_eig_solve_builds_topology_once(bench_spans):
+    """Boundary masks come from ``build_topology``; no second pass runs."""
+    tracer = bench_spans.Tracer()
+    with bench_spans.traced(quadcurl, tracer):
+        request = tracer.begin(0)
+        quadcurl.solve_quadcurl_eig(generate_cube_mesh(2), 1, 2)
+        tracer.end(request)
+    names = [span[0] for span in tracer.spans]
+    assert names.count("mesh.build_topology") == 1
+    assert "mesh.boundary_classification" not in names

@@ -1,5 +1,8 @@
 import io
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -205,6 +208,38 @@ def test_cli_maxwell_dump(tmp_path, capsys):
     assert code == 0
     capsys.readouterr()
     assert sorted(os.listdir(dump)) == ["C0.txt", "G0.txt", "M0.txt"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["eig", "--mesh", "cube:n=2", "--num", "30"],
+    ["maxwell", "--mesh", "cube:n=1", "--num", "5"],
+])
+def test_cli_failed_solve_dumps_nothing(argv, tmp_path, capsys):
+    dump = tmp_path / "d"
+    assert run_cli(argv + ["--dump-matrices", str(dump)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not dump.exists() or os.listdir(dump) == []
+
+
+def test_cli_unwritable_dump_directory_exit_2(tmp_path, capsys):
+    taken = tmp_path / "file"
+    taken.write_text("")
+    code = run_cli(["eig", "--mesh", "cube:n=1", "--num", "1",
+                    "--dump-matrices", str(taken)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("usage error:")
+
+
+def test_module_entry_point_prints_info_csv():
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "quadcurl", "info", "--mesh", "cube:n=2"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "key,value"
+    assert "boundary_edges,72" in lines
 
 
 def test_cli_levels_table(capsys):

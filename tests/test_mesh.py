@@ -1,12 +1,14 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from meshes import five_tet_cube_mesh, jittered_cube_mesh, write_gmsh
-from quadcurl import (
-    Mesh, boundary_classification, build_topology, generate_cube_mesh, read_gmsh,
-)
+from quadcurl import Mesh, build_topology, generate_cube_mesh, read_gmsh
 from quadcurl.errors import GmshParseError, MeshError, NonConformingMeshError
-from quadcurl.mesh import LOCAL_EDGES, LOCAL_FACES
+from quadcurl.mesh import FACE_EDGES, LOCAL_EDGES, LOCAL_FACES
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def topo_counts(mesh):
@@ -28,11 +30,10 @@ def test_cube_n1_counts():
 def test_cube_n1_interior_entities():
     mesh = generate_cube_mesh(1)
     topo = build_topology(mesh)
-    bnd = boundary_classification(mesh, topo)
     # only the main diagonal edge and the 6 faces through it are interior
-    assert topo.edges.shape[0] - bnd.edges.size == 1
-    assert topo.faces.shape[0] - bnd.faces.size == 6
-    assert bnd.vertices.size == 8
+    assert (~topo.boundary_edges).sum() == 1
+    assert (~topo.boundary_faces).sum() == 6
+    assert topo.boundary_vertices.sum() == 8
 
 
 def test_cube_n2_counts():
@@ -44,10 +45,9 @@ def test_cube_n2_counts():
     # Euler relation for a ball-like mesh
     assert 27 - E + F - 48 == 1
     topo = build_topology(mesh)
-    bnd = boundary_classification(mesh, topo)
-    assert bnd.edges.size == 72
-    assert bnd.vertices.size == 26
-    interior = np.setdiff1d(np.arange(27), bnd.vertices)
+    assert topo.boundary_edges.sum() == 72
+    assert topo.boundary_vertices.sum() == 26
+    interior = np.flatnonzero(~topo.boundary_vertices)
     assert interior.size == 1
     assert np.allclose(mesh.vertices[interior[0]], [0.5, 0.5, 0.5])
 
@@ -133,9 +133,8 @@ def test_two_tet_oracle():
     topo = build_topology(mesh)
     assert topo.edges.shape[0] == 9
     assert topo.faces.shape[0] == 7
-    bnd = boundary_classification(mesh, topo)
-    assert bnd.faces.size == 6
-    assert bnd.edges.size == 9
+    assert topo.boundary_faces.sum() == 6
+    assert topo.boundary_edges.sum() == 9
 
 
 def test_topology_deterministic_under_tet_permutation():
@@ -300,15 +299,66 @@ def test_gmsh_roundtrip_cube():
 
 def test_boundary_masks(cube2):
     topo = build_topology(cube2)
-    bnd = boundary_classification(cube2, topo)
-    assert bnd.edge_mask().sum() == 72
-    assert bnd.face_mask().sum() == 48
-    assert bnd.vertex_mask().sum() == 26
+    assert topo.boundary_edges.sum() == 72
+    assert topo.boundary_faces.sum() == 48
+    assert topo.boundary_vertices.sum() == 26
     # every boundary edge lies on a boundary face
     bface_edges = set()
-    for f in bnd.faces:
+    for f in np.flatnonzero(topo.boundary_faces):
         a, b, c = topo.faces[f]
         for pair in ((a, b), (a, c), (b, c)):
             bface_edges.add(pair)
-    for e in bnd.edges:
+    for e in np.flatnonzero(topo.boundary_edges):
         assert tuple(topo.edges[e]) in bface_edges
+
+
+def _boundary_oracle(mesh, topo):
+    """Boundary masks by a loop over faces: a face with one incident tet is on
+    the boundary, and so are its three edges and three vertices."""
+    incident = np.zeros(topo.num_faces, dtype=np.int64)
+    for faces in topo.tet_faces:
+        for f in faces:
+            incident[f] += 1
+    edge_index = {tuple(e): i for i, e in enumerate(topo.edges.tolist())}
+    verts = np.zeros(mesh.num_vertices, dtype=bool)
+    edges = np.zeros(topo.num_edges, dtype=bool)
+    faces = incident == 1
+    for f in np.flatnonzero(faces):
+        a, b, c = topo.faces[f].tolist()
+        verts[[a, b, c]] = True
+        for pair in ((a, b), (a, c), (b, c)):
+            edges[edge_index[pair]] = True
+    return verts, edges, faces
+
+
+def _permuted_jittered4():
+    mesh = jittered_cube_mesh(4, seed=7)
+    perm = np.random.default_rng(13).permutation(mesh.num_tets)
+    return Mesh(mesh.vertices.copy(), mesh.tets[perm])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: jittered_cube_mesh(4, seed=7),
+    _permuted_jittered4,
+    lambda: five_tet_cube_mesh(3),
+    lambda: read_gmsh((DATA / "ball_h03.msh").read_text()),
+], ids=["jittered4", "jittered4-permuted", "five-tet3", "ball"])
+def test_boundary_masks_match_face_loop_oracle(make):
+    mesh = make()
+    topo = build_topology(mesh)
+    verts, edges, faces = _boundary_oracle(mesh, topo)
+    assert faces.any() and not faces.all()
+    assert np.array_equal(topo.boundary_vertices, verts)
+    assert np.array_equal(topo.boundary_edges, edges)
+    assert np.array_equal(topo.boundary_faces, faces)
+    for mask in (topo.boundary_vertices, topo.boundary_edges, topo.boundary_faces):
+        assert mask.dtype == bool and not mask.flags.writeable
+        with pytest.raises(ValueError):
+            mask[0] = not mask[0]
+
+
+def test_face_edge_table_matches_local_faces():
+    for f in range(4):
+        pairs = LOCAL_EDGES[FACE_EDGES[f]]
+        a, b, c = LOCAL_FACES[f]
+        assert pairs.tolist() == [[a, b], [a, c], [b, c]]
