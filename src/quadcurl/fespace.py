@@ -148,9 +148,19 @@ def make_space(
 
 
 def map_points(mesh: Mesh, ref_points: np.ndarray) -> np.ndarray:
-    """Push reference points to every tet: (T, n, 3)."""
-    origin = mesh.vertices[mesh.tets[:, 0]]
-    return origin[:, None, :] + ref_points @ mesh.jac.transpose(0, 2, 1)
+    """Push reference points to every tet: (T, n, 3), read-only.
+
+    The mesh keeps the last result, keyed by the reference points: a source
+    solve maps one quadrature rule for its load and for each error integral.
+    """
+    ref = np.ascontiguousarray(ref_points, dtype=np.float64)
+    key = (ref.shape, ref.tobytes())
+    if mesh._mapped_points is None or mesh._mapped_points[0] != key:
+        origin = mesh.vertices[mesh.tets[:, 0]]
+        points = origin[:, None, :] + ref @ mesh.jac.transpose(0, 2, 1)
+        points.flags.writeable = False
+        mesh._mapped_points = (key, points)
+    return mesh._mapped_points[1]
 
 
 def reference_basis(space: FESpace, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

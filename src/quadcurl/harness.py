@@ -19,8 +19,9 @@ Each subcommand accepts only the options it reads.  Mesh specs take the
 form ``cube:n=<int>`` (structured Kuhn mesh of the unit cube) or
 ``file:<path>`` (Gmsh ASCII v2.2). CSV output uses 10 significant digits.
 Exit codes: 0 success, 2 usage error, 1 numerical failure. Output files are
-only written after a run fully succeeds, so usage errors never leave partial
-files behind.
+only written after a run fully succeeds, and both destinations (``--out``
+and ``--dump-matrices``) are checked before any work, so usage errors never
+leave partial files behind.
 """
 
 from __future__ import annotations
@@ -363,6 +364,25 @@ def _info_table(mesh: Mesh, order: int) -> ConvergenceTable:
     return table
 
 
+def _check_destinations(out: str | None, dump: str | None) -> None:
+    """Raise UsageError unless the CSV file and the dump directory can be written.
+
+    Checked before either is written, so a bad one never leaves the other's
+    files behind.
+    """
+    if out is not None:
+        parent = os.path.dirname(os.path.abspath(out))
+        if (os.path.isdir(out) or not os.path.isdir(parent) or not os.access(parent, os.W_OK)
+                or (os.path.exists(out) and not os.access(out, os.W_OK))):
+            raise UsageError(f"output path unwritable: {out}")
+    if dump is not None:
+        existing = os.path.abspath(dump)  # missing parts are created in this ancestor
+        while not os.path.exists(existing):
+            existing = os.path.dirname(existing)
+        if not os.path.isdir(existing) or not os.access(existing, os.W_OK):
+            raise UsageError(f"dump directory unwritable: {dump}")
+
+
 def run_cli(argv) -> int:
     """Execute one CLI invocation; returns the process exit code."""
     try:
@@ -371,6 +391,7 @@ def run_cli(argv) -> int:
         if args.command is None:
             raise UsageError("missing subcommand "
                              "(eig, maxwell, source-conv, interp-conv, info)")
+        _check_destinations(args.out, getattr(args, "dump_matrices", None))
 
         if args.command == "info":
             mesh = parse_mesh_spec(DEFAULT_MESH if args.mesh is None else args.mesh)

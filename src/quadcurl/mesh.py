@@ -52,7 +52,8 @@ class Mesh:
         Integer array of shape (T, 4); whole-valued floats are accepted.
         Rows are sorted ascending during construction; the input order of
         the four vertices is irrelevant.  A tet whose |det J| is at most
-        1e-12 times the cube of its longest edge is rejected as degenerate.
+        1e-12 times the cube of its longest edge is rejected as degenerate,
+        and so is a vertex that no tet uses.
 
     Construction also sets ``h_max`` (the longest edge) and the affine map
     x = v_0 + J x_hat of every tet: ``jac`` (T, 3, 3), whose column d is
@@ -65,6 +66,8 @@ class Mesh:
     jac: np.ndarray = field(init=False, repr=False, compare=False)
     jac_inv: np.ndarray = field(init=False, repr=False, compare=False)
     jac_det: np.ndarray = field(init=False, repr=False, compare=False)
+    # (reference points key, mapped points) of the last fespace.map_points call.
+    _mapped_points: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.vertices = _freeze(np.ascontiguousarray(self.vertices, dtype=np.float64))
@@ -86,6 +89,11 @@ class Mesh:
         self.tets = _freeze(tets)
         if np.any(np.diff(tets, axis=1) == 0):
             raise MeshError("tet with repeated vertex")
+        # An unused vertex would become a free nodal DoF with no gradient.
+        unused = np.flatnonzero(np.bincount(tets.ravel(), minlength=len(self.vertices)) == 0)
+        if len(unused):
+            listed = ", ".join(map(str, unused[:10])) + (", ..." if len(unused) > 10 else "")
+            raise MeshError(f"{len(unused)} vertices used by no tet: {listed}")
         corners = self.vertices[tets]
         edges = corners[:, LOCAL_EDGES[:, 1]] - corners[:, LOCAL_EDGES[:, 0]]
         longest = np.sqrt((edges**2).sum(axis=2)).max(axis=1)

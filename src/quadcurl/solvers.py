@@ -26,7 +26,7 @@ from .errors import EigenSolveError, SingularSystemError
 _SADDLE_RESIDUAL_TOL = 1e-9
 # The saddle refinement factors K - rho B with rho = _SHIFT_FRACTION * sigma,
 # sigma the pencil's eigen shift (about -lambda_1 / 2).  Each step contracts
-# the error by |rho| / (lambda_1 + |rho|), about 5e-4, so 5-7 steps reach
+# the error by |rho| / (lambda_1 + |rho|), about 5e-4, so 4-5 steps reach
 # roundoff on the cube meshes.  A smaller |rho| saves a step or two (about
 # 1 ms each against a 20-60 ms factor) but moves the factor toward the
 # singular K: at 1e-11 the order-2 refinement stalled.  At 1e-2 it took 7-9
@@ -36,6 +36,16 @@ _REFINE_STEPS = 10
 # Refinement stops at the first step that does not cut the residual of the
 # first block row by this factor: roundoff floor reached.
 _REFINE_STALL = 0.5
+# ... or once that residual, relative to ||f||, is below this floor.  On 44
+# cube-mesh ladders (quad-curl order 1 n = 2-8 and order 2 n = 2-5, curl-curl
+# order 1 n = 2-9 and order 2 n = 2-4; Kuhn and jittered) the residual
+# levels off between 1e-16 and 1.3e-14, and the last value above that level
+# is at least 2.1e-13.  The floor must also stay under 3.0e-14, where the
+# diagonal pencil of test_saddle_solve_shift_lies_below_the_spectrum sits
+# one step before its exact solution.  Without the floor, the stall test
+# spends one or two more steps confirming the level; a larger mesh whose
+# level lies above the floor still stops on the stall test.
+_REFINE_FLOOR = 2e-14
 # ARPACK's Ritz-value tolerance.  Machine precision (ARPACK's default) took
 # 1.4x the operator applications of 1e-12 on the order-1 and order-2 cube
 # pencils; residuals stayed below 1e-12 either way, far under the 1e-8 gate.
@@ -126,7 +136,9 @@ def saddle_solve(K, G, f, B, deflate, sigma: float):
     (Y^T B Y) p = Y^T f, because Y^T K = 0, so p comes from the Gram factor.
     u then solves K u = f - G p with (B Y)^T u = 0, by iterative refinement
     on the LU of K - rho B, rho = _SHIFT_FRACTION * sigma, each correction
-    passed through the B-orthogonal projector off range(Y).
+    passed through the B-orthogonal projector off range(Y).  Refinement
+    stops once the first-row residual is below _REFINE_FLOOR times ||f||,
+    or at the first step that fails to halve it.
 
     Returns (u, p, residual, steps): the relative residual of the bordered
     system with K and G as given, and the refinement steps taken.  Raises
@@ -158,7 +170,7 @@ def saddle_solve(K, G, f, B, deflate, sigma: float):
         u += project(lu.solve(d))
         d = r - K @ u
         res = np.linalg.norm(d) / scale
-        if not res < _REFINE_STALL * last:  # a NaN stops here too
+        if res < _REFINE_FLOOR or not res < _REFINE_STALL * last:  # a NaN stops too
             break
         last = res
     else:

@@ -3,7 +3,7 @@ import pytest
 
 from meshes import jittered_cube_mesh
 from quadcurl import (
-    DofVector, build_topology, generate_cube_mesh, integrate_errors,
+    DofVector, Mesh, build_topology, generate_cube_mesh, integrate_errors,
     interpolate, make_space,
 )
 from quadcurl.errors import SpaceError
@@ -196,3 +196,22 @@ def test_reference_tables_cached_read_only(family, order, cube2):
     other = reference_basis(space, REF_PTS)
     assert other[0].shape[0] == len(REF_PTS)
     assert np.array_equal(other[1], space.element.tabulate(REF_PTS)[1])
+
+
+def test_mapped_points_memoized_read_only():
+    """The mesh keeps its last mapping: equal to a fresh one and not writable."""
+    mesh = jittered_cube_mesh(2, seed=3)
+    points = tet_rule(10).points
+    mapped = map_points(mesh, points)
+    fresh = map_points(Mesh(mesh.vertices, mesh.tets), points)
+    assert mapped is not fresh and np.array_equal(mapped, fresh)
+    by_hand = mesh.vertices[mesh.tets[:, :1]] + np.einsum("tij,qj->tqi", mesh.jac, points)
+    assert np.abs(mapped - by_hand).max() <= 1e-15
+    assert map_points(mesh, points.copy()) is mapped
+    with pytest.raises(ValueError):
+        mapped[0, 0, 0] = 1.0
+
+    other = map_points(mesh, REF_PTS)
+    assert other.shape == (mesh.num_tets, len(REF_PTS), 3)
+    assert not other.flags.writeable
+    assert np.array_equal(map_points(mesh, points), mapped)

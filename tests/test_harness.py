@@ -230,6 +230,23 @@ def test_cli_unwritable_dump_directory_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("usage error:")
 
 
+@pytest.mark.parametrize("bad", ["out", "dump"])
+def test_cli_unwritable_destination_writes_neither(bad, tmp_path, capsys):
+    """Whichever of --out and --dump-matrices cannot be written, neither is."""
+    out, dump = tmp_path / "x.csv", tmp_path / "d"
+    if bad == "out":
+        out = tmp_path / "missing" / "x.csv"
+    else:
+        dump = tmp_path / "file"
+        dump.write_text("")
+    code = run_cli(["eig", "--mesh", "cube:n=1", "--num", "1",
+                    "--dump-matrices", str(dump), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert not out.exists()
+    assert dump.is_file() or not dump.exists()
+
+
 def test_module_entry_point_prints_info_csv():
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(root / "src")}

@@ -125,6 +125,19 @@ def test_repeated_vertex_rejected():
         Mesh(verts, np.array([[0, 1, 2, 2]]))
 
 
+def test_unused_vertex_rejected():
+    """A vertex no tet uses would become a free nodal DoF with no gradient."""
+    cube = generate_cube_mesh(2)
+    stray = [[0.5, 0.5, 0.25]]
+    with pytest.raises(MeshError, match=r"1 vertices used by no tet: 27$"):
+        Mesh(np.vstack([cube.vertices, stray]), cube.tets)
+    with pytest.raises(MeshError, match=r"1 vertices used by no tet: 0$"):
+        Mesh(np.vstack([stray, cube.vertices]), cube.tets + 1)
+    many = np.vstack([cube.vertices, np.full((12, 3), 0.5)])
+    with pytest.raises(MeshError, match=r"12 vertices used by no tet: 27, 28, .*, 36, \.\.\.$"):
+        Mesh(many, cube.tets)
+
+
 def test_two_tet_oracle():
     # two tets glued along the face (1,2,3)
     verts = np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0], [0.0, 0, 1],

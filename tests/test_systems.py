@@ -14,6 +14,7 @@ from quadcurl.assembly import (
 )
 from quadcurl.errors import EigenSolveError, SpaceError
 from quadcurl.fespace import make_space
+from quadcurl import solvers
 from quadcurl.solvers import _REFINE_STEPS
 
 
@@ -259,11 +260,22 @@ def test_source_multipliers_match_closed_form():
 
 
 @pytest.mark.parametrize("order", [1, 2])
-def test_source_solves_report_refinement_steps(cube2, order):
-    for sol in (solve_quadcurl_source(cube2, order, quadcurl_sin3_case()),
-                solve_curlcurl_source(cube2, order, curlcurl_sine_case())):
-        assert 2 <= sol.refine_steps <= _REFINE_STEPS
+def test_source_solves_report_refinement_steps(cube2, order, monkeypatch):
+    """Steps are counted, and stopping on the roundoff floor saves the step(s)
+    the stall test alone spends confirming it, with the same errors."""
+    def solve_both():
+        return (solve_quadcurl_source(cube2, order, quadcurl_sin3_case()),
+                solve_curlcurl_source(cube2, order, curlcurl_sine_case()))
+
+    with_floor = solve_both()
+    monkeypatch.setattr(solvers, "_REFINE_FLOOR", 0.0)
+    for sol, stalled in zip(with_floor, solve_both()):
+        assert 2 <= sol.refine_steps < stalled.refine_steps <= _REFINE_STEPS
         assert sol.residual <= 1e-9
+        u, ref = sol.u.values, stalled.u.values
+        assert np.abs(u - ref).max() <= 1e-12 * np.abs(ref).max()
+        for key, err in stalled.errors.items():
+            assert sol.errors[key] == pytest.approx(err, rel=1e-11)
 
 
 def test_traced_source_solve_reports_saddle_size(bench_spans):
