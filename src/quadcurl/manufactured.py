@@ -69,7 +69,11 @@ def _curl(field):
 
 
 def _horner(terms: dict, depth: int = 0):
-    """Horner form in _GENS[depth:] of {monomial exponents: integer coefficient}."""
+    """Horner form in _GENS[depth:] of {monomial exponents: integer coefficient}.
+
+    Built from the term dict directly: sympy's ``horner`` rebuilds a Poly
+    from an expression at every level and took most of the case set-up.
+    """
     if depth == len(_GENS):
         return sp.Integer(sum(terms.values()))
     by_power: dict = {}

@@ -14,7 +14,6 @@ from quadcurl.assembly import (
 )
 from quadcurl.errors import EigenSolveError, SpaceError
 from quadcurl.fespace import make_space
-from quadcurl import solvers
 from quadcurl.solvers import _REFINE_STEPS
 
 
@@ -268,7 +267,7 @@ def test_source_solves_report_refinement_steps(cube2, order, monkeypatch):
                 solve_curlcurl_source(cube2, order, curlcurl_sine_case()))
 
     with_floor = solve_both()
-    monkeypatch.setattr(solvers, "_REFINE_FLOOR", 0.0)
+    monkeypatch.setattr(quadcurl.solvers, "_REFINE_FLOOR", 0.0)
     for sol, stalled in zip(with_floor, solve_both()):
         assert 2 <= sol.refine_steps < stalled.refine_steps <= _REFINE_STEPS
         assert sol.residual <= 1e-9
