@@ -14,7 +14,6 @@ from .systems import (
     solve_maxwell_eig,
     solve_curlcurl_source,
     solve_quadcurl_source,
-    divergence_residual,
     setup_spaces,
 )
 from .harness import ConvergenceTable, convergence_study, emit_csv, observed_rates, run_cli

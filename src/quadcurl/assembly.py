@@ -59,9 +59,7 @@ class SparseMatrix:
             rows.min() < 0 or rows.max() >= shape[0] or cols.min() < 0 or cols.max() >= shape[1]
         ):
             raise SpaceError("triplet index out of range")
-        m = sp.coo_matrix((np.asarray(vals).ravel(), (rows, cols)), shape=shape).tocsr()
-        m.sum_duplicates()
-        return cls(m)
+        return cls(sp.coo_matrix((np.asarray(vals).ravel(), (rows, cols)), shape=shape).tocsr())
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -1,22 +1,23 @@
-"""Manufactured solutions on the unit cube with symbolically derived sources.
+"""Manufactured solutions on the unit cube with exactly derived sources.
 
 Every field here is pi^m times a polynomial with integer coefficients in the
-six values s_k = sin(pi x_k) and c_k = cos(pi x_k).  The fields are derived
-with sympy ``Poly`` arithmetic over the integers in (s, c), by the chain rule
+six values c_k = cos(pi x_k) and s_k = sin(pi x_k), held in reference.py's
+exponent-dict ring {(c0, c1, c2, s0, s1, s2) exponents: int}.  Derivatives
+follow the chain rule
 
     d/dx_k F = pi (c_k dF/ds_k - s_k dF/dc_k),
 
-so each derivative contributes exactly one factor pi and the integer
-polynomial stays exact.  Each derivative also rewrites c_k^2 as 1 - s_k^2,
-which keeps every polynomial of degree at most one in each c_k.
+so each one contributes exactly one factor pi and the integer polynomial
+stays exact.  Each derivative also rewrites c_k^2 as 1 - s_k^2, which keeps
+every polynomial of degree at most one in each c_k.
 
 Each of u, curl u, curl^2 u and f becomes its own numpy callable mapping
-point arrays (..., 3) to values (..., 3).  Its three components are put in
-Horner form and lambdified together with common-subexpression elimination,
-over the trig values they use.  Points are evaluated in fixed-size blocks
-into one preallocated output: each block takes sin and cos of pi X once
-(only those the field uses) and evaluates the polynomials; the output is
-scaled by pi^m at the end.
+point arrays (..., 3) to values (..., 3).  Its three components are written
+in Horner form as Python source over the six names c0, ..., s2 and compiled
+once into one lambda.  Points are evaluated in fixed-size blocks into one
+preallocated output: each block takes sin and cos of pi X once (only those
+the field uses) and calls the lambda; the output is scaled by pi^m at the
+end.
 
 The fourth-order case uses the potential psi = sin^3(pi x) sin^3(pi y)
 sin^3(pi z) and u = curl(0, 0, psi).  The cubed sines matter: they make both
@@ -31,70 +32,70 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import sympy as sp
 
-_S = sp.symbols("s0:3")  # s_k = sin(pi x_k)
-_C = sp.symbols("c0:3")  # c_k = cos(pi x_k)
-# Horner order: each polynomial is linear in every c_k, so splitting on the
-# c_k first leaves the fewest operations after common subexpressions (97
-# over the seven distinct fields, against 121 with the s_k first).
-_GENS = (*_C, *_S)
+from .reference import vec_curl
+
+# Exponent order of the ring, which is also the Horner order: each
+# polynomial is linear in every c_k, so splitting on the c_k first leaves the
+# fewest operations (158 over the seven distinct fields, against 176 with the
+# s_k first).
+_GENS = ("c0", "c1", "c2", "s0", "s1", "s2")
 _BLOCK = 4096  # points per evaluation block
 
 
-def _poly(expr) -> sp.Poly:
-    return sp.Poly(expr, *_GENS, domain="ZZ")
-
-
-def _partial(F: sp.Poly, k: int) -> sp.Poly:
+def _partial(F: dict, k: int) -> dict:
     """d/dx_k of F divided by pi, for F of degree at most one in c_k.
 
-    With F = A + c_k B: d/dx_k F = pi (c_k dA/ds_k + (1 - s_k^2) dB/ds_k
-    - s_k B), again of degree at most one in c_k.
+    With s = s_k, c = c_k and c^2 = 1 - s^2, a term a s^e becomes
+    a e c s^(e-1) and a term a c s^e becomes a e s^(e-1) - a (e+1) s^(e+1).
     """
-    s, c = _poly(_S[k]), _poly(_C[k])
-    B = F.diff(_C[k])
-    A = F - c * B
-    return c * A.diff(_S[k]) + (1 - s**2) * B.diff(_S[k]) - s * B
+    out: dict = {}
+    for exp, a in F.items():
+        e = exp[3 + k]
+        if exp[k]:
+            terms = ((0, e - 1, a * e), (0, e + 1, -a * (e + 1)))
+        else:
+            terms = ((1, e - 1, a * e),)
+        for c_pow, s_pow, coeff in terms:
+            if coeff:
+                new = list(exp)
+                new[k], new[3 + k] = c_pow, s_pow
+                new = tuple(new)
+                out[new] = out.get(new, 0) + coeff
+    return {exp: a for exp, a in out.items() if a}
 
 
 def _curl(field):
     """curl of a field (m, [F0, F1, F2]) = pi^m (F0, F1, F2)."""
     m, F = field
-    return m + 1, [
-        _partial(F[2], 1) - _partial(F[1], 2),
-        _partial(F[0], 2) - _partial(F[2], 0),
-        _partial(F[1], 0) - _partial(F[0], 1),
-    ]
+    return m + 1, vec_curl(F, _partial)
 
 
-def _horner(terms: dict, depth: int = 0):
-    """Horner form in _GENS[depth:] of {monomial exponents: integer coefficient}.
-
-    Built from the term dict directly: sympy's ``horner`` rebuilds a Poly
-    from an expression at every level and took most of the case set-up.
-    """
+def _horner(terms: dict, depth: int = 0) -> str:
+    """Python source of the Horner form in _GENS[depth:] of {exponents: int}."""
     if depth == len(_GENS):
-        return sp.Integer(sum(terms.values()))
+        return str(sum(terms.values()))
     by_power: dict = {}
     for monom, coeff in terms.items():
         by_power.setdefault(monom[depth], {})[monom] = coeff
-    g = _GENS[depth]
     powers = sorted(by_power, reverse=True)
-    expr = sp.Integer(0)
+    src = None
     for high, low in zip(powers, powers[1:] + [0]):
-        expr = (expr + _horner(by_power[high], depth + 1)) * g ** (high - low)
-    return expr
+        inner = _horner(by_power[high], depth + 1)
+        src = inner if src is None else f"({src} + {inner})"
+        src += f" * {_GENS[depth]}" * (high - low)
+    return src
 
 
 def _vectorize(field):
     m, polys = field
-    exprs = [_horner(p.as_dict()) for p in polys]
-    used = [g for g in _GENS if any(e.has(g) for e in exprs)]
-    fn = sp.lambdify(used, exprs, modules="numpy", cse=True)
-    sin_axes = [k for k, s in enumerate(_S) if s in used]
-    cos_axes = [k for k, c in enumerate(_C) if c in used]
-    # _GENS puts the c_k first, so the trig arrays go in as cos, then sin.
+    # The source holds only integer literals and the six names, so the
+    # compiled lambda reads nothing else.
+    body = ", ".join(_horner(p) if p else "0" for p in polys)
+    fn = eval(f"lambda {', '.join(_GENS)}: ({body})", {})
+    used = [i for i in range(len(_GENS)) if any(monom[i] for p in polys for monom in p)]
+    cos_axes = [i for i in used if i < 3]
+    sin_axes = [i - 3 for i in used if i >= 3]
     scale = np.pi**m
 
     def call(X: np.ndarray) -> np.ndarray:
@@ -106,7 +107,9 @@ def _vectorize(field):
         for start in range(0, len(pts), _BLOCK):
             block = slice(start, start + _BLOCK)
             angles = np.multiply(pts[block].T, np.pi, order="C")
-            trig = (*np.cos(angles[cos_axes]), *np.sin(angles[sin_axes]))
+            trig = [None] * len(_GENS)  # generators the field does not use stay None
+            for i, v in zip(used, (*np.cos(angles[cos_axes]), *np.sin(angles[sin_axes]))):
+                trig[i] = v
             for c, v in enumerate(fn(*trig)):
                 out[block, c] = v  # a constant component broadcasts
         out *= scale
@@ -131,40 +134,11 @@ class ManufacturedCase:
     f: callable
     tangential_curl_zero: bool
 
-    def boundary_trace_violation(self, samples_per_face: int = 40) -> float:
-        """Largest tangential-trace magnitude of u (and curl u when declared
-        zero) sampled on the cube boundary."""
-        rng = np.random.default_rng(7)
-        worst = 0.0
-        for axis in range(3):
-            for val in (0.0, 1.0):
-                pts = rng.random((samples_per_face, 3))
-                pts[:, axis] = val
-                nu = np.zeros(3)
-                nu[axis] = 1.0
-                worst = max(worst, np.abs(np.cross(self.u(pts), nu)).max())
-                if self.tangential_curl_zero:
-                    worst = max(worst, np.abs(np.cross(self.curl_u(pts), nu)).max())
-        return worst
-
-    def divergence_violation(self, samples: int = 100, h: float = 1e-5) -> float:
-        """Max |div u| at interior sample points, by central differences."""
-        rng = np.random.default_rng(11)
-        pts = 0.1 + 0.8 * rng.random((samples, 3))
-        div = np.zeros(samples)
-        for axis in range(3):
-            dp = pts.copy()
-            dm = pts.copy()
-            dp[:, axis] += h
-            dm[:, axis] -= h
-            div += (self.u(dp)[:, axis] - self.u(dm)[:, axis]) / (2.0 * h)
-        return float(np.abs(div).max())
-
 
 @lru_cache(maxsize=None)
 def curlcurl_sine_case() -> ManufacturedCase:
     """u = sin(pi x) sin(pi y) e_z, f = curl curl u = 2 pi^2 u; div u = 0."""
-    u = 0, [_poly(0), _poly(0), _poly(_S[0] * _S[1])]
+    u = 0, ({}, {}, {(0, 0, 0, 1, 1, 0): 1})  # s0 s1 e_z
     cu = _curl(u)
     c2u = _curl(cu)
     return ManufacturedCase(
@@ -184,8 +158,8 @@ def quadcurl_sin3_case() -> ManufacturedCase:
     Satisfies div u = 0, u x n = 0 and (curl u) x n = 0 on the cube boundary;
     the source is f = curl^4 u.
     """
-    psi = _poly((_S[0] * _S[1] * _S[2]) ** 3)
-    u = _curl((0, [_poly(0), _poly(0), psi]))
+    psi = {(0, 0, 0, 3, 3, 3): 1}  # (s0 s1 s2)^3
+    u = _curl((0, ({}, {}, psi)))
     cu = _curl(u)
     c2u = _curl(cu)
     f = _curl(_curl(c2u))

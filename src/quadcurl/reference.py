@@ -41,7 +41,9 @@ REF_VERTS = np.array(
 )
 
 # --- tiny exponent-dict polynomials -----------------------------------------
-# A scalar polynomial is {(i, j, k): coeff}; a vector field is a 3-tuple.
+# A scalar polynomial is {exponent tuple: coeff}, the exponents of (x, y, z)
+# here (manufactured.py uses the same ring over cos and sin of pi x_k); a
+# vector field is a 3-tuple.
 
 Poly = dict
 
@@ -69,19 +71,20 @@ def vec_eval(vp, pts: np.ndarray) -> np.ndarray:
     return np.stack([poly_eval(c, pts) for c in vp], axis=-1)
 
 
-def vec_curl(vp):
+def vec_curl(vp, diff=poly_diff):
+    """Curl of a vector polynomial, with diff(p, axis) as the partial derivative."""
     u0, u1, u2 = vp
     return (
-        _poly_sub(poly_diff(u2, 1), poly_diff(u1, 2)),
-        _poly_sub(poly_diff(u0, 2), poly_diff(u2, 0)),
-        _poly_sub(poly_diff(u1, 0), poly_diff(u0, 1)),
+        poly_sub(diff(u2, 1), diff(u1, 2)),
+        poly_sub(diff(u0, 2), diff(u2, 0)),
+        poly_sub(diff(u1, 0), diff(u0, 1)),
     )
 
 
-def _poly_sub(a: Poly, b: Poly) -> Poly:
+def poly_sub(a: Poly, b: Poly) -> Poly:
     out = dict(a)
     for exp, c in b.items():
-        out[exp] = out.get(exp, 0.0) - c
+        out[exp] = out.get(exp, 0) - c
         if out[exp] == 0.0:
             del out[exp]
     return out
@@ -109,9 +112,9 @@ def _edge_monomials(order: int):
         # x cross q for vector polynomial q
         qx, qy, qz = q
         return (
-            _poly_sub(_poly_shift(qz, 1), _poly_shift(qy, 2)),
-            _poly_sub(_poly_shift(qx, 2), _poly_shift(qz, 0)),
-            _poly_sub(_poly_shift(qy, 0), _poly_shift(qx, 1)),
+            poly_sub(_poly_shift(qz, 1), _poly_shift(qy, 2)),
+            poly_sub(_poly_shift(qx, 2), _poly_shift(qz, 0)),
+            poly_sub(_poly_shift(qy, 0), _poly_shift(qx, 1)),
         )
 
     X, Y, Z = (1, 0, 0), (0, 1, 0), (0, 0, 1)
@@ -246,19 +249,13 @@ class NodalElement:
         return vals, grads
 
 
-_ELEMENT_CACHE: dict = {}
-
-
+@lru_cache(maxsize=None)
 def get_element(family: str, order: int):
-    key = (family, order)
-    if key not in _ELEMENT_CACHE:
-        if family == "edge":
-            _ELEMENT_CACHE[key] = EdgeElement(order)
-        elif family == "nodal":
-            _ELEMENT_CACHE[key] = NodalElement(order)
-        else:
-            raise SpaceError(f"unknown family {family!r} (expected 'edge' or 'nodal')")
-    return _ELEMENT_CACHE[key]
+    if family == "edge":
+        return EdgeElement(order)
+    if family == "nodal":
+        return NodalElement(order)
+    raise SpaceError(f"unknown family {family!r} (expected 'edge' or 'nodal')")
 
 
 @lru_cache(maxsize=None)

@@ -36,16 +36,13 @@ _REFINE_STEPS = 10
 # Refinement stops at the first step that does not cut the residual of the
 # first block row by this factor: roundoff floor reached.
 _REFINE_STALL = 0.5
-# ... or once that residual, relative to ||f||, is below this floor.  On 44
-# cube-mesh ladders (quad-curl order 1 n = 2-8 and order 2 n = 2-5, curl-curl
-# order 1 n = 2-9 and order 2 n = 2-4; Kuhn and jittered) the residual
-# levels off between 1e-16 and 1.3e-14, and the last value above that level
-# is at least 2.1e-13.  The floor must also stay under 3.0e-14, where the
-# diagonal pencil of test_saddle_solve_shift_lies_below_the_spectrum sits
-# one step before its exact solution.  Without the floor, the stall test
-# spends one or two more steps confirming the level; a larger mesh whose
-# level lies above the floor still stops on the stall test.
-_REFINE_FLOOR = 2e-14
+# ... or once it is below the roundoff of evaluating it, _REFINE_FLOOR_FACTOR
+# * || |K| |u| || / ||f||.  On cube-mesh ladders (Kuhn and jittered Delaunay,
+# curl-curl and quad-curl, orders 1-2) that bound sits 2-5x above the level
+# the residual settles at, and every value above the level is at least 2x
+# above the bound.  The normwise eps ||K||_1 ||u|| / ||f|| sat up to 90x above
+# the level on the Delaunay meshes and stopped a step short of it.
+_REFINE_FLOOR_FACTOR = np.finfo(np.float64).eps
 # ARPACK's Ritz-value tolerance.  Machine precision (ARPACK's default) took
 # 1.4x the operator applications of 1e-12 on the order-1 and order-2 cube
 # pencils; residuals stayed below 1e-12 either way, far under the 1e-8 gate.
@@ -137,8 +134,9 @@ def saddle_solve(K, G, f, B, deflate, sigma: float):
     u then solves K u = f - G p with (B Y)^T u = 0, by iterative refinement
     on the LU of K - rho B, rho = _SHIFT_FRACTION * sigma, each correction
     passed through the B-orthogonal projector off range(Y).  Refinement
-    stops once the first-row residual is below _REFINE_FLOOR times ||f||,
-    or at the first step that fails to halve it.
+    stops once the first-row residual is below the roundoff of evaluating
+    it, _REFINE_FLOOR_FACTOR * || |K| |u| || with u after the first step, or
+    at the first step that fails to halve it.
 
     Returns (u, p, residual, steps): the relative residual of the bordered
     system with K and G as given, and the refinement steps taken.  Raises
@@ -170,7 +168,9 @@ def saddle_solve(K, G, f, B, deflate, sigma: float):
         u += project(lu.solve(d))
         d = r - K @ u
         res = np.linalg.norm(d) / scale
-        if res < _REFINE_FLOOR or not res < _REFINE_STALL * last:  # a NaN stops too
+        if steps == 1:  # u is already within about |rho| / lambda_1 of its limit
+            floor = _REFINE_FLOOR_FACTOR * np.linalg.norm(abs(K) @ np.abs(u)) / scale
+        if res < floor or not res < _REFINE_STALL * last:  # a NaN stops too
             break
         last = res
     else:

@@ -184,18 +184,6 @@ def _maxwell_eig(mesh: Mesh, C0, M0, G0, count: int) -> EigenResult:
     return gen_sym_eig(C0.mat, M0.mat, count, _shift(mesh, 2), deflate=G0.mat)
 
 
-def divergence_residual(edge_space: FESpace, nodal_space: FESpace, u) -> float:
-    """Discrete divergence residual ||G^T M0 u|| / ||M0 u|| (0 for u = 0)."""
-    M0 = assemble_mass(edge_space)
-    G0 = assemble_gradient_map(nodal_space, edge_space)
-    vals = u.values[edge_space.active_dofs] if isinstance(u, DofVector) else np.asarray(u)
-    Mu = M0.mat @ vals
-    den = np.linalg.norm(Mu)
-    if den == 0.0:
-        return 0.0
-    return float(np.linalg.norm(G0.mat.T @ Mu) / den)
-
-
 @dataclass
 class SourceSolution:
     """Solution bundle of a source problem.

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import sympy as sp
 
 import quadcurl
+from checks import boundary_trace_violation, divergence_violation
 from quadcurl import curlcurl_sine_case, generate_cube_mesh, quadcurl_sin3_case
 
 FIELDS = ("u", "curl_u", "curl2_u", "f")
@@ -74,8 +80,8 @@ def test_sine_case_source_is_two_pi_squared_u():
 def test_sine_case_traces_and_divergence():
     case = curlcurl_sine_case()
     assert not case.tangential_curl_zero
-    assert case.boundary_trace_violation() < 1e-12
-    assert case.divergence_violation() < 1e-8
+    assert boundary_trace_violation(case) < 1e-12
+    assert divergence_violation(case) < 1e-8
 
 
 def test_sine_case_curl_consistent_with_finite_differences():
@@ -88,11 +94,11 @@ def test_sine_case_curl_consistent_with_finite_differences():
 def test_sin3_case_both_traces_vanish():
     case = quadcurl_sin3_case()
     assert case.tangential_curl_zero
-    assert case.boundary_trace_violation() < 1e-10
+    assert boundary_trace_violation(case) < 1e-10
 
 
 def test_sin3_case_divergence_free():
-    assert quadcurl_sin3_case().divergence_violation() < 1e-6
+    assert divergence_violation(quadcurl_sin3_case()) < 1e-6
 
 
 def test_sin3_second_curl_consistent_with_finite_differences():
@@ -114,6 +120,18 @@ def test_sin3_source_satisfies_energy_identity():
     rhs = W @ np.einsum("pc,pc->p", c2, c2)
     assert rhs > 1.0
     assert lhs == pytest.approx(rhs, rel=1e-6)
+
+
+def test_library_runs_without_sympy():
+    """Importing quadcurl and building both cases loads no sympy module:
+    sympy is the tests' oracle only, not a runtime dependency."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys, quadcurl; quadcurl.curlcurl_sine_case(); quadcurl.quadcurl_sin3_case(); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_cases_are_cached():

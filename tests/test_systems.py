@@ -3,11 +3,12 @@ import pytest
 import scipy.linalg
 
 import quadcurl
+from checks import divergence_residual
 from meshes import jittered_cube_mesh
 from quadcurl import (
-    Mesh, build_quadcurl_pencil, curlcurl_sine_case, divergence_residual,
-    generate_cube_mesh, quadcurl_sin3_case, setup_spaces, solve_curlcurl_source,
-    solve_maxwell_eig, solve_quadcurl_eig, solve_quadcurl_source,
+    Mesh, build_quadcurl_pencil, curlcurl_sine_case, generate_cube_mesh, quadcurl_sin3_case,
+    setup_spaces, solve_curlcurl_source, solve_maxwell_eig, solve_quadcurl_eig,
+    solve_quadcurl_source,
 )
 from quadcurl.assembly import (
     assemble_curlcurl, assemble_gradient_map, assemble_load, assemble_mass,
@@ -267,7 +268,7 @@ def test_source_solves_report_refinement_steps(cube2, order, monkeypatch):
                 solve_curlcurl_source(cube2, order, curlcurl_sine_case()))
 
     with_floor = solve_both()
-    monkeypatch.setattr(quadcurl.solvers, "_REFINE_FLOOR", 0.0)
+    monkeypatch.setattr(quadcurl.solvers, "_REFINE_FLOOR_FACTOR", 0.0)
     for sol, stalled in zip(with_floor, solve_both()):
         assert 2 <= sol.refine_steps < stalled.refine_steps <= _REFINE_STEPS
         assert sol.residual <= 1e-9
@@ -275,6 +276,22 @@ def test_source_solves_report_refinement_steps(cube2, order, monkeypatch):
         assert np.abs(u - ref).max() <= 1e-12 * np.abs(ref).max()
         for key, err in stalled.errors.items():
             assert sol.errors[key] == pytest.approx(err, rel=1e-11)
+
+
+def test_refinement_floor_tracks_roundoff_on_a_finer_mesh(monkeypatch):
+    """The floor scales with the roundoff of the residual, not a fixed level.
+
+    At order-2 curl-curl on the n = 5 cube the first-row residual settles
+    near 2e-14 of ||f||; the floor still fires there and saves the step the
+    stall test alone spends confirming it.
+    """
+    mesh = generate_cube_mesh(5)
+    sol = solve_curlcurl_source(mesh, 2, curlcurl_sine_case())
+    monkeypatch.setattr(quadcurl.solvers, "_REFINE_FLOOR_FACTOR", 0.0)
+    stalled = solve_curlcurl_source(mesh, 2, curlcurl_sine_case())
+    assert sol.refine_steps < stalled.refine_steps
+    u, ref = sol.u.values, stalled.u.values
+    assert np.abs(u - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_traced_source_solve_reports_saddle_size(bench_spans):
