@@ -3,7 +3,9 @@
 A space couples a mesh with one reference family:
 
 * ``edge`` order k: one DoF per edge moment (k per edge) plus, for k = 2,
-  two per face.
+  two per face.  Interpolation evaluates them with ``reference.entity_moments``
+  on the mesh's edges and faces, the same functionals that define the
+  reference dual basis.
 * ``nodal`` order k: scalar Lagrange, one DoF per vertex (and per edge
   midpoint for k = 2).
 
@@ -38,8 +40,8 @@ import numpy as np
 
 from .errors import SpaceError
 from .mesh import Mesh, Topology, build_topology
-from .quadrature import segment_rule, tet_rule, triangle_rule
-from .reference import get_element
+from .quadrature import tet_rule
+from .reference import entity_moments, get_element
 
 INTERP_DEGREE = 13  # quadrature degree for entity moments of analytic fields
 
@@ -233,44 +235,18 @@ def interpolate(space: FESpace, fn, degree: int = INTERP_DEGREE) -> DofVector:
     """
     mesh, topo = space.mesh, space.topo
     verts = mesh.vertices
-    out = np.zeros(space.ndofs)
-
     if space.family == "nodal":
+        out = np.zeros(space.ndofs)
         out[: mesh.num_vertices] = fn(verts)
         if space.order == 2:
             mids = 0.5 * (verts[topo.edges[:, 0]] + verts[topo.edges[:, 1]])
             out[mesh.num_vertices :] = fn(mids)
         return DofVector(space, out)
 
-    rule = segment_rule(degree)
-    s, w = rule.points[:, 0], rule.weights
-    a = verts[topo.edges[:, 0]]
-    d = verts[topo.edges[:, 1]] - a
-    X = a[:, None, :] + s[None, :, None] * d[:, None, :]
-    vals = fn(X)
-    m0 = np.einsum("g,egc,ec->e", w, vals, d)
-    if space.order == 1:
-        out[:] = m0
-        return DofVector(space, out)
-    m1 = np.einsum("g,egc,ec->e", w * (2.0 * s - 1.0), vals, d)
-    out[0 : 2 * topo.num_edges : 2] = m0
-    out[1 : 2 * topo.num_edges : 2] = m1
-
-    tri = triangle_rule(degree)
-    st, wt = tri.points, tri.weights
-    fa = verts[topo.faces[:, 0]]
-    t0 = verts[topo.faces[:, 1]] - fa
-    t1 = verts[topo.faces[:, 2]] - fa
-    XF = (
-        fa[:, None, :]
-        + st[None, :, 0, None] * t0[:, None, :]
-        + st[None, :, 1, None] * t1[:, None, :]
-    )
-    fvals = fn(XF)
-    base = 2 * topo.num_edges
-    out[base::2] = np.einsum("g,fgc,fc->f", wt, fvals, t0)
-    out[base + 1 :: 2] = np.einsum("g,fgc,fc->f", wt, fvals, t1)
-    return DofVector(space, out)
+    moments = [entity_moments(fn, verts[topo.edges], space.order, degree)]
+    if space.order == 2:
+        moments.append(entity_moments(fn, verts[topo.faces], space.order, degree))
+    return DofVector(space, np.concatenate([m.ravel() for m in moments]))
 
 
 # --- norms and errors -------------------------------------------------------

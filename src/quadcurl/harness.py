@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import QuadCurlError, UsageError
 from .fespace import integrate_errors, interpolate, make_space
-from .manufactured import curlcurl_sine_case, quadcurl_sin3_case
+from .manufactured import curlcurl_sine_case, quadcurl_sin3_case, smooth_field
 from .mesh import Mesh, generate_cube_mesh, read_gmsh
 from .systems import (
     _curlcurl_blocks,
@@ -105,31 +105,6 @@ def observed_rates(hs: Sequence[float], errs: Sequence[float]) -> list:
     return out
 
 
-def _smooth_field() -> tuple[Callable, Callable]:
-    """Smooth non-polynomial test field and its curl for interpolation runs."""
-
-    def u(x):
-        x = np.asarray(x, dtype=float)
-        s = np.sin(np.pi * x)
-        out = np.empty(x.shape)
-        out[..., 0] = s[..., 1] * s[..., 2]
-        out[..., 1] = s[..., 2] * s[..., 0]
-        out[..., 2] = s[..., 0] * s[..., 1]
-        return out
-
-    def curl_u(x):
-        x = np.asarray(x, dtype=float)
-        s = np.sin(np.pi * x)
-        c = np.cos(np.pi * x)
-        out = np.empty(x.shape)
-        out[..., 0] = np.pi * s[..., 0] * (c[..., 1] - c[..., 2])
-        out[..., 1] = np.pi * s[..., 1] * (c[..., 2] - c[..., 0])
-        out[..., 2] = np.pi * s[..., 2] * (c[..., 0] - c[..., 1])
-        return out
-
-    return u, curl_u
-
-
 def convergence_study(
     problem: str,
     orders,
@@ -173,7 +148,7 @@ def convergence_study(
             hs.append(mesh.h_max)
             if problem == "interp":
                 space = make_space(mesh, "edge", order)
-                u, curl_u = _smooth_field()
+                u, curl_u = smooth_field()
                 vec = interpolate(space, u)
                 e0, e1 = integrate_errors(space, vec, exact_value=u,
                                           exact_deriv=curl_u)

@@ -24,6 +24,9 @@ sin^3(pi z) and u = curl(0, 0, psi).  The cubed sines matter: they make both
 u x n and (curl u) x n vanish on every face of the cube (squared sines leave
 a nonzero tangential curl trace), which is exactly the pair of essential
 boundary conditions of the fourth-order problem.
+
+:func:`smooth_field` gives the interpolation study its field
+u = (s1 s2, s2 s0, s0 s1) and curl u, built the same way.
 """
 
 from __future__ import annotations
@@ -171,3 +174,10 @@ def quadcurl_sin3_case() -> ManufacturedCase:
         f=_vectorize(f),
         tangential_curl_zero=True,
     )
+
+
+@lru_cache(maxsize=None)
+def smooth_field():
+    """u = (s1 s2, s2 s0, s0 s1) and curl u: a smooth nonpolynomial test field."""
+    u = 0, ({(0, 0, 0, 0, 1, 1): 1}, {(0, 0, 0, 1, 0, 1): 1}, {(0, 0, 0, 1, 1, 0): 1})
+    return _vectorize(u), _vectorize(_curl(u))

@@ -33,6 +33,8 @@ LOCAL_FACES = np.array([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
 # Local edges of each local face: LOCAL_EDGES[FACE_EDGES[f]] are the vertex
 # pairs of LOCAL_FACES[f].
 FACE_EDGES = np.array([(0, 1, 3), (0, 2, 4), (1, 2, 5), (3, 4, 5)])
+# build_topology's face keys reach V^3 - 1, which must fit in int64.
+MAX_VERTICES = 2**21
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -128,6 +130,8 @@ def generate_cube_mesh(n: int) -> Mesh:
     """
     if n < 1:
         raise MeshError(f"cube subdivision must be >= 1, got {n}")
+    if (n + 1) ** 3 > MAX_VERTICES:
+        raise MeshError(f"cube subdivision {n} exceeds {MAX_VERTICES} vertices")
     side = np.linspace(0.0, 1.0, n + 1)
     X, Y, Z = np.meshgrid(side, side, side, indexing="ij")
     vertices = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1)
@@ -268,7 +272,7 @@ def build_topology(mesh: Mesh) -> Topology:
     tets = mesh.tets
     T = tets.shape[0]
     V = mesh.num_vertices
-    if V > 2**21:  # face keys reach V^3 - 1, which must fit in int64
+    if V > MAX_VERTICES:
         raise MeshError(f"{V} vertices overflow the int64 face keys")
 
     # Ascending vertex tuples as scalar keys a V + b and (a V + b) V + c:

@@ -1,20 +1,23 @@
 """Quadrature rules on the reference tetrahedron, triangle, and segment.
 
-Simplex rules are conical products: the tetrahedron {x,y,z >= 0, x+y+z <= 1}
-is the image of the unit cube under the collapsing map
+All three are one conical product: the unit simplex of dimension d is the
+image of the unit cube under the collapsing map
 
-    x = a,   y = b (1 - a),   z = c (1 - a - b),
+    x_i = a_i (1 - a_0) ... (1 - a_{i-1}),
 
-whose Jacobian (1-a)^2 (1-b) is absorbed exactly by Gauss-Jacobi weights with
-exponents (2,0) and (1,0) in the first two directions.  A product of n-point
-Gauss rules is then exact for all polynomials of total degree <= 2n - 1, with
-strictly positive weights at interior points, for any requested degree.
+e.g. x = a, y = b (1 - a), z = c (1 - a) (1 - b) on the tetrahedron, whose
+Jacobian (1-a)^2 (1-b) is absorbed exactly by Gauss-Jacobi weights with
+exponents (2,0) and (1,0) in the first two directions; axis i takes exponent
+d-1-i.  A product of n-point Gauss rules is then exact for all polynomials
+of total degree <= 2n - 1, with strictly positive weights at interior
+points, for any requested degree.  Each rule is built once and shared; its
+arrays are read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 from scipy.special import roots_jacobi
@@ -52,42 +55,35 @@ def _npoints_for(degree: int) -> int:
 
 
 @lru_cache(maxsize=None)  # bounded: only degrees 0..MAX_DEGREE succeed
-def tet_rule(degree: int) -> QuadRule:
-    """Rule exact for polynomials of total degree <= degree on the unit tet.
+def _collapsed_rule(dim: int, degree: int) -> QuadRule:
+    """Conical-product rule on the unit simplex of dimension dim; read-only.
 
-    Each rule is built once and shared; its arrays are read-only.
+    Axis i takes Gauss-Jacobi exponent dim-1-i, and
+    x_i = a_i (1 - a_0) ... (1 - a_{i-1}), multiplied left to right.
     """
     n = _npoints_for(degree)
-    a, wa = _gauss_jacobi01(n, 2)
-    b, wb = _gauss_jacobi01(n, 1)
-    c, wc = _gauss_jacobi01(n, 0)
-    A, B, C = np.meshgrid(a, b, c, indexing="ij")
-    x = A
-    y = B * (1.0 - A)
-    z = C * (1.0 - A) * (1.0 - B)
-    W = wa[:, None, None] * wb[None, :, None] * wc[None, None, :]
-    pts = np.stack([x.ravel(), y.ravel(), z.ravel()], axis=1)
-    W = W.ravel()
+    axes = [_gauss_jacobi01(n, dim - 1 - i) for i in range(dim)]
+    grid = np.meshgrid(*(a for a, _ in axes), indexing="ij")
+    pts = np.empty((n**dim, dim))
+    for i, x in enumerate(grid):
+        for a in grid[:i]:
+            x = x * (1.0 - a)
+        pts[:, i] = x.ravel()
+    W = reduce(np.multiply.outer, (w for _, w in axes)).ravel()
     pts.flags.writeable = W.flags.writeable = False
     return QuadRule(pts, W, degree)
 
 
+def tet_rule(degree: int) -> QuadRule:
+    """Rule exact for polynomials of total degree <= degree on the unit tet."""
+    return _collapsed_rule(3, degree)
+
+
 def triangle_rule(degree: int) -> QuadRule:
     """Rule exact for polynomials of total degree <= degree on the unit triangle."""
-    n = _npoints_for(degree)
-    a, wa = _gauss_jacobi01(n, 1)
-    b, wb = _gauss_jacobi01(n, 0)
-    A, B = np.meshgrid(a, b, indexing="ij")
-    x = A
-    y = B * (1.0 - A)
-    W = wa[:, None] * wb[None, :]
-    pts = np.stack([x.ravel(), y.ravel()], axis=1)
-    return QuadRule(pts, W.ravel(), degree)
+    return _collapsed_rule(2, degree)
 
 
 def segment_rule(degree: int) -> QuadRule:
     """Gauss-Legendre rule on [0, 1], exact through the requested degree."""
-    n = _npoints_for(degree)
-    x, w = _gauss_jacobi01(n, 0)
-    return QuadRule(x[:, None], w, degree)
-
+    return _collapsed_rule(1, degree)

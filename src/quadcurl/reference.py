@@ -23,7 +23,9 @@ All moment functionals are written against the parametrizations
 with the *unnormalized* direction vectors and the parametric measure.  These
 functionals commute with the covariant pull-back of any affine map that sends
 reference vertices to physical vertices in order, which is what makes a single
-global degree of freedom per mesh entity well defined.
+global degree of freedom per mesh entity well defined.  They are coded once,
+in :func:`entity_moments`: the dual basis applies it to the reference tet's
+edges and faces, and ``fespace.interpolate`` to the mesh's.
 """
 
 from __future__ import annotations
@@ -136,44 +138,27 @@ def _edge_monomials(order: int):
 # --- degree-of-freedom functionals -------------------------------------------
 
 
-class _EdgeMoment:
-    """Tangential moment on a local edge against a Legendre-style weight."""
+def entity_moments(fn, corners: np.ndarray, order: int, degree: int) -> np.ndarray:
+    """Tangential moments of a field on edges or faces: the edge-element DoFs.
 
-    def __init__(self, local_edge: int, moment: int, degree: int):
-        a, b = LOCAL_EDGES[local_edge]
-        rule = segment_rule(degree)
-        s = rule.points[:, 0]
-        self.entity = ("edge", local_edge, moment)
-        self.points = REF_VERTS[a] + s[:, None] * (REF_VERTS[b] - REF_VERTS[a])
-        self.direction = REF_VERTS[b] - REF_VERTS[a]
-        w = np.ones_like(s) if moment == 0 else 2.0 * s - 1.0
-        self.weights = rule.weights * w
-
-
-class _FaceMoment:
-    """Constant tangential moment on a local face along one covariant axis."""
-
-    def __init__(self, local_face: int, axis: int, degree: int):
-        a, b, c = LOCAL_FACES[local_face]
-        rule = triangle_rule(degree)
-        s, t = rule.points[:, 0], rule.points[:, 1]
-        self.entity = ("face", local_face, axis)
-        self.points = (
-            REF_VERTS[a]
-            + s[:, None] * (REF_VERTS[b] - REF_VERTS[a])
-            + t[:, None] * (REF_VERTS[c] - REF_VERTS[a])
-        )
-        self.direction = (REF_VERTS[b] if axis == 0 else REF_VERTS[c]) - REF_VERTS[a]
-        self.weights = rule.weights.copy()
-
-
-def _edge_dof_functionals(order: int, quad_degree: int):
-    dofs = [
-        _EdgeMoment(e, m, quad_degree) for e in range(6) for m in range(order)
-    ]
-    if order == 2:
-        dofs += [_FaceMoment(f, ax, quad_degree) for f in range(4) for ax in range(2)]
-    return dofs
+    corners are (E, 2, 3) edge or (F, 3, 3) face vertex coordinates, and fn
+    maps points (entities, g, 3) to values (entities, g, [m,] 3).  An edge
+    gets ``order`` moments along v1 - v0, against 1 and 2s - 1; a face two
+    constant moments, along v1 - v0 and along v2 - v0.  The rule is exact
+    through ``degree``.  Returns (entities, moments[, m]).
+    """
+    dirs = corners[:, 1:] - corners[:, :1]
+    edges = dirs.shape[1] == 1
+    rule = segment_rule(degree) if edges else triangle_rule(degree)
+    pts = corners[:, None, 0]  # v0 + s d0 [+ t d1], added left to right
+    for axis in range(dirs.shape[1]):
+        pts = pts + rule.points[:, axis, None] * dirs[:, None, axis]
+    w = rule.weights
+    weights = np.stack([w, w * (2.0 * rule.points[:, 0] - 1.0)])[:order] if edges else w[None]
+    # Moment (k, r) takes direction k against weight r: one direction on an
+    # edge, one weight on a face.
+    moments = np.einsum("rg,ng...c,nkc->nkr...", weights, fn(pts), dirs)
+    return moments.reshape(len(corners), -1, *moments.shape[3:])
 
 
 class EdgeElement:
@@ -183,7 +168,6 @@ class EdgeElement:
         self.order = order
         self.monomials = _edge_monomials(order)
         self.ndofs = len(self.monomials)
-        self.dofs = _edge_dof_functionals(order, quad_degree=2 * order + 2)
         V = np.empty((self.ndofs, self.ndofs))
         for j, mono in enumerate(self.monomials):
             V[:, j] = self.apply_functionals(lambda pts, m=mono: vec_eval(m, pts)[:, None, :])[:, 0]
@@ -193,13 +177,18 @@ class EdgeElement:
         """Apply every DoF functional to fields given by field_fn.
 
         field_fn maps reference points (n, 3) to values (n, m, 3); the result
-        has shape (ndofs, m).
+        has shape (ndofs, m): the edge moments, then (order 2) the face ones.
         """
-        rows = [
-            np.einsum("g,gmc,c->m", dof.weights, field_fn(dof.points), dof.direction)
-            for dof in self.dofs
-        ]
-        return np.array(rows)
+
+        def fn(pts):
+            vals = field_fn(pts.reshape(-1, 3))
+            return vals.reshape(pts.shape[:2] + vals.shape[1:])
+
+        degree = 2 * self.order + 2
+        blocks = [entity_moments(fn, REF_VERTS[LOCAL_EDGES], self.order, degree)]
+        if self.order == 2:
+            blocks.append(entity_moments(fn, REF_VERTS[LOCAL_FACES], self.order, degree))
+        return np.concatenate([b.reshape(-1, b.shape[-1]) for b in blocks])
 
     def tabulate(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Basis values and curls at reference points: two (n, ndofs, 3) arrays."""

@@ -24,6 +24,7 @@ import scipy.sparse.linalg as spla
 from .errors import EigenSolveError, SingularSystemError
 
 _SADDLE_RESIDUAL_TOL = 1e-9
+_EIG_RESIDUAL_TOL = 1e-8
 # The saddle refinement factors K - rho B with rho = _SHIFT_FRACTION * sigma,
 # sigma the pencil's eigen shift (about -lambda_1 / 2).  Each step contracts
 # the error by |rho| / (lambda_1 + |rho|), about 5e-4, so 4-5 steps reach
@@ -45,7 +46,7 @@ _REFINE_STALL = 0.5
 _REFINE_FLOOR_FACTOR = np.finfo(np.float64).eps
 # ARPACK's Ritz-value tolerance.  Machine precision (ARPACK's default) took
 # 1.4x the operator applications of 1e-12 on the order-1 and order-2 cube
-# pencils; residuals stayed below 1e-12 either way, far under the 1e-8 gate.
+# pencils; residuals stayed below 1e-12 either way, far under _EIG_RESIDUAL_TOL.
 _LANCZOS_TOL = 1e-12
 
 
@@ -200,7 +201,7 @@ def _range_ritz(op, A, B, nonzero_rows: np.ndarray, rank: int):
     return vals, Q @ Z
 
 
-def gen_sym_eig(A, B, count: int, sigma: float, deflate=None, tol: float = 1e-8) -> EigenResult:
+def gen_sym_eig(A, B, count: int, sigma: float, deflate=None) -> EigenResult:
     """The `count` smallest eigenpairs of A x = lam B x off the deflated subspace.
 
     A and B are sparse symmetric, B positive semidefinite and definite on its
@@ -216,7 +217,7 @@ def gen_sym_eig(A, B, count: int, sigma: float, deflate=None, tol: float = 1e-8)
     R - P, R the count of nonzero rows of B; when `count` equals that rank,
     Lanczos has no room, and a Rayleigh-Ritz on the operator's range gives
     the whole spectrum exactly.  Raises EigenSolveError when ARPACK fails or
-    any relative residual exceeds `tol`.
+    any relative residual exceeds _EIG_RESIDUAL_TOL.
     """
     A = sp.csr_matrix(A, dtype=np.float64)
     B = sp.csr_matrix(B, dtype=np.float64)
@@ -262,7 +263,8 @@ def gen_sym_eig(A, B, count: int, sigma: float, deflate=None, tol: float = 1e-8)
     residuals = np.linalg.norm(A @ vecs - BX * vals, axis=0) / (vals * bnorm)
     div = np.linalg.norm(BYt @ vecs, axis=0) / bnorm
     worst = float(np.max(residuals))
-    if not worst <= tol:  # a NaN residual fails too
-        raise EigenSolveError(f"eigenpair relative residual {worst:.3e} exceeds {tol:.1e}")
+    if not worst <= _EIG_RESIDUAL_TOL:  # a NaN residual fails too
+        raise EigenSolveError(
+            f"eigenpair relative residual {worst:.3e} exceeds {_EIG_RESIDUAL_TOL:.1e}")
     return EigenResult(values=vals, vectors=vecs, residuals=residuals, n_zero=P,
                        div_residuals=div)

@@ -120,9 +120,9 @@ class PencilSystem:
         return 0.5 * (S + S.T)
 
 
-def build_quadcurl_pencil(mesh: Mesh, order: int, spaces: Spaces | None = None) -> PencilSystem:
+def build_quadcurl_pencil(mesh: Mesh, order: int) -> PencilSystem:
     """Assemble K, M_N, M_M and the gradient block on their active DoF sets."""
-    s = spaces if spaces is not None else setup_spaces(mesh, order)
+    s = setup_spaces(mesh, order)
     if s.u0.num_free == 0:
         raise SpaceError("mesh has no interior edge DoFs; pencil is empty")
     return PencilSystem(
@@ -161,15 +161,9 @@ def solve_quadcurl_eig(
     return replace(res, vectors=res.vectors[: pen.n_free])
 
 
-def solve_maxwell_eig(
-    mesh: Mesh,
-    order: int,
-    count: int,
-    spaces: Spaces | None = None,
-) -> EigenResult:
+def solve_maxwell_eig(mesh: Mesh, order: int, count: int) -> EigenResult:
     """First `count` nonzero curl-curl (Maxwell) eigenvalues on U_{0,h}."""
-    s = spaces if spaces is not None else setup_spaces(mesh, order)
-    return _maxwell_eig(mesh, *_curlcurl_blocks(s), count)
+    return _maxwell_eig(mesh, *_curlcurl_blocks(setup_spaces(mesh, order)), count)
 
 
 def _curlcurl_blocks(s: Spaces) -> tuple[SparseMatrix, SparseMatrix, SparseMatrix]:
@@ -245,7 +239,6 @@ def solve_quadcurl_source(
     order: int,
     f=None,
     load: np.ndarray | None = None,
-    spaces: Spaces | None = None,
 ) -> SourceSolution:
     """Fourth-order source problem on the eigen pencil's blocks.
 
@@ -262,8 +255,8 @@ def solve_quadcurl_source(
     if (f is None) == (load is None):
         raise SpaceError("give exactly one of f and load")
     case = f if isinstance(f, ManufacturedCase) else None
-    s = spaces if spaces is not None else setup_spaces(mesh, order)
-    pen = build_quadcurl_pencil(mesh, order, spaces=s)
+    pen = build_quadcurl_pencil(mesh, order)
+    s = pen.spaces
     N = pen.n_free
 
     if load is not None:

@@ -126,6 +126,36 @@ def test_tangential_continuity_across_interior_faces(order):
     assert np.abs(jump - normal_jump * normal).max() < 1e-10
 
 
+def _single_random_tet():
+    verts = np.random.default_rng(3).uniform(-1.0, 2.0, (4, 3))
+    if np.linalg.det(verts[1:] - verts[0]) < 0:
+        verts[[1, 2]] = verts[[2, 1]]
+    return Mesh(verts, np.array([[0, 1, 2, 3]]))
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("mesh_cell", [
+    pytest.param(lambda: (_single_random_tet(), 0), id="random-tet"),
+    pytest.param(lambda: (jittered_cube_mesh(2), 17), id="jittered-cell"),
+])
+def test_interpolation_commutes_with_covariant_pullback(order, mesh_cell):
+    """A cell's global DoFs of f are the reference DoFs of x_hat -> J^T f(x_0 + J x_hat)."""
+    mesh, t = mesh_cell()
+    space = make_space(mesh, "edge", order)
+
+    def f(x):
+        x, y, z = np.moveaxis(np.asarray(x), -1, 0)
+        return np.stack([np.sin(2.0 * y) * np.exp(z), np.cos(x + 3.0 * z),
+                         np.exp(x * y) - z], axis=-1)
+
+    # Same rule on both sides: the reference dual basis integrates at 2k + 2.
+    got = interpolate(space, f, degree=2 * order + 2).values[space.cell_dofs[t]]
+    x0, J = mesh.vertices[mesh.tets[t, 0]], mesh.jac[t]
+    want = space.element.apply_functionals(
+        lambda xh: (f(x0 + xh @ J.T) @ J)[:, None, :])[:, 0]
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_embed_scatters_free_dofs(cube2):
     space = make_space(cube2, "edge", 1, constrained=True)
     active = np.arange(1.0, space.num_free + 1)

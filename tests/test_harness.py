@@ -136,6 +136,11 @@ def test_cli_eig_writes_csv(tmp_path, capsys):
     assert first[2] == "124"
 
 
+def test_cli_oversized_cube_is_a_numerical_failure(capsys):
+    assert run_cli(["info", "--mesh", "cube:n=128"]) == 1
+    assert "vertices" in capsys.readouterr().err
+
+
 def test_cli_stdout_default(capsys):
     code = run_cli(["info", "--mesh", "cube:n=2"])
     assert code == 0

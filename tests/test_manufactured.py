@@ -10,6 +10,7 @@ import sympy as sp
 import quadcurl
 from checks import boundary_trace_violation, divergence_violation
 from quadcurl import curlcurl_sine_case, generate_cube_mesh, quadcurl_sin3_case
+from quadcurl.manufactured import smooth_field
 
 FIELDS = ("u", "curl_u", "curl2_u", "f")
 X, Y, Z = sp.symbols("x y z")
@@ -153,6 +154,17 @@ def test_case_fields_match_plain_lambdify(name, shape):
         ref = plain_eval(e, pts)
         assert got.shape == shape
         assert np.abs(got - ref).max(initial=0.0) <= 1e-13 * np.abs(ref).max(initial=1.0)
+
+
+def test_smooth_field_matches_sympy_oracle():
+    u_fn, curl_fn = smooth_field()
+    assert smooth_field() is smooth_field()
+    sx, sy, sz = (sp.sin(sp.pi * v) for v in (X, Y, Z))
+    u = [sy * sz, sz * sx, sx * sy]
+    pts = np.random.default_rng(5).uniform(-0.2, 1.2, (5, 1703, 3))
+    for fn, exprs in ((u_fn, u), (curl_fn, sym_curl(u))):
+        ref = plain_eval(exprs, pts)
+        assert np.abs(fn(pts) - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_sine_case_zero_components_broadcast():

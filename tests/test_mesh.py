@@ -27,6 +27,12 @@ def test_cube_n1_counts():
     assert mesh.volumes().min() > 0.0
 
 
+def test_cube_too_large_for_topology_rejected_before_building():
+    """129^3 vertices overflow the topology keys; n = 128 must fail at once."""
+    with pytest.raises(MeshError, match="vertices"):
+        generate_cube_mesh(128)
+
+
 def test_cube_n1_interior_entities():
     mesh = generate_cube_mesh(1)
     topo = build_topology(mesh)

@@ -5,6 +5,7 @@ import pytest
 
 from quadcurl import segment_rule, tet_rule, triangle_rule
 from quadcurl.errors import QuadratureError
+from quadcurl.quadrature import MAX_DEGREE, _gauss_jacobi01
 
 
 def tet_monomial_exact(a, b, c):
@@ -90,3 +91,28 @@ def test_tet_rule_built_once_and_read_only():
         rule.points[0, 0] = 0.5
     with pytest.raises(ValueError):
         rule.weights[0] = 0.5
+
+
+def _explicit_rules(degree):
+    """The tet, triangle and segment conical products written out one by one."""
+    n = degree // 2 + 1
+    a, wa = _gauss_jacobi01(n, 2)
+    b, wb = _gauss_jacobi01(n, 1)
+    c, wc = _gauss_jacobi01(n, 0)
+    A, B, C = np.meshgrid(a, b, c, indexing="ij")
+    tet = (np.stack([A.ravel(), (B * (1.0 - A)).ravel(),
+                     (C * (1.0 - A) * (1.0 - B)).ravel()], axis=1),
+           (wa[:, None, None] * wb[None, :, None] * wc[None, None, :]).ravel())
+    A, B = np.meshgrid(b, c, indexing="ij")
+    tri = (np.stack([A.ravel(), (B * (1.0 - A)).ravel()], axis=1),
+           (wb[:, None] * wc[None, :]).ravel())
+    return tet, tri, (c[:, None], wc)
+
+
+def test_collapsed_rules_match_explicit_products_bitwise():
+    for degree in range(MAX_DEGREE + 1):
+        rules = (tet_rule(degree), triangle_rule(degree), segment_rule(degree))
+        for rule, (pts, w) in zip(rules, _explicit_rules(degree)):
+            assert rule.points.shape == pts.shape, degree
+            assert np.array_equal(rule.points, pts) and np.array_equal(rule.weights, w), degree
+            assert not rule.points.flags.writeable and not rule.weights.flags.writeable

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from quadcurl import gen_sym_eig, saddle_solve
+from quadcurl import gen_sym_eig, saddle_solve, solvers
 from quadcurl.errors import EigenSolveError, SingularSystemError
 from quadcurl.solvers import _REFINE_STEPS, _SHIFT_FRACTION
 
@@ -178,12 +178,13 @@ def test_gen_sym_eig_rejects_dependent_deflation_basis():
         gen_sym_eig(A, -B, 2, sigma=-0.01, deflate=y)
 
 
-def test_gen_sym_eig_residual_gate():
+def test_gen_sym_eig_residual_gate(monkeypatch):
     """The residual contract raises instead of handing back loose pairs."""
     A, B = _tridiagonal_pencil(80)
-    gen_sym_eig(A, B, 3, sigma=-0.01, tol=1e-8)
+    gen_sym_eig(A, B, 3, sigma=-0.01)
+    monkeypatch.setattr(solvers, "_EIG_RESIDUAL_TOL", 1e-20)
     with pytest.raises(EigenSolveError, match="residual"):
-        gen_sym_eig(A, B, 3, sigma=-0.01, tol=1e-20)
+        gen_sym_eig(A, B, 3, sigma=-0.01)
 
 
 def test_gen_sym_eig_full_spectrum():

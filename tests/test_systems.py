@@ -156,7 +156,7 @@ def test_maxwell_eig_matches_dense(cube3):
     P = s.s0.num_free
     dense = scipy.linalg.eigh(C0, M0, eigvals_only=True)
     assert np.abs(dense[:P]).max() < 1e-8 * dense[P]
-    res = solve_maxwell_eig(cube3, 1, 5, spaces=s)
+    res = solve_maxwell_eig(cube3, 1, 5)
     assert np.abs(res.values - dense[P:P + 5]).max() <= 1e-10 * dense[P]
     assert res.n_zero == P
     assert res.div_residuals.max() < 1e-8
@@ -210,15 +210,15 @@ def test_quadcurl_source_zero_load(cube2):
 
 
 def test_quadcurl_source_manufactured_errors(cube2):
-    s = setup_spaces(cube2, 1)
-    sol = solve_quadcurl_source(cube2, 1, quadcurl_sin3_case(), spaces=s)
+    sol = solve_quadcurl_source(cube2, 1, quadcurl_sin3_case())
     assert set(sol.errors) == {"l2_u", "curl_u", "phi", "combined"}
     assert sol.errors["combined"] == pytest.approx(
         sol.errors["curl_u"] + sol.errors["phi"])
     assert sol.residual < 1e-9
-    # ||GM^T M_M phi|| / ||M_M phi||, GM = assemble_gradient_map(s.s0, s.uf):
-    # phi is discretely divergence-free with no multiplier of its own
-    assert divergence_residual(s.uf, s.s0, sol.phi) <= 1e-10
+    # ||GM^T M_M phi|| / ||M_M phi||, GM the gradient map from S_h (p's
+    # space) to U_h (phi's): phi is discretely divergence-free with no
+    # multiplier of its own
+    assert divergence_residual(sol.phi.space, sol.p.space, sol.phi) <= 1e-10
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -253,7 +253,7 @@ def test_source_multipliers_match_closed_form():
     case = quadcurl_sin3_case()
     F = assemble_load(s.uf, case.f).values[s.u0.free_dofs]
     p_star = np.linalg.solve((G0.T @ M0 @ G0).toarray(), G0.T @ F)
-    for sol in (solve_quadcurl_source(mesh, 1, case, spaces=s),
+    for sol in (solve_quadcurl_source(mesh, 1, case),
                 solve_curlcurl_source(mesh, 1, case.f)):
         p = sol.p.values[s.s0.free_dofs]
         assert np.abs(p - p_star).max() <= 1e-12 * np.abs(p_star).max()
@@ -318,10 +318,9 @@ def test_quadcurl_source_rejects_bad_load_length(cube2):
 def test_quadcurl_source_needs_exactly_one_load(cube2):
     with pytest.raises(SpaceError):
         solve_quadcurl_source(cube2, 1)
-    s = setup_spaces(cube2, 1)
     with pytest.raises(SpaceError):
         solve_quadcurl_source(cube2, 1, f=lambda x: np.zeros(np.asarray(x).shape),
-                              load=np.zeros(s.u0.num_free), spaces=s)
+                              load=np.zeros(setup_spaces(cube2, 1).u0.num_free))
 
 
 def test_inverse_power_iteration_reaches_first_eigenvalue(cube2, pencil2):
@@ -337,7 +336,7 @@ def test_inverse_power_iteration_reaches_first_eigenvalue(cube2, pencil2):
     for _ in range(40):
         Mu = pencil2.M_N.mat @ u
         Mu /= np.linalg.norm(Mu)
-        sol = solve_quadcurl_source(cube2, 1, load=Mu, spaces=s)
+        sol = solve_quadcurl_source(cube2, 1, load=Mu)
         u = sol.u.values[s.u0.free_dofs]
         phi = sol.phi.values
         lam = (phi @ (pencil2.M_M.mat @ phi)) / (u @ (pencil2.M_N.mat @ u))
