@@ -7,9 +7,13 @@ from .assembly import SparseMatrix, assemble_mass, assemble_curlcurl, assemble_g
 from .solvers import EigenResult, saddle_solve, gen_sym_eig
 from .manufactured import ManufacturedCase, curlcurl_sine_case, quadcurl_sin3_case
 from .systems import (
+    CurlCurlSystem,
     PencilSystem,
     SourceSolution,
+    build_curlcurl_system,
     build_quadcurl_pencil,
+    eigenpairs,
+    solve_source,
     solve_quadcurl_eig,
     solve_maxwell_eig,
     solve_curlcurl_source,

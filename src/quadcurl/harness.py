@@ -15,6 +15,11 @@ Subcommands
 ``info``
     Mesh and space dimensions for a given mesh/order.
 
+``eig`` and ``maxwell`` build the model problem's record
+(``build_quadcurl_pencil`` or ``build_curlcurl_system``), solve it with
+``eigenpairs`` and dump that record's matrix fields by name; the source
+studies call the ``solve_*_source`` entry points.
+
 Each subcommand accepts only the options it reads.  Mesh specs take the
 form ``cube:n=<int>`` (structured Kuhn mesh of the unit cube) or
 ``file:<path>`` (Gmsh ASCII v2.2). CSV output uses 10 significant digits.
@@ -36,17 +41,17 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .assembly import SparseMatrix
 from .errors import QuadCurlError, UsageError
 from .fespace import integrate_errors, interpolate, make_space
 from .manufactured import curlcurl_sine_case, quadcurl_sin3_case, smooth_field
 from .mesh import Mesh, generate_cube_mesh, read_gmsh
 from .systems import (
-    _curlcurl_blocks,
-    _maxwell_eig,
+    build_curlcurl_system,
     build_quadcurl_pencil,
+    eigenpairs,
     setup_spaces,
     solve_curlcurl_source,
-    solve_quadcurl_eig,
     solve_quadcurl_source,
 )
 
@@ -56,8 +61,6 @@ DEFAULT_LEVELS = {
     "interp": (2, 4, 8),
     "curlcurl-src": (2, 4, 8),
     "quadcurl-src": (2, 3, 4),
-    "maxwell-eig": (2, 4, 8),
-    "quadcurl-eig": (2, 3, 4),
 }
 
 
@@ -239,15 +242,11 @@ def _source_dims(sol) -> tuple[int, int]:
 
 
 def _solve_eig(kind: str, mesh: Mesh, order: int, num: int):
-    """Eigen solve, its (N, M) and named blocks; M is 0 for Maxwell (no w block)."""
-    if kind == "maxwell":
-        C0, M0, G0 = _curlcurl_blocks(setup_spaces(mesh, order))
-        res = _maxwell_eig(mesh, C0, M0, G0, num)
-        return res, (res.vectors.shape[0], 0), {"C0": C0, "M0": M0, "G0": G0}
-    pen = build_quadcurl_pencil(mesh, order)
-    res = solve_quadcurl_eig(mesh, order, num, pencil=pen)
-    blocks = {"K": pen.K, "M_N": pen.M_N, "M_M": pen.M_M, "G0": pen.G0}
-    return res, (pen.n_free, pen.m_total), blocks
+    """Eigen solve, its (N, M) and the record's named blocks; M is 0 for Maxwell."""
+    system = (build_curlcurl_system if kind == "maxwell" else build_quadcurl_pencil)(mesh, order)
+    res = eigenpairs(system, num)
+    blocks = {name: m for name, m in vars(system).items() if isinstance(m, SparseMatrix)}
+    return res, (system.n_free, system.m_total), blocks
 
 
 def _eig_single_table(kind: str, mesh: Mesh, order: int, num: int):

@@ -20,6 +20,7 @@ face.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,28 +137,14 @@ def generate_cube_mesh(n: int) -> Mesh:
     X, Y, Z = np.meshgrid(side, side, side, indexing="ij")
     vertices = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1)
 
-    def vid(i, j, k):
-        return (i * (n + 1) + j) * (n + 1) + k
-
     # The six monotone vertex paths from a subcube's low corner to its high
-    # corner, one per permutation of the axes.
-    paths = []
-    for perm in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
-        steps = np.zeros((4, 3), dtype=np.int64)
-        for s, axis in enumerate(perm):
-            steps[s + 1] = steps[s]
-            steps[s + 1, axis] += 1
-        paths.append(steps)
-
-    tets = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                base = np.array([i, j, k])
-                for steps in paths:
-                    corner = base + steps
-                    tets.append([vid(*c) for c in corner])
-    return Mesh(vertices, np.array(tets, dtype=np.int64))
+    # corner, one per permutation of the axes, as vertex-id offsets.
+    stride = np.array([(n + 1) ** 2, n + 1, 1])
+    paths = np.array([np.cumsum([0, *stride[list(perm)]])
+                      for perm in itertools.permutations(range(3))])
+    low = np.arange((n + 1) ** 3).reshape((n + 1,) * 3)[:n, :n, :n].ravel()
+    tets = low[:, None, None] + paths  # subcube-major, then path
+    return Mesh(vertices, tets.reshape(-1, 4))
 
 
 def read_gmsh(text: str) -> Mesh:

@@ -1,40 +1,43 @@
-"""The three model problems, assembled from the mesh/space/solver kernels.
+"""The model problems, each assembled once into one record and solved by one route.
 
-* curl-curl source problem on U_{0,h} x S_h (a saddle system whose scalar
-  multiplier vanishes for divergence-free loads),
-* fourth-order (quad-curl) source problem: find u in U_{0,h} and the
-  auxiliary field phi in U_h with (phi, v) - (curl v, curl u) = 0 for all v
-  and (curl phi, curl w) = (f, w) for all w.  It is the eigen pencil's
-  operator below, with u pinned to the discretely divergence-free subspace
-  by one scalar multiplier p in S_h through exactly the gradient block the
-  eigensolver deflates.  phi needs no multiplier: it equals M_M^{-1} K u,
-  and (grad s, phi) = (curl grad s, curl u) = 0 for every nodal s, so phi
-  is discretely divergence-free by itself,
-* the fourth-order eigenvalue problem, assembled WITHOUT divergence
-  multipliers: with K(i,j) = (curl phi_j^0, curl phi_i) rectangular between
-  the constrained and unconstrained edge spaces, the pencil
+A record holds the blocks of one model problem on one mesh and gives them as
+one operator (A, B, Y): a symmetric pencil and its gradient block Y, which
+spans the kernel of A.  ``eigenpairs`` and ``solve_source`` take any record,
+so a record built once serves every eigen and source solve on its mesh.
+
+* ``CurlCurlSystem``, the curl-curl (Maxwell) problem on U_{0,h}:
+  A = C0, B = M0, Y = G0, the gradients of the free nodal space S_h.
+* ``PencilSystem``, the fourth-order (quad-curl) problem, assembled WITHOUT
+  divergence multipliers: with K(i,j) = (curl phi_j^0, curl phi_i)
+  rectangular between the constrained and unconstrained edge spaces, the
+  pencil
 
       [ 0   K^T ] [u]          [ M_N  0 ] [u]
       [ K  -M_M ] [w]  = lambda [ 0    0 ] [w]
 
   has the same nonzero eigenvalues as the Schur form S = K^T M_M^{-1} K
-  against M_N.  Nonzero modes are automatically discretely divergence-free,
-  so gradient modes land exactly at zero; their multiplicity is
-  dim(free S_h) = P.  The eigensolver projects the gradient space [G0; 0]
-  out of every shift-invert iterate, so those modes are never computed and
-  no zero threshold is applied.
+  against M_N, and Y = [G0; 0].  Nonzero modes are automatically discretely
+  divergence-free, so gradient modes land exactly at zero; their
+  multiplicity is dim(free S_h) = P.
 
-Both source saddles read [[A, B Y], [(B Y)^T, 0]] with A Y = 0: A = C0,
-B = M0, Y = G0 for curl-curl, and the eigen pencil's (A, B) with
-Y = [G0; 0] for quad-curl.  So ``saddle_solve`` factors no bordered matrix:
-p solves (Y^T B Y) p = Y^T F, and the primal field comes from projected
-iterative refinement on the factor of A - rho B, rho a fixed fraction of the
-shift the eigensolver uses on the same pencil.
+The eigen route projects range(Y) out of every shift-invert iterate, so the
+gradient modes are never computed and no zero threshold is applied.  The
+source route solves [[A, B Y], [(B Y)^T, 0]] (x, p) = ((F, 0), 0): the
+multiplier p in S_h keeps u discretely divergence-free through exactly the
+gradient block the eigensolver deflates.  For quad-curl x = (u, phi), with
+(phi, v) - (curl v, curl u) = 0 for all v and (curl phi, curl w) = (f, w)
+for all w.  phi needs no multiplier: it equals M_M^{-1} K u, and
+(grad s, phi) = (curl grad s, curl u) = 0 for every nodal s, so phi is
+discretely divergence-free by itself.  ``saddle_solve`` factors no bordered
+matrix: p solves (Y^T B Y) p = Y^T F, and the primal field comes from
+projected iterative refinement on the factor of A - rho B, rho a fixed
+fraction of the shift the eigensolver uses on the same record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 import scipy.linalg as sla
@@ -72,6 +75,44 @@ def setup_spaces(mesh: Mesh, order: int) -> Spaces:
     )
 
 
+def _interior_spaces(mesh: Mesh, order: int) -> Spaces:
+    s = setup_spaces(mesh, order)
+    if s.u0.num_free == 0:
+        raise SpaceError("mesh has no interior edge DoFs; the system is empty")
+    return s
+
+
+@dataclass
+class CurlCurlSystem:
+    """Blocks of the curl-curl (Maxwell) operator on U_{0,h}, on active DoF sets."""
+
+    C0: SparseMatrix  # (N x N): (curl phi_j^0, curl phi_i^0)
+    M0: SparseMatrix  # U_{0,h} mass
+    G0: SparseMatrix  # free-nodal -> free-edge gradient map (N x P)
+    spaces: Spaces
+    shift_power: ClassVar[int] = 2  # lambda_1 ~ |Omega|^(-2/3)
+    m_total: ClassVar[int] = 0  # no w block
+
+    @property
+    def n_free(self) -> int:
+        return self.C0.shape[0]
+
+    def operator(self) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
+        """(A, B, Y) = (C0, M0, G0)."""
+        return self.C0.mat, self.M0.mat, self.G0.mat
+
+
+def build_curlcurl_system(mesh: Mesh, order: int) -> CurlCurlSystem:
+    """Assemble C0, M0 and the gradient map G0 on their active DoF sets."""
+    s = _interior_spaces(mesh, order)
+    return CurlCurlSystem(
+        C0=assemble_curlcurl(s.u0, s.u0),
+        M0=assemble_mass(s.u0),
+        G0=assemble_gradient_map(s.s0, s.u0),
+        spaces=s,
+    )
+
+
 @dataclass
 class PencilSystem:
     """Blocks of the fourth-order eigenvalue pencil, on active DoF sets."""
@@ -81,6 +122,7 @@ class PencilSystem:
     M_M: SparseMatrix  # U_h mass
     G0: SparseMatrix  # free-nodal -> free-edge gradient map (N x P)
     spaces: Spaces
+    shift_power: ClassVar[int] = 4  # lambda_1 ~ |Omega|^(-4/3)
 
     @property
     def n_free(self) -> int:
@@ -94,15 +136,12 @@ class PencilSystem:
     def p_free(self) -> int:
         return self.G0.shape[1]
 
-    def block_pencil(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-        """Full (N+M) symmetric block pencil (A, B) that the eigensolver factors."""
+    def operator(self) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
+        """The (N+M) block pencil (A, B) and its gradient block Y = [G0; 0]."""
         A = sp.bmat([[None, self.K.mat.T], [self.K.mat, -self.M_M.mat]], format="csr")
         B = sp.block_diag([self.M_N.mat, sp.csr_matrix((self.m_total,) * 2)], format="csr")
-        return A, B
-
-    def gradient_block(self) -> sp.csr_matrix:
-        """Gradient block Y = [G0; 0] of the (N+M) pencil, the kernel of A."""
-        return sp.vstack([self.G0.mat, sp.csr_matrix((self.m_total, self.p_free))], format="csr")
+        Y = sp.vstack([self.G0.mat, sp.csr_matrix((self.m_total, self.p_free))], format="csr")
+        return A, B, Y
 
     def schur_dense(self) -> np.ndarray:
         """S = K^T M_M^{-1} K as a dense symmetric PSD matrix (a test oracle).
@@ -121,10 +160,8 @@ class PencilSystem:
 
 
 def build_quadcurl_pencil(mesh: Mesh, order: int) -> PencilSystem:
-    """Assemble K, M_N, M_M and the gradient block on their active DoF sets."""
-    s = setup_spaces(mesh, order)
-    if s.u0.num_free == 0:
-        raise SpaceError("mesh has no interior edge DoFs; pencil is empty")
+    """Assemble K, M_N, M_M and the gradient map G0 on their active DoF sets."""
+    s = _interior_spaces(mesh, order)
     return PencilSystem(
         K=assemble_curlcurl(s.uf, s.u0),
         M_N=assemble_mass(s.u0),
@@ -134,48 +171,38 @@ def build_quadcurl_pencil(mesh: Mesh, order: int) -> PencilSystem:
     )
 
 
-def _shift(mesh: Mesh, power: int) -> float:
-    """Lanczos shift below the spectrum, scaled with the domain.
+def _shift(system: CurlCurlSystem | PencilSystem) -> float:
+    """Lanczos shift below the spectrum, scaled with the record's own domain.
 
     The first eigenvalue of curl^(power/2) on a domain of volume |Omega|
     scales like (2 pi)^power |Omega|^(-power/3); sigma is minus half of that.
     A fixed shift would let the residuals grow with the eigenvalue's scale.
     """
-    return -0.5 * (2.0 * np.pi) ** power * float(mesh.volumes().sum()) ** (-power / 3.0)
+    power = system.shift_power
+    volume = float(system.spaces.u0.mesh.volumes().sum())
+    return -0.5 * (2.0 * np.pi) ** power * volume ** (-power / 3.0)
 
 
-def solve_quadcurl_eig(
-    mesh: Mesh,
-    order: int,
-    count: int,
-    pencil: PencilSystem | None = None,
-) -> EigenResult:
-    """First `count` nonzero eigenvalues of the fourth-order pencil, ascending.
+def eigenpairs(system: CurlCurlSystem | PencilSystem, count: int) -> EigenResult:
+    """First `count` nonzero eigenpairs of a record's operator, ascending.
 
-    The block pencil is solved with the gradients [G0; 0] deflated; the
-    returned vectors are the u block (length N), M_N-orthonormal.
+    The pencil (A, B) is solved with its gradient block Y deflated; the
+    returned vectors are the u block (length N), orthonormal in the U_{0,h}
+    mass.
     """
-    pen = pencil if pencil is not None else build_quadcurl_pencil(mesh, order)
-    A, B = pen.block_pencil()
-    res = gen_sym_eig(A, B, count, _shift(mesh, 4), deflate=pen.gradient_block())
-    return replace(res, vectors=res.vectors[: pen.n_free])
+    A, B, Y = system.operator()
+    res = gen_sym_eig(A, B, count, _shift(system), deflate=Y)
+    return replace(res, vectors=res.vectors[: system.n_free])
+
+
+def solve_quadcurl_eig(mesh: Mesh, order: int, count: int) -> EigenResult:
+    """First `count` nonzero eigenvalues of the fourth-order pencil, ascending."""
+    return eigenpairs(build_quadcurl_pencil(mesh, order), count)
 
 
 def solve_maxwell_eig(mesh: Mesh, order: int, count: int) -> EigenResult:
     """First `count` nonzero curl-curl (Maxwell) eigenvalues on U_{0,h}."""
-    return _maxwell_eig(mesh, *_curlcurl_blocks(setup_spaces(mesh, order)), count)
-
-
-def _curlcurl_blocks(s: Spaces) -> tuple[SparseMatrix, SparseMatrix, SparseMatrix]:
-    """Curl-curl C0 and mass M0 on U_{0,h}, and the gradient map G0 from S_h."""
-    if s.u0.num_free == 0:
-        raise SpaceError("mesh has no interior edge DoFs")
-    return assemble_curlcurl(s.u0, s.u0), assemble_mass(s.u0), assemble_gradient_map(s.s0, s.u0)
-
-
-def _maxwell_eig(mesh: Mesh, C0, M0, G0, count: int) -> EigenResult:
-    """Maxwell eigenpairs of the pencil (C0, M0) with the gradients G0 deflated."""
-    return gen_sym_eig(C0.mat, M0.mat, count, _shift(mesh, 2), deflate=G0.mat)
+    return eigenpairs(build_curlcurl_system(mesh, order), count)
 
 
 @dataclass
@@ -188,7 +215,8 @@ class SourceSolution:
     in L2, the numerical version of the multiplier-vanishes statement for
     divergence-free loads.  ``residual`` is the relative residual of the
     saddle system and ``refine_steps`` the iterative-refinement steps
-    ``saddle_solve`` took.
+    ``saddle_solve`` took.  ``errors`` is filled by the solves of an analytic
+    ManufacturedCase.
     """
 
     u: DofVector
@@ -200,10 +228,39 @@ class SourceSolution:
     errors: dict | None = None
 
 
-def _p_ratio(s: Spaces, M_u: SparseMatrix, u: np.ndarray, p: np.ndarray) -> float:
-    """||p_h|| / ||u_h|| in L2, with u's mass matrix M_u (0 when p_h = 0)."""
-    norm_p = np.sqrt(float(p @ (assemble_mass(s.s0).mat @ p)))
-    return norm_p / max(np.sqrt(float(u @ (M_u.mat @ u))), 1e-300) if norm_p > 0 else 0.0
+def solve_source(system: CurlCurlSystem | PencilSystem, load: np.ndarray) -> SourceSolution:
+    """Source problem of a record for a load vector F on the free U_{0,h} DoFs.
+
+    Solves [[A, B Y], [(B Y)^T, 0]] (x, p) = ((F, 0), 0) with the record's
+    operator: x is u, followed by phi when there is a w block.  Raises
+    SpaceError when F does not have length N.
+    """
+    s = system.spaces
+    N = system.n_free
+    F = np.asarray(load, dtype=np.float64)
+    if F.shape != (N,):
+        raise SpaceError(f"load vector must have length {N}")
+    A, B, Y = system.operator()
+    rhs = np.concatenate([F, np.zeros(system.m_total)])
+    x, pvals, res, steps = saddle_solve(A, B @ Y, rhs, B, Y, _shift(system))
+    norm_p = np.sqrt(float(pvals @ (assemble_mass(s.s0).mat @ pvals)))
+    norm_u = np.sqrt(float(x[:N] @ (B @ x)[:N]))
+    return SourceSolution(
+        u=s.u0.embed(x[:N]),
+        phi=DofVector(s.uf, x[N:]) if system.m_total else None,
+        p=s.s0.embed(pvals),
+        residual=res,
+        p_ratio=norm_p / max(norm_u, 1e-300) if norm_p > 0 else 0.0,
+        refine_steps=steps,
+    )
+
+
+def _solve_analytic(system, f) -> tuple[SourceSolution, ManufacturedCase | None]:
+    """solve_source on the load of f, a callable or a ManufacturedCase, and the case."""
+    case = f if isinstance(f, ManufacturedCase) else None
+    s = system.spaces
+    F = assemble_load(s.uf, f if case is None else case.f).values[s.u0.free_dofs]
+    return solve_source(system, F), case
 
 
 def solve_curlcurl_source(mesh: Mesh, order: int, f) -> SourceSolution:
@@ -212,79 +269,22 @@ def solve_curlcurl_source(mesh: Mesh, order: int, f) -> SourceSolution:
     f may be a callable (the load) or a ManufacturedCase; with a case, L2 and
     H(curl) errors against the analytic solution are reported.
     """
-    case = f if isinstance(f, ManufacturedCase) else None
-    fn = case.f if case is not None else f
-    s = setup_spaces(mesh, order)
-    C0, M0, G0 = _curlcurl_blocks(s)
-    F = assemble_load(s.uf, fn).values[s.u0.free_dofs]
-    uvals, pvals, res, steps = saddle_solve(
-        C0.mat, M0.mat @ G0.mat, F, M0.mat, G0.mat, _shift(mesh, 2))
-    u = s.u0.embed(uvals)
-    p = s.s0.embed(pvals)
-    ratio = _p_ratio(s, M0, uvals, pvals)
-    errors = None
+    sol, case = _solve_analytic(build_curlcurl_system(mesh, order), f)
     if case is not None:
-        e_l2, e_curl = integrate_errors(s.u0, u, case.u, case.curl_u)
-        errors = {
-            "l2": e_l2,
-            "curl": e_curl,
-            "hcurl": float(np.hypot(e_l2, e_curl)),
-        }
-    return SourceSolution(u=u, phi=None, p=p, residual=res, p_ratio=ratio,
-                          refine_steps=steps, errors=errors)
+        e_l2, e_curl = integrate_errors(sol.u.space, sol.u, case.u, case.curl_u)
+        sol.errors = {"l2": e_l2, "curl": e_curl, "hcurl": float(np.hypot(e_l2, e_curl))}
+    return sol
 
 
-def solve_quadcurl_source(
-    mesh: Mesh,
-    order: int,
-    f=None,
-    load: np.ndarray | None = None,
-) -> SourceSolution:
-    """Fourth-order source problem on the eigen pencil's blocks.
+def solve_quadcurl_source(mesh: Mesh, order: int, f) -> SourceSolution:
+    """Fourth-order source problem (u, phi, p) on the eigen pencil's blocks.
 
-    Unknowns (u, phi, p): with the pencil (A, B) and its gradient block
-    Y = [G0; 0], solves [[A, B Y], [(B Y)^T, 0]] (u, phi, p) = (F, 0, 0).
-    The first block row tests with U_{0,h}, the second with U_h, and p
-    keeps u discretely divergence-free, the same constraint the eigensolver
-    deflates.  phi = M_M^{-1} K u needs no multiplier of its own: K^T maps
-    every discrete gradient in U_h to zero (curl grad = 0), so phi is
-    M_M-orthogonal to all of them for every u.  Exactly one of an analytic
-    load f (callable or ManufacturedCase) and a pre-assembled load vector on
-    the free edge DoFs must be given; SpaceError otherwise.
+    f may be a callable (the load) or a ManufacturedCase; with a case, the
+    errors of u and of phi against curl curl u are reported.
     """
-    if (f is None) == (load is None):
-        raise SpaceError("give exactly one of f and load")
-    case = f if isinstance(f, ManufacturedCase) else None
-    pen = build_quadcurl_pencil(mesh, order)
-    s = pen.spaces
-    N = pen.n_free
-
-    if load is not None:
-        F = np.asarray(load, dtype=np.float64)
-        if F.shape != (N,):
-            raise SpaceError(f"load vector must have length {N}")
-    else:
-        fn = case.f if case is not None else f
-        F = assemble_load(s.uf, fn).values[s.u0.free_dofs]
-
-    A, B = pen.block_pencil()
-    Y = pen.gradient_block()
-    rhs = np.concatenate([F, np.zeros(pen.m_total)])
-    x, pvals, res, steps = saddle_solve(A, B @ Y, rhs, B, Y, _shift(mesh, 4))
-
-    u = s.u0.embed(x[:N])
-    phi = DofVector(s.uf, x[N:])
-    p = s.s0.embed(pvals)
-    ratio = _p_ratio(s, pen.M_N, x[:N], pvals)
-    errors = None
+    sol, case = _solve_analytic(build_quadcurl_pencil(mesh, order), f)
     if case is not None:
-        e_l2, e_curl = integrate_errors(s.u0, u, case.u, case.curl_u)
-        e_phi, _ = integrate_errors(s.uf, phi, case.curl2_u, None)
-        errors = {
-            "l2_u": e_l2,
-            "curl_u": e_curl,
-            "phi": e_phi,
-            "combined": e_curl + e_phi,
-        }
-    return SourceSolution(u=u, phi=phi, p=p, residual=res, p_ratio=ratio,
-                          refine_steps=steps, errors=errors)
+        e_l2, e_curl = integrate_errors(sol.u.space, sol.u, case.u, case.curl_u)
+        e_phi, _ = integrate_errors(sol.phi.space, sol.phi, case.curl2_u, None)
+        sol.errors = {"l2_u": e_l2, "curl_u": e_curl, "phi": e_phi, "combined": e_curl + e_phi}
+    return sol

@@ -1,4 +1,5 @@
 import io
+import math
 import os
 import subprocess
 import sys
@@ -13,6 +14,26 @@ from quadcurl import (
 )
 from quadcurl.errors import UsageError
 from quadcurl.harness import parse_mesh_spec
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+GOLDEN_RTOL = 1e-9  # emit_csv writes 10 significant digits
+# CLI runs whose CSV is kept in tests/data/golden/<name>.csv
+GOLDEN_RUNS = {
+    "eig_cube2_order2": ["eig", "--mesh", "cube:n=2", "--order", "2"],
+    "eig_cube4_order1": ["eig", "--mesh", "cube:n=4", "--order", "1"],
+    "maxwell_cube3_order2": ["maxwell", "--mesh", "cube:n=3", "--order", "2"],
+    "eig_levels_2_3": ["eig", "--levels", "2,3"],
+    "maxwell_levels_2_3": ["maxwell", "--levels", "2,3"],
+    "source_quadcurl_order1": ["source-conv", "--problem", "quadcurl", "--order", "1",
+                               "--levels", "2,3"],
+    "source_quadcurl_order2": ["source-conv", "--problem", "quadcurl", "--order", "2",
+                               "--levels", "2,3"],
+    "source_curlcurl_order1": ["source-conv", "--problem", "curlcurl", "--order", "1",
+                               "--levels", "2,3"],
+    "source_curlcurl_order2": ["source-conv", "--problem", "curlcurl", "--order", "2",
+                               "--levels", "2,3"],
+    "interp_order1": ["interp-conv", "--order", "1", "--levels", "2,3"],
+}
 
 
 def test_observed_rates_exact_on_power_law():
@@ -287,3 +308,26 @@ def test_cli_interp_conv(capsys):
     lines = capsys.readouterr().out.splitlines()
     rate = lines[2].split(",")[-1]
     assert 1.5 <= float(rate) <= 2.5
+
+
+def _same_csv_field(got: str, want: str) -> bool:
+    """Integer and empty fields match exactly, floats to GOLDEN_RTOL."""
+    if got == want:
+        return True
+    if want == "" or want.lstrip("-").isdigit():
+        return False
+    return math.isclose(float(got), float(want), rel_tol=GOLDEN_RTOL, abs_tol=1e-300)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_cli_matches_golden_csv(name, tmp_path):
+    """The run's CSV agrees with its copy kept in tests/data/golden."""
+    out = tmp_path / "out.csv"
+    assert run_cli(GOLDEN_RUNS[name] + ["--out", str(out)]) == 0
+    got = [line.split(",") for line in out.read_text().splitlines()]
+    want = [line.split(",") for line in (GOLDEN / f"{name}.csv").read_text().splitlines()]
+    assert got[0] == want[0]
+    assert [len(row) for row in got] == [len(row) for row in want]
+    bad = [(i, g, w) for i, (grow, wrow) in enumerate(zip(got, want))
+           for g, w in zip(grow, wrow) if not _same_csv_field(g, w)]
+    assert bad == []

@@ -1,3 +1,4 @@
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +76,28 @@ def test_euler_relation(n):
     E, F = topo_counts(mesh)
     V, T = mesh.vertices.shape[0], mesh.tets.shape[0]
     assert V - E + F - T == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_cube_tets_match_loop_oracle(n):
+    """Tets in the order of the explicit loop: subcube-major, then the six
+    monotone paths in itertools.permutations order (which fixes the assembly
+    summation order)."""
+    def vid(i, j, k):
+        return (i * (n + 1) + j) * (n + 1) + k
+
+    tets = []
+    for i, j, k in itertools.product(range(n), repeat=3):
+        for perm in itertools.permutations(range(3)):
+            corner = [i, j, k]
+            path = [vid(*corner)]
+            for axis in perm:
+                corner[axis] += 1
+                path.append(vid(*corner))
+            tets.append(path)
+    got = generate_cube_mesh(n).tets
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, np.array(tets, dtype=np.int64))
 
 
 def test_tets_stored_sorted():

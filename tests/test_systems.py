@@ -6,9 +6,9 @@ import quadcurl
 from checks import divergence_residual
 from meshes import jittered_cube_mesh
 from quadcurl import (
-    Mesh, build_quadcurl_pencil, curlcurl_sine_case, generate_cube_mesh, quadcurl_sin3_case,
-    setup_spaces, solve_curlcurl_source, solve_maxwell_eig, solve_quadcurl_eig,
-    solve_quadcurl_source,
+    Mesh, build_curlcurl_system, build_quadcurl_pencil, curlcurl_sine_case, eigenpairs,
+    generate_cube_mesh, quadcurl_sin3_case, setup_spaces, solve_curlcurl_source,
+    solve_maxwell_eig, solve_quadcurl_eig, solve_quadcurl_source, solve_source,
 )
 from quadcurl.assembly import (
     assemble_curlcurl, assemble_gradient_map, assemble_load, assemble_mass,
@@ -34,13 +34,13 @@ def test_single_interior_edge_pencil_exact():
     assert res.residuals[0] < 1e-8
 
 
-def test_block_pencil_agrees_with_schur(pencil2, cube2):
+def test_block_pencil_agrees_with_schur(pencil2):
     """QZ on the full block system reproduces the shift-invert eigenvalues."""
-    A, B = pencil2.block_pencil()
+    A, B, _ = pencil2.operator()
     vals = scipy.linalg.eigvals(A.toarray(), B.toarray())
     finite = np.sort(vals[np.isfinite(vals)].real)
     finite = finite[finite > 1e-6 * finite.max()]
-    res = solve_quadcurl_eig(cube2, 1, 5, pencil=pencil2)
+    res = eigenpairs(pencil2, 5)
     assert np.abs(finite[:5] - res.values).max() < 1e-8 * res.values[0]
 
 
@@ -53,9 +53,9 @@ def test_pencil_shapes_and_gradient_compatibility(pencil2):
     assert pencil2.G0.shape == (N, P)
     KG = pencil2.K.mat @ pencil2.G0.mat
     assert (np.abs(KG.data).max() if KG.nnz else 0.0) < 1e-13
-    Y = pencil2.gradient_block()  # [G0; 0], the kernel of the block operator
+    A, _, Y = pencil2.operator()  # Y = [G0; 0], the kernel of the block operator
     assert Y.shape == (N + M, P)
-    AY = pencil2.block_pencil()[0] @ Y
+    AY = A @ Y
     assert (np.abs(AY.data).max() if AY.nnz else 0.0) < 1e-13
 
 
@@ -63,13 +63,13 @@ def test_zero_multiplicity_matches_scalar_space(cube2, cube3):
     for mesh, expected_P in [(cube2, 1), (cube3, 8)]:
         pen = build_quadcurl_pencil(mesh, 1)
         assert pen.p_free == expected_P
-        res = solve_quadcurl_eig(mesh, 1, 2, pencil=pen)
+        res = eigenpairs(pen, 2)
         assert res.n_zero == expected_P
 
 
 def test_eigenvectors_discretely_divergence_free(cube3):
     pen = build_quadcurl_pencil(cube3, 1)
-    res = solve_quadcurl_eig(cube3, 1, 4, pencil=pen)
+    res = eigenpairs(pen, 4)
     assert res.div_residuals.max() < 1e-8
     s = pen.spaces
     for i in range(4):
@@ -91,7 +91,7 @@ def test_quadcurl_eig_matches_dense_schur(cube2, cube3):
         P = pen.p_free
         dense = scipy.linalg.eigh(pen.schur_dense(), pen.M_N.to_dense(), eigvals_only=True)
         assert np.abs(dense[:P]).max() < 1e-8 * dense[P]  # the P gradient modes
-        res = solve_quadcurl_eig(mesh, order, 5, pencil=pen)
+        res = eigenpairs(pen, 5)
         assert np.abs(res.values - dense[P:P + 5]).max() <= 1e-10 * dense[P]
         assert res.n_zero == P
         assert res.residuals.max() < 1e-10
@@ -103,7 +103,7 @@ def test_quadcurl_eig_beyond_former_dense_limit():
     mesh = generate_cube_mesh(10)
     pen = build_quadcurl_pencil(mesh, 1)
     assert (pen.n_free, pen.p_free) == (6130, 729)
-    res = solve_quadcurl_eig(mesh, 1, 2, pencil=pen)
+    res = eigenpairs(pen, 2)
     assert res.residuals.max() <= 1e-8
     assert res.n_zero == pen.p_free == 729
     assert res.div_residuals.max() <= 1e-8
@@ -129,6 +129,19 @@ def test_eig_invariant_under_dilation(cube2):
                 assert np.abs(q * L**4 - q_ref).max() <= 1e-9 * q_ref[0]
             m = solve_maxwell_eig(scaled, order, 4).values
             assert np.abs(m * L**2 - m_ref).max() <= 1e-9 * m_ref[0]
+
+
+def test_eigenpairs_take_the_shift_from_the_records_mesh(cube2):
+    """A record carries its own mesh, so its shift always fits its blocks.
+
+    The pencil of the cube dilated by 10 gives the unit cube's eigenvalues
+    times 10^-4.  With the unit cube's shift, the same blocks miss the
+    residual gate (relative residual 8.2e5).
+    """
+    ref = solve_quadcurl_eig(cube2, 1, 2).values
+    pen = build_quadcurl_pencil(Mesh(10.0 * cube2.vertices, cube2.tets), 1)
+    vals = eigenpairs(pen, 2).values
+    assert np.abs(vals / 1e-4 - ref).max() <= 1e-9 * ref[0]
 
 
 def test_eig_count_validation(cube2):
@@ -304,26 +317,18 @@ def test_traced_source_solve_reports_saddle_size(bench_spans):
         tracer.end(request)
     assert [span[0] for span in tracer.spans].count("solvers.saddle_solve") == 1
     pen = build_quadcurl_pencil(mesh, 1)
-    K, B = pen.block_pencil()
-    G = B @ pen.gradient_block()
+    K, B, Y = pen.operator()
+    G = B @ Y
     assert tracer.counts["solvers.saddle_dim"] == G.shape[0] + G.shape[1]
     assert tracer.counts["solvers.saddle_nnz"] == K.nnz + 2 * G.nnz
 
 
-def test_quadcurl_source_rejects_bad_load_length(cube2):
+def test_quadcurl_source_rejects_bad_load_length(pencil2):
     with pytest.raises(SpaceError):
-        solve_quadcurl_source(cube2, 1, load=np.ones(7))
+        solve_source(pencil2, np.ones(7))
 
 
-def test_quadcurl_source_needs_exactly_one_load(cube2):
-    with pytest.raises(SpaceError):
-        solve_quadcurl_source(cube2, 1)
-    with pytest.raises(SpaceError):
-        solve_quadcurl_source(cube2, 1, f=lambda x: np.zeros(np.asarray(x).shape),
-                              load=np.zeros(setup_spaces(cube2, 1).u0.num_free))
-
-
-def test_inverse_power_iteration_reaches_first_eigenvalue(cube2, pencil2):
+def test_inverse_power_iteration_reaches_first_eigenvalue(pencil2):
     """Repeated source solves with recycled loads converge to lambda_1.
 
     This ties the three-field (u, phi, p) source solver to the eigensolver
@@ -336,14 +341,30 @@ def test_inverse_power_iteration_reaches_first_eigenvalue(cube2, pencil2):
     for _ in range(40):
         Mu = pencil2.M_N.mat @ u
         Mu /= np.linalg.norm(Mu)
-        sol = solve_quadcurl_source(cube2, 1, load=Mu)
+        sol = solve_source(pencil2, Mu)
         u = sol.u.values[s.u0.free_dofs]
         phi = sol.phi.values
         lam = (phi @ (pencil2.M_M.mat @ phi)) / (u @ (pencil2.M_N.mat @ u))
-    eig = solve_quadcurl_eig(cube2, 1, 1, pencil=pencil2)
+    eig = eigenpairs(pencil2, 1)
     assert lam == pytest.approx(eig.values[0], rel=1e-6)
     assert eig.values[0] == pytest.approx(738.7206201, rel=1e-8)
     assert divergence_residual(s.uf, s.s0, sol.phi) <= 1e-10
+
+
+def test_maxwell_inverse_power_iteration_reaches_first_eigenvalue(cube2):
+    """Curl-curl source solves with the raw load M0 u converge to Maxwell's lambda_1.
+
+    The multiplier projects every iterate onto the discretely
+    divergence-free subspace, so the gradient modes at zero never attract it.
+    """
+    system = build_curlcurl_system(cube2, 1)
+    M0, free = system.M0.mat, system.spaces.u0.free_dofs
+    u = np.random.default_rng(0).standard_normal(system.n_free)
+    for _ in range(60):  # lambda_1 / lambda_2 = 0.87
+        Mu = M0 @ u
+        u = solve_source(system, Mu / np.linalg.norm(Mu)).u.values[free]
+    lam = (u @ (system.C0.mat @ u)) / (u @ (M0 @ u))
+    assert lam == pytest.approx(solve_maxwell_eig(cube2, 1, 1).values[0], rel=1e-6)
 
 
 def test_pencil_requires_interior_edges():
