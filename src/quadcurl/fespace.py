@@ -1,13 +1,13 @@
 """Global finite element spaces, interpolation, and field evaluation.
 
-A space couples a mesh with one reference family:
-
-* ``edge`` order k: one DoF per edge moment (k per edge) plus, for k = 2,
-  two per face.  Interpolation evaluates them with ``reference.entity_moments``
-  on the mesh's edges and faces, the same functionals that define the
-  reference dual basis.
-* ``nodal`` order k: scalar Lagrange, one DoF per vertex (and per edge
-  midpoint for k = 2).
+A space couples a mesh with one reference family, ``edge`` or ``nodal``.  Its
+layout is ``reference.DOFS_PER_ENTITY[(family, order)]``, the DoFs k per
+vertex, edge and face, laid on the topology the mesh built: entity types in
+that order, and slot j of entity e is global DoF offset + k e + j.
+Interpolation walks the same table: a nodal DoF is the field at the mean of
+the entity's corners (a vertex or an edge midpoint), and the edge DoFs are
+``reference.entity_moments`` on the mesh's edges and faces, the functionals
+that also define the reference dual basis.
 
 Since cells store ascending vertex indices, each global entity is traversed
 identically by every cell that shares it and local DoFs map to global DoFs
@@ -39,19 +39,27 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import SpaceError
-from .mesh import Mesh, Topology, build_topology
+from .mesh import Mesh
 from .quadrature import tet_rule
-from .reference import entity_moments, get_element
+from .reference import DOFS_PER_ENTITY, entity_moments, get_element
 
 INTERP_DEGREE = 13  # quadrature degree for entity moments of analytic fields
 
 
+def _entities(mesh: Mesh):
+    """(tet incidence, corner vertex ids, boundary mask) of vertices, edges and faces."""
+    t = mesh.topology
+    return ((mesh.tets, np.arange(mesh.num_vertices)[:, None], t.boundary_vertices),
+            (t.tet_edges, t.edges, t.boundary_edges), (t.tet_faces, t.faces, t.boundary_faces))
+
+
 @dataclass
 class FESpace:
-    """A global FE space; see module docstring for the DoF layout."""
+    """A global FE space; ``cell_dofs`` (T, element ndofs) holds each tet's
+    global DoFs in the element's order.  See the module docstring for the layout.
+    """
 
     mesh: Mesh
-    topo: Topology
     family: str
     order: int
     constrained: bool
@@ -60,40 +68,19 @@ class FESpace:
     free_dofs: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.family not in ("edge", "nodal"):
-            raise SpaceError(f"unknown family {self.family!r}")
-        if self.order not in (1, 2):
-            raise SpaceError(f"order must be 1 or 2, got {self.order}")
+        if (self.family, self.order) not in DOFS_PER_ENTITY:
+            raise SpaceError(f"no {self.family!r} space of order {self.order!r}")
         self.element = get_element(self.family, self.order)
-        topo = self.topo
-        E, F, V = topo.num_edges, topo.num_faces, self.mesh.num_vertices
-        emask, fmask, vmask = topo.boundary_edges, topo.boundary_faces, topo.boundary_vertices
-
-        if self.family == "edge" and self.order == 1:
-            self.ndofs = E
-            self.cell_dofs = topo.tet_edges.copy()
-            free = ~emask
-        elif self.family == "edge":
-            self.ndofs = 2 * E + 2 * F
-            cd = np.empty((self.mesh.num_tets, 20), dtype=np.int64)
-            cd[:, 0:12:2] = 2 * topo.tet_edges
-            cd[:, 1:12:2] = 2 * topo.tet_edges + 1
-            cd[:, 12::2] = 2 * E + 2 * topo.tet_faces
-            cd[:, 13::2] = 2 * E + 2 * topo.tet_faces + 1
-            self.cell_dofs = cd
-            free = np.empty(self.ndofs, dtype=bool)
-            free[0 : 2 * E : 2] = free[1 : 2 * E : 2] = ~emask
-            free[2 * E :: 2] = free[2 * E + 1 :: 2] = ~fmask
-        elif self.order == 1:
-            self.ndofs = V
-            self.cell_dofs = self.mesh.tets.copy()
-            free = ~vmask
-        else:
-            self.ndofs = V + E
-            self.cell_dofs = np.hstack([self.mesh.tets, V + topo.tet_edges])
-            free = np.concatenate([~vmask, ~emask])
-
-        self.free_dofs = np.flatnonzero(free)
+        cells, free, offset = [], [], 0
+        for k, (tet_entities, corners, boundary) in zip(
+                DOFS_PER_ENTITY[self.family, self.order], _entities(self.mesh)):
+            slots = offset + k * tet_entities[..., None] + np.arange(k)
+            cells.append(slots.reshape(len(slots), -1))
+            free.append(np.repeat(~boundary, k))
+            offset += k * len(corners)
+        self.ndofs = offset
+        self.cell_dofs = np.hstack(cells)
+        self.free_dofs = np.flatnonzero(np.concatenate(free))
         self.free_dofs.flags.writeable = False
         self.cell_dofs.flags.writeable = False
 
@@ -133,17 +120,9 @@ class DofVector:
             )
 
 
-def make_space(
-    mesh: Mesh,
-    family: str,
-    order: int,
-    constrained: bool = False,
-    topo: Topology | None = None,
-) -> FESpace:
-    """Build a global space; the topology is derived when not supplied."""
-    if topo is None:
-        topo = build_topology(mesh)
-    return FESpace(mesh, topo, family, order, constrained)
+def make_space(mesh: Mesh, family: str, order: int, constrained: bool = False) -> FESpace:
+    """Build a global space on the mesh's topology."""
+    return FESpace(mesh, family, order, constrained)
 
 
 # --- geometry ---------------------------------------------------------------
@@ -206,13 +185,14 @@ def _pushed_field(coeffs: np.ndarray, ref: np.ndarray, A: np.ndarray) -> np.ndar
     return np.tensordot(coeffs, ref, axes=(1, 1)) @ A.transpose(0, 2, 1)
 
 
-def eval_cells(space: FESpace, vec: DofVector, ref_points: np.ndarray):
-    """Evaluate a field on every tet at shared reference points.
+def eval_cells(vec: DofVector, ref_points: np.ndarray):
+    """Evaluate a field on every tet of its space's mesh at shared reference points.
 
     Returns (values, derivs): for the edge family, values and curls, both of
     shape (T, n, 3); for the nodal family, values (T, n) and gradients
     (T, n, 3).
     """
+    space = vec.space
     rv, rd = reference_basis(space, ref_points)
     value_map, deriv_map, _ = push_forward(space)
     coeffs = vec.values[space.cell_dofs]
@@ -226,34 +206,30 @@ def eval_cells(space: FESpace, vec: DofVector, ref_points: np.ndarray):
 
 
 def interpolate(space: FESpace, fn, degree: int = INTERP_DEGREE) -> DofVector:
-    """Entity-moment interpolation of an analytic field.
+    """Interpolation of an analytic field by the space's DoF functionals.
 
     For the edge family, fn maps points (..., 3) to vector values (..., 3)
     and the edge/face moment functionals are evaluated with a quadrature of
-    the given degree.  For the nodal family, fn maps (..., 3) to scalars and
-    interpolation is pointwise at vertices (and edge midpoints for order 2).
+    the given degree.  For the nodal family, fn maps (..., 3) to scalars,
+    taken at vertices (and edge midpoints for order 2).
     """
-    mesh, topo = space.mesh, space.topo
-    verts = mesh.vertices
-    if space.family == "nodal":
-        out = np.zeros(space.ndofs)
-        out[: mesh.num_vertices] = fn(verts)
-        if space.order == 2:
-            mids = 0.5 * (verts[topo.edges[:, 0]] + verts[topo.edges[:, 1]])
-            out[mesh.num_vertices :] = fn(mids)
-        return DofVector(space, out)
-
-    moments = [entity_moments(fn, verts[topo.edges], space.order, degree)]
-    if space.order == 2:
-        moments.append(entity_moments(fn, verts[topo.faces], space.order, degree))
-    return DofVector(space, np.concatenate([m.ravel() for m in moments]))
+    values = []
+    for k, (_, corners, _) in zip(DOFS_PER_ENTITY[space.family, space.order],
+                                  _entities(space.mesh)):
+        if k == 0:
+            continue
+        points = space.mesh.vertices[corners]
+        if space.family == "nodal":
+            values.append(fn(points.mean(axis=1)))
+        else:
+            values.append(entity_moments(fn, points, space.order, degree).ravel())
+    return DofVector(space, np.concatenate(values))
 
 
 # --- norms and errors -------------------------------------------------------
 
 
 def integrate_errors(
-    space: FESpace,
     vec: DofVector,
     exact_value=None,
     exact_deriv=None,
@@ -265,14 +241,15 @@ def integrate_errors(
     nodal family.  Passing None for either exact field compares against zero,
     which turns the corresponding output into a plain L2 norm.
     """
+    mesh = vec.space.mesh
     rule = tet_rule(degree)
-    vals, derivs = eval_cells(space, vec, rule.points)
-    X = map_points(space.mesh, rule.points)
+    vals, derivs = eval_cells(vec, rule.points)
+    X = map_points(mesh, rule.points)
     if exact_value is not None:
         vals = vals - exact_value(X)
     if exact_deriv is not None:
         derivs = derivs - exact_deriv(X)
-    absdet = np.abs(space.mesh.jac_det)
+    absdet = np.abs(mesh.jac_det)
 
     def norm(v):
         sq = (v * v).reshape(len(absdet), len(rule.weights), -1).sum(axis=2)

@@ -153,8 +153,7 @@ def convergence_study(
                 space = make_space(mesh, "edge", order)
                 u, curl_u = smooth_field()
                 vec = interpolate(space, u)
-                e0, e1 = integrate_errors(space, vec, exact_value=u,
-                                          exact_deriv=curl_u)
+                e0, e1 = integrate_errors(vec, exact_value=u, exact_deriv=curl_u)
                 eh = float(np.hypot(e0, e1))
                 errs.append(eh)
                 rows.append([order, n, mesh.h_max, space.ndofs, 0, e0, e1, eh])
@@ -173,8 +172,7 @@ def convergence_study(
                              sol.errors["curl_u"], sol.errors["phi"], eh,
                              sol.p_ratio])
             else:
-                kind = "maxwell" if problem == "maxwell-eig" else "quadcurl"
-                res, dims, _ = _solve_eig(kind, mesh, order, num)
+                res, dims, _ = _solve_eig(problem, mesh, order, num)
                 rows.append([order, n, mesh.h_max, dims[0], dims[1],
                              *res.values[:num], sum(dims)])
         if problem in ("interp", "curlcurl-src", "quadcurl-src"):
@@ -241,18 +239,19 @@ def _source_dims(sol) -> tuple[int, int]:
     return sol.u.space.num_free, sol.u.space.ndofs
 
 
-def _solve_eig(kind: str, mesh: Mesh, order: int, num: int):
+def _solve_eig(problem: str, mesh: Mesh, order: int, num: int):
     """Eigen solve, its (N, M) and the record's named blocks; M is 0 for Maxwell."""
-    system = (build_curlcurl_system if kind == "maxwell" else build_quadcurl_pencil)(mesh, order)
+    build = build_curlcurl_system if problem == "maxwell-eig" else build_quadcurl_pencil
+    system = build(mesh, order)
     res = eigenpairs(system, num)
     blocks = {name: m for name, m in vars(system).items() if isinstance(m, SparseMatrix)}
     return res, (system.n_free, system.m_total), blocks
 
 
-def _eig_single_table(kind: str, mesh: Mesh, order: int, num: int):
+def _eig_single_table(problem: str, mesh: Mesh, order: int, num: int):
     """One mesh's eigenvalue table and the named blocks it was solved from."""
-    res, dims, blocks = _solve_eig(kind, mesh, order, num)
-    table = ConvergenceTable(problem=f"{kind}-eig",
+    res, dims, blocks = _solve_eig(problem, mesh, order, num)
+    table = ConvergenceTable(problem=problem,
                              headers=["index", "lambda", "dof"])
     for i, lam in enumerate(res.values[:num]):
         table.rows.append([i + 1, lam, sum(dims)])
@@ -318,7 +317,7 @@ def _parse_levels(text: str) -> list:
 
 def _info_table(mesh: Mesh, order: int) -> ConvergenceTable:
     sp = setup_spaces(mesh, order)
-    topo = sp.u0.topo
+    topo = mesh.topology
     table = ConvergenceTable(problem="info", headers=["key", "value"])
     pairs = [
         ("vertices", mesh.vertices.shape[0]),
@@ -371,17 +370,16 @@ def run_cli(argv) -> int:
             mesh = parse_mesh_spec(DEFAULT_MESH if args.mesh is None else args.mesh)
             table = _info_table(mesh, args.order)
         elif args.command in ("eig", "maxwell"):
-            kind = "quadcurl" if args.command == "eig" else "maxwell"
+            problem = "quadcurl-eig" if args.command == "eig" else "maxwell-eig"
             if args.levels is not None:
                 if args.mesh is not None or args.dump_matrices is not None:
                     raise UsageError("--levels runs on cube levels; it takes "
                                      "neither --mesh nor --dump-matrices")
                 levels = _parse_levels(args.levels)
-                table = convergence_study(f"{kind}-eig", args.order, levels,
-                                          num=args.num)
+                table = convergence_study(problem, args.order, levels, num=args.num)
             else:
                 mesh = parse_mesh_spec(DEFAULT_MESH if args.mesh is None else args.mesh)
-                table, blocks = _eig_single_table(kind, mesh, args.order, args.num)
+                table, blocks = _eig_single_table(problem, mesh, args.order, args.num)
                 if args.dump_matrices is not None:
                     _dump_matrices(args.dump_matrices, blocks)
         elif args.command == "source-conv":

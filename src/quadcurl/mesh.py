@@ -11,11 +11,11 @@ The maps from the reference tetrahedron are affine, so each tet's Jacobian,
 its inverse and its determinant are computed once, at construction, and kept
 on the mesh.
 
-Entity numbering produced by :func:`build_topology` depends only on the set
-of tetrahedra, not on their order in the array: unique sorted vertex tuples
-are ranked lexicographically.  The same pass marks the boundary: a face is on
-it when it has one incident tet, and an edge or vertex when it lies on such a
-face.
+Each mesh builds its :class:`Topology` at construction.  Entity numbering
+depends only on the set of tetrahedra, not on their order in the array: unique
+sorted vertex tuples are ranked lexicographically.  The same pass marks the
+boundary: a face is on it when it has one incident tet, and an edge or vertex
+when it lies on such a face.
 """
 
 from __future__ import annotations
@@ -58,9 +58,11 @@ class Mesh:
         1e-12 times the cube of its longest edge is rejected as degenerate,
         and so is a vertex that no tet uses.
 
-    Construction also sets ``h_max`` (the longest edge) and the affine map
-    x = v_0 + J x_hat of every tet: ``jac`` (T, 3, 3), whose column d is
-    vertex d+1 minus vertex 0, ``jac_inv`` and ``jac_det``.
+    Construction also sets ``h_max`` (the longest edge), the affine map
+    x = v_0 + J x_hat of every tet (``jac`` (T, 3, 3), whose column d is
+    vertex d+1 minus vertex 0, ``jac_inv`` and ``jac_det``) and the
+    ``topology`` that every space on the mesh reads; a face of more than two
+    tets raises NonConformingMeshError.
     """
 
     vertices: np.ndarray
@@ -69,6 +71,7 @@ class Mesh:
     jac: np.ndarray = field(init=False, repr=False, compare=False)
     jac_inv: np.ndarray = field(init=False, repr=False, compare=False)
     jac_det: np.ndarray = field(init=False, repr=False, compare=False)
+    topology: Topology = field(init=False, repr=False, compare=False)
     # (reference points key, mapped points) of the last fespace.map_points call.
     _mapped_points: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -107,6 +110,7 @@ class Mesh:
         if (np.abs(self.jac_det) <= 1e-12 * longest**3).any():
             raise MeshError("degenerate tetrahedron (zero volume)")
         self.jac_inv = _freeze(np.linalg.inv(self.jac))
+        self.topology = build_topology(self)
 
     @property
     def num_vertices(self) -> int:

@@ -42,6 +42,11 @@ REF_VERTS = np.array(
     [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
 )
 
+# DoFs per (vertex, edge, face) of each (family, order).  An element lists its
+# DoFs type by type, in LOCAL_EDGES / LOCAL_FACES order, so 4v + 6e + 4f = ndofs.
+DOFS_PER_ENTITY = {("edge", 1): (0, 1, 0), ("edge", 2): (0, 2, 2),
+                   ("nodal", 1): (1, 0, 0), ("nodal", 2): (1, 1, 0)}
+
 # --- tiny exponent-dict polynomials -----------------------------------------
 # A scalar polynomial is {exponent tuple: coeff}, the exponents of (x, y, z)
 # here (manufactured.py uses the same ring over cos and sin of pi x_k); a
@@ -185,9 +190,9 @@ class EdgeElement:
             return vals.reshape(pts.shape[:2] + vals.shape[1:])
 
         degree = 2 * self.order + 2
-        blocks = [entity_moments(fn, REF_VERTS[LOCAL_EDGES], self.order, degree)]
-        if self.order == 2:
-            blocks.append(entity_moments(fn, REF_VERTS[LOCAL_FACES], self.order, degree))
+        blocks = [entity_moments(fn, REF_VERTS[local], self.order, degree)
+                  for k, local in zip(DOFS_PER_ENTITY["edge", self.order][1:],
+                                      (LOCAL_EDGES, LOCAL_FACES)) if k]
         return np.concatenate([b.reshape(-1, b.shape[-1]) for b in blocks])
 
     def tabulate(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -53,7 +53,7 @@ from .assembly import (
 from .errors import NotSPDError, SpaceError
 from .fespace import DofVector, FESpace, integrate_errors, make_space
 from .manufactured import ManufacturedCase
-from .mesh import Mesh, build_topology
+from .mesh import Mesh
 from .solvers import EigenResult, gen_sym_eig, saddle_solve
 
 
@@ -67,11 +67,10 @@ class Spaces:
 
 
 def setup_spaces(mesh: Mesh, order: int) -> Spaces:
-    topo = build_topology(mesh)
     return Spaces(
-        u0=make_space(mesh, "edge", order, constrained=True, topo=topo),
-        uf=make_space(mesh, "edge", order, constrained=False, topo=topo),
-        s0=make_space(mesh, "nodal", order, constrained=True, topo=topo),
+        u0=make_space(mesh, "edge", order, constrained=True),
+        uf=make_space(mesh, "edge", order, constrained=False),
+        s0=make_space(mesh, "nodal", order, constrained=True),
     )
 
 
@@ -271,7 +270,7 @@ def solve_curlcurl_source(mesh: Mesh, order: int, f) -> SourceSolution:
     """
     sol, case = _solve_analytic(build_curlcurl_system(mesh, order), f)
     if case is not None:
-        e_l2, e_curl = integrate_errors(sol.u.space, sol.u, case.u, case.curl_u)
+        e_l2, e_curl = integrate_errors(sol.u, case.u, case.curl_u)
         sol.errors = {"l2": e_l2, "curl": e_curl, "hcurl": float(np.hypot(e_l2, e_curl))}
     return sol
 
@@ -284,7 +283,7 @@ def solve_quadcurl_source(mesh: Mesh, order: int, f) -> SourceSolution:
     """
     sol, case = _solve_analytic(build_quadcurl_pencil(mesh, order), f)
     if case is not None:
-        e_l2, e_curl = integrate_errors(sol.u.space, sol.u, case.u, case.curl_u)
-        e_phi, _ = integrate_errors(sol.phi.space, sol.phi, case.curl2_u, None)
+        e_l2, e_curl = integrate_errors(sol.u, case.u, case.curl_u)
+        e_phi, _ = integrate_errors(sol.phi, case.curl2_u, None)
         sol.errors = {"l2_u": e_l2, "curl_u": e_curl, "phi": e_phi, "combined": e_curl + e_phi}
     return sol

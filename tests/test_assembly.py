@@ -183,8 +183,8 @@ def test_gradient_map_matches_pointwise_gradient(order):
     p = rng.standard_normal(nodal.ndofs)
     gp = DofVector(edge, G.mat @ p)
     pts = np.array([[0.25, 0.25, 0.25], [0.1, 0.3, 0.2], [0.5, 0.2, 0.1]])
-    edge_vals, edge_curls = eval_cells(edge, gp, pts)
-    _, nodal_grads = eval_cells(nodal, DofVector(nodal, p), pts)
+    edge_vals, edge_curls = eval_cells(gp, pts)
+    _, nodal_grads = eval_cells(DofVector(nodal, p), pts)
     assert np.abs(edge_vals - nodal_grads).max() < 1e-11
     assert np.abs(edge_curls).max() < 1e-10
 

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import quadcurl
 from quadcurl import generate_cube_mesh
 
@@ -32,12 +34,16 @@ def test_traced_eig_solve_counts_assembled_matrices(bench_spans):
     assert tracer.counts["assembly.local_flops"] > 0
 
 
-def test_traced_eig_solve_builds_topology_once(bench_spans):
-    """Boundary masks come from ``build_topology``; no second pass runs."""
+@pytest.mark.parametrize("run", [
+    pytest.param(lambda: quadcurl.solve_quadcurl_eig(generate_cube_mesh(2), 1, 2), id="eig"),
+    pytest.param(lambda: quadcurl.convergence_study("quadcurl-src", 1, [2]), id="src-study"),
+])
+def test_traced_eig_solve_builds_topology_once(bench_spans, run):
+    """A request on one mesh spans one ``build_topology``, the mesh's own; no second pass runs."""
     tracer = bench_spans.Tracer()
     with bench_spans.traced(quadcurl, tracer):
         request = tracer.begin(0)
-        quadcurl.solve_quadcurl_eig(generate_cube_mesh(2), 1, 2)
+        run()
         tracer.end(request)
     names = [span[0] for span in tracer.spans]
     assert names.count("mesh.build_topology") == 1

@@ -1,10 +1,12 @@
+import os
+
 import numpy as np
 import pytest
 
-from meshes import jittered_cube_mesh
+from meshes import five_tet_cube_mesh, jittered_cube_mesh
 from quadcurl import (
     DofVector, Mesh, build_topology, generate_cube_mesh, integrate_errors,
-    interpolate, make_space,
+    interpolate, make_space, read_gmsh,
 )
 from quadcurl.errors import SpaceError
 from quadcurl.fespace import eval_cells, map_points, reference_basis
@@ -34,6 +36,56 @@ def test_constrained_counts(cube2, cube3):
     assert make_space(cube2, "nodal", 2, constrained=True).num_free == 1 + 26
 
 
+def _layout_oracle(mesh, family, order):
+    """(ndofs, cell_dofs, free_dofs) written out per (family, order), entity by entity."""
+    topo = mesh.topology
+    E, F, V = topo.num_edges, topo.num_faces, mesh.num_vertices
+    emask, fmask, vmask = topo.boundary_edges, topo.boundary_faces, topo.boundary_vertices
+    if family == "edge" and order == 1:
+        ndofs, cell_dofs, free = E, topo.tet_edges.copy(), ~emask
+    elif family == "edge":
+        ndofs = 2 * E + 2 * F
+        cell_dofs = np.empty((mesh.num_tets, 20), dtype=np.int64)
+        cell_dofs[:, 0:12:2] = 2 * topo.tet_edges
+        cell_dofs[:, 1:12:2] = 2 * topo.tet_edges + 1
+        cell_dofs[:, 12::2] = 2 * E + 2 * topo.tet_faces
+        cell_dofs[:, 13::2] = 2 * E + 2 * topo.tet_faces + 1
+        free = np.empty(ndofs, dtype=bool)
+        free[0 : 2 * E : 2] = free[1 : 2 * E : 2] = ~emask
+        free[2 * E :: 2] = free[2 * E + 1 :: 2] = ~fmask
+    elif order == 1:
+        ndofs, cell_dofs, free = V, mesh.tets.copy(), ~vmask
+    else:
+        ndofs = V + E
+        cell_dofs = np.hstack([mesh.tets, V + topo.tet_edges])
+        free = np.concatenate([~vmask, ~emask])
+    return ndofs, cell_dofs, np.flatnonzero(free)
+
+
+def _ball_mesh():
+    with open(os.path.join(os.path.dirname(__file__), "data", "ball_h03.msh")) as fh:
+        return read_gmsh(fh.read())
+
+
+@pytest.mark.parametrize("family,order", [("edge", 1), ("edge", 2), ("nodal", 1), ("nodal", 2)])
+@pytest.mark.parametrize("make_mesh", [
+    pytest.param(lambda: generate_cube_mesh(2), id="kuhn"),
+    pytest.param(lambda: five_tet_cube_mesh(2), id="five-tet"),
+    pytest.param(lambda: jittered_cube_mesh(2, seed=7), id="jittered"),
+    pytest.param(_ball_mesh, id="ball"),
+])
+def test_layout_matches_written_out_branches(make_mesh, family, order):
+    """The DOFS_PER_ENTITY layout is bitwise the one written out per (family, order)."""
+    mesh = make_mesh()
+    ndofs, cell_dofs, free_dofs = _layout_oracle(mesh, family, order)
+    for constrained in (False, True):
+        space = make_space(mesh, family, order, constrained)
+        assert space.ndofs == ndofs
+        for got, want in ((space.cell_dofs, cell_dofs), (space.free_dofs, free_dofs)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
 def test_unconstrained_active_is_all(cube2):
     space = make_space(cube2, "edge", 1)
     assert space.num_active == space.ndofs
@@ -46,7 +98,7 @@ def test_constant_field_reproduced(order):
     space = make_space(mesh, "edge", order)
     c = np.array([1.0, -2.0, 0.5])
     vec = interpolate(space, lambda x: np.broadcast_to(c, np.asarray(x).shape).copy())
-    vals, curls = eval_cells(space, vec, REF_PTS)
+    vals, curls = eval_cells(vec, REF_PTS)
     assert np.abs(vals - c).max() < 1e-11
     assert np.abs(curls).max() < 1e-10
 
@@ -58,7 +110,7 @@ def test_rotational_field_reproduced(order):
     space = make_space(mesh, "edge", order)
     c = np.array([0.4, 1.3, -0.6])
     vec = interpolate(space, lambda x: np.cross(np.asarray(x), c))
-    vals, curls = eval_cells(space, vec, REF_PTS)
+    vals, curls = eval_cells(vec, REF_PTS)
     phys = map_points(mesh, REF_PTS)
     assert np.abs(vals - np.cross(phys, c)).max() < 1e-11
     assert np.abs(curls - (-2.0 * c)).max() < 1e-10
@@ -70,7 +122,7 @@ def test_order2_reproduces_general_linear():
     A = np.array([[0.3, 1.2, -0.1], [0.7, -0.5, 0.2], [0.0, 0.8, 1.1]])
     b = np.array([0.2, -0.9, 0.4])
     vec = interpolate(space, lambda x: np.asarray(x) @ A.T + b)
-    vals, _ = eval_cells(space, vec, REF_PTS)
+    vals, _ = eval_cells(vec, REF_PTS)
     phys = map_points(mesh, REF_PTS)
     assert np.abs(vals - (phys @ A.T + b)).max() < 1e-10
 
@@ -78,7 +130,7 @@ def test_order2_reproduces_general_linear():
 def test_nodal_interpolation_exact_for_polynomials(cube2):
     s1 = make_space(cube2, "nodal", 1)
     v1 = interpolate(s1, lambda x: 2.0 * x[..., 0] - x[..., 2] + 1.0)
-    vals, grads = eval_cells(s1, v1, REF_PTS)
+    vals, grads = eval_cells(v1, REF_PTS)
     phys = map_points(cube2, REF_PTS)
     assert np.abs(vals - (2 * phys[..., 0] - phys[..., 2] + 1)).max() < 1e-12
     assert np.abs(grads - np.array([2.0, 0.0, -1.0])).max() < 1e-12
@@ -90,7 +142,7 @@ def test_nodal_interpolation_exact_for_polynomials(cube2):
         return x[..., 0] * x[..., 1] + x[..., 2] ** 2
 
     v2 = interpolate(s2, q)
-    vals2, _ = eval_cells(s2, v2, REF_PTS)
+    vals2, _ = eval_cells(v2, REF_PTS)
     assert np.abs(vals2 - q(phys)).max() < 1e-11
 
 
@@ -107,7 +159,7 @@ def test_tangential_continuity_across_interior_faces(order):
     # vertices: two tets sharing a face both see it at the same physical point.
     corners = np.vstack([np.zeros(3), np.eye(3)])
     pts = np.einsum("k,fkd->fd", [0.55, 0.25, 0.20], corners[LOCAL_FACES])
-    vals, _ = eval_cells(space, vec, pts)
+    vals, _ = eval_cells(vec, pts)
     phys = map_points(mesh, pts)
 
     interior = np.flatnonzero(topo.face_tets[:, 1] >= 0)
@@ -182,7 +234,7 @@ def test_interpolation_error_decreases():
         mesh = generate_cube_mesh(n)
         space = make_space(mesh, "edge", 1)
         vec = interpolate(space, u)
-        e0, _ = integrate_errors(space, vec, exact_value=u)
+        e0, _ = integrate_errors(vec, exact_value=u)
         errs.append(e0)
     assert errs[1] < 0.65 * errs[0]
 
@@ -191,7 +243,7 @@ def test_integrate_errors_zero_for_exact_field(cube2):
     space = make_space(cube2, "edge", 1)
     c = np.array([0.3, 0.1, -0.2])
     vec = interpolate(space, lambda x: np.cross(np.asarray(x), c))
-    e0, e1 = integrate_errors(space, vec,
+    e0, e1 = integrate_errors(vec,
                               exact_value=lambda x: np.cross(np.asarray(x), c),
                               exact_deriv=lambda x: np.broadcast_to(
                                   -2.0 * c, np.asarray(x).shape).copy())

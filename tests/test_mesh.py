@@ -236,9 +236,8 @@ def test_nonconforming_mesh_detected():
     # three tets sharing the face (0,1,2)
     verts = np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0],
                       [0.0, 0, 1], [0.0, 0, -1], [1.0, 1, 1]])
-    mesh = Mesh(verts, np.array([[0, 1, 2, 3], [0, 1, 2, 4], [0, 1, 2, 5]]))
     with pytest.raises(NonConformingMeshError):
-        build_topology(mesh)
+        Mesh(verts, np.array([[0, 1, 2, 3], [0, 1, 2, 4], [0, 1, 2, 5]]))
 
 
 def test_edge_orientation_low_to_high():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from quadcurl.errors import SpaceError
-from quadcurl.reference import get_element, ref_gradient_matrix
+from quadcurl.reference import DOFS_PER_ENTITY, get_element, ref_gradient_matrix
 
 RNG = np.random.default_rng(42)
 
@@ -161,6 +161,13 @@ def test_nodal_order2_kronecker_property():
     nodes = np.vstack([verts, mids])
     vals, _ = el.tabulate(nodes)
     assert np.abs(vals - np.eye(10)).max() < 1e-12
+
+
+def test_dofs_per_entity_count_the_element_dofs():
+    """4 vertices, 6 edges and 4 faces carry all of an element's DoFs."""
+    assert set(DOFS_PER_ENTITY) == {(f, k) for f in ("edge", "nodal") for k in (1, 2)}
+    for (family, order), (v, e, f) in DOFS_PER_ENTITY.items():
+        assert 4 * v + 6 * e + 4 * f == get_element(family, order).ndofs
 
 
 def test_unknown_family_rejected():

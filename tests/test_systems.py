@@ -367,6 +367,15 @@ def test_maxwell_inverse_power_iteration_reaches_first_eigenvalue(cube2):
     assert lam == pytest.approx(solve_maxwell_eig(cube2, 1, 1).values[0], rel=1e-6)
 
 
+def test_setup_spaces_share_the_meshs_topology(cube2):
+    """u0, uf and s0 all read the one topology the mesh built."""
+    topo = cube2.topology
+    s = setup_spaces(cube2, 2)
+    assert all(space.mesh.topology is topo for space in (s.u0, s.uf, s.s0))
+    assert s.uf.ndofs == 2 * topo.num_edges + 2 * topo.num_faces
+    assert s.s0.ndofs == cube2.num_vertices + topo.num_edges
+
+
 def test_pencil_requires_interior_edges():
     from quadcurl.mesh import Mesh
 
