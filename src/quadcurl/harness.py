@@ -15,10 +15,12 @@ Subcommands
 ``info``
     Mesh and space dimensions for a given mesh/order.
 
-``eig`` and ``maxwell`` build the model problem's record
-(``build_quadcurl_pencil`` or ``build_curlcurl_system``), solve it with
-``eigenpairs`` and dump that record's matrix fields by name; the source
-studies call the ``solve_*_source`` entry points.
+``PROBLEMS`` is the one table of the five studies: per problem id, its CSV
+columns, CLI default levels and the function that measures one mesh.  The
+source studies take the fields ``solve_*_source`` returns and integrate their
+errors against the manufactured case here.  ``eig`` and ``maxwell`` on one
+mesh build the model problem's record, solve it with ``eigenpairs`` and dump
+that record's matrix fields by name.
 
 Each subcommand accepts only the options it reads.  Mesh specs take the
 form ``cube:n=<int>`` (structured Kuhn mesh of the unit cube) or
@@ -37,7 +39,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -55,12 +57,69 @@ from .systems import (
     solve_quadcurl_source,
 )
 
-PROBLEMS = ("interp", "curlcurl-src", "quadcurl-src", "maxwell-eig", "quadcurl-eig")
 
-DEFAULT_LEVELS = {
-    "interp": (2, 4, 8),
-    "curlcurl-src": (2, 4, 8),
-    "quadcurl-src": (2, 3, 4),
+class _Study(NamedTuple):
+    columns: Callable[[int], list]  # CSV columns after order, level, h_max, N, M, given num
+    levels: tuple  # CLI default levels; none where the CLI runs one mesh without --levels
+    measure: Callable  # (mesh, order, num) -> ((N, M), column values, error to rate or None)
+
+
+def _source_dims(sol) -> tuple[int, int]:
+    """(N, M) of a source solve: free U_{0,h} DoFs and all U_h DoFs."""
+    return sol.u.space.num_free, sol.u.space.ndofs
+
+
+def _measure_interp(mesh: Mesh, order: int, num: int):
+    """Edge interpolant of the smooth field: L2, curl and H(curl) errors."""
+    space = make_space(mesh, "edge", order)
+    u, curl_u = smooth_field()
+    e0, e1 = integrate_errors(interpolate(space, u), exact_value=u, exact_deriv=curl_u)
+    eh = float(np.hypot(e0, e1))
+    return (space.ndofs, 0), [e0, e1, eh], eh
+
+
+def _measure_curlcurl_src(mesh: Mesh, order: int, num: int):
+    """Curl-curl solve of the sine case: u's L2, curl and H(curl) errors and p_ratio."""
+    case = curlcurl_sine_case()
+    sol = solve_curlcurl_source(mesh, order, case.f)
+    e0, e1 = integrate_errors(sol.u, case.u, case.curl_u)
+    eh = float(np.hypot(e0, e1))
+    return _source_dims(sol), [e0, e1, eh, sol.p_ratio], eh
+
+
+def _measure_quadcurl_src(mesh: Mesh, order: int, num: int):
+    """Quad-curl solve of the sin^3 case: u's curl error, phi's against curl^2 u, p_ratio."""
+    case = quadcurl_sin3_case()
+    sol = solve_quadcurl_source(mesh, order, case.f)
+    _, e_curl = integrate_errors(sol.u, case.u, case.curl_u)
+    e_phi, _ = integrate_errors(sol.phi, case.curl2_u, None)
+    return _source_dims(sol), [e_curl, e_phi, e_curl + e_phi, sol.p_ratio], e_curl + e_phi
+
+
+def _eig_row(system, num: int):
+    """The first num eigenvalues of a record and its N + M; no error to rate."""
+    res = eigenpairs(system, num)
+    dims = (system.n_free, system.m_total)
+    return dims, [*res.values[:num], sum(dims)], None
+
+
+def _eig_columns(num: int) -> list:
+    return [f"lambda_{i + 1}" for i in range(num)] + ["dof"]
+
+
+# The source and eigen entry points are looked up when a study runs, not
+# bound here, so a wrapper installed on the module's names sees every call.
+PROBLEMS = {
+    "interp": _Study(lambda num: ["err_l2", "err_curl", "err_hcurl", "rate"],
+                     (2, 4, 8), _measure_interp),
+    "curlcurl-src": _Study(lambda num: ["err_l2", "err_curl", "err_hcurl", "p_ratio", "rate"],
+                           (2, 4, 8), _measure_curlcurl_src),
+    "quadcurl-src": _Study(lambda num: ["err_curl_u", "err_phi", "err_combined", "p_ratio", "rate"],
+                           (2, 3, 4), _measure_quadcurl_src),
+    "maxwell-eig": _Study(_eig_columns, (), lambda mesh, order, num:
+                          _eig_row(build_curlcurl_system(mesh, order), num)),
+    "quadcurl-eig": _Study(_eig_columns, (), lambda mesh, order, num:
+                           _eig_row(build_quadcurl_pencil(mesh, order), num)),
 }
 
 
@@ -115,14 +174,14 @@ def convergence_study(
     num: int = 1,
     mesh_factory: Callable[[int], Mesh] = generate_cube_mesh,
 ) -> ConvergenceTable:
-    """Run one problem over refinement levels and collect a rate table.
+    """Run one problem of ``PROBLEMS`` over refinement levels and collect a rate table.
 
     ``orders`` may be a single order or a sequence; rows are emitted per
     (order, level) pair. ``levels`` are cube subdivision counts, strictly
-    increasing.
+    increasing.  A study whose measure returns an error gets a rate column.
     """
     if problem not in PROBLEMS:
-        raise UsageError(f"unknown problem id {problem!r}; choose from {PROBLEMS}")
+        raise UsageError(f"unknown problem id {problem!r}; choose from {tuple(PROBLEMS)}")
     levels = [int(n) for n in levels]
     if len(levels) == 0 or any(n <= 0 for n in levels):
         raise UsageError("levels must be positive integers")
@@ -131,51 +190,20 @@ def convergence_study(
     if isinstance(orders, (int, np.integer)):
         orders = [int(orders)]
 
-    base = ["order", "level", "h_max", "N", "M"]
-    if problem == "interp":
-        headers = base + ["err_l2", "err_curl", "err_hcurl", "rate"]
-    elif problem == "curlcurl-src":
-        headers = base + ["err_l2", "err_curl", "err_hcurl", "p_ratio", "rate"]
-    elif problem == "quadcurl-src":
-        headers = base + ["err_curl_u", "err_phi", "err_combined", "p_ratio", "rate"]
-    else:
-        headers = base + [f"lambda_{i + 1}" for i in range(num)] + ["dof"]
-
-    table = ConvergenceTable(problem=problem, headers=headers)
+    study = PROBLEMS[problem]
+    table = ConvergenceTable(problem=problem,
+                             headers=["order", "level", "h_max", "N", "M", *study.columns(num)])
     for order in orders:
         hs: list[float] = []
-        errs: list[float] = []
+        errs: list = []
         rows: list[list] = []
         for n in levels:
             mesh = mesh_factory(n)
+            (N, M), values, err = study.measure(mesh, order, num)
             hs.append(mesh.h_max)
-            if problem == "interp":
-                space = make_space(mesh, "edge", order)
-                u, curl_u = smooth_field()
-                vec = interpolate(space, u)
-                e0, e1 = integrate_errors(vec, exact_value=u, exact_deriv=curl_u)
-                eh = float(np.hypot(e0, e1))
-                errs.append(eh)
-                rows.append([order, n, mesh.h_max, space.ndofs, 0, e0, e1, eh])
-            elif problem == "curlcurl-src":
-                sol = solve_curlcurl_source(mesh, order, curlcurl_sine_case())
-                eh = sol.errors["hcurl"]
-                errs.append(eh)
-                rows.append([order, n, mesh.h_max, *_source_dims(sol),
-                             sol.errors["l2"], sol.errors["curl"], eh,
-                             sol.p_ratio])
-            elif problem == "quadcurl-src":
-                sol = solve_quadcurl_source(mesh, order, quadcurl_sin3_case())
-                eh = sol.errors["combined"]
-                errs.append(eh)
-                rows.append([order, n, mesh.h_max, *_source_dims(sol),
-                             sol.errors["curl_u"], sol.errors["phi"], eh,
-                             sol.p_ratio])
-            else:
-                res, dims, _ = _solve_eig(problem, mesh, order, num)
-                rows.append([order, n, mesh.h_max, dims[0], dims[1],
-                             *res.values[:num], sum(dims)])
-        if problem in ("interp", "curlcurl-src", "quadcurl-src"):
+            errs.append(err)
+            rows.append([order, n, mesh.h_max, N, M, *values])
+        if errs[0] is not None:
             for row, rate in zip(rows, observed_rates(hs, errs)):
                 row.append(rate)
         table.rows.extend(rows)
@@ -224,38 +252,24 @@ def parse_mesh_spec(spec: str) -> Mesh:
     raise UsageError(f"bad mesh spec {spec!r}; expected cube:n=<int> or file:<path>")
 
 
-def _dump_matrices(directory: str, blocks: dict) -> None:
-    """Dump named system matrices in coordinate text format."""
+def _dump_matrices(directory: str, system) -> None:
+    """Dump a record's matrix fields, by field name, in coordinate text format."""
     try:
         os.makedirs(directory, exist_ok=True)
-        for name, mat in blocks.items():
-            mat.dump(os.path.join(directory, f"{name}.txt"))
+        for name, mat in vars(system).items():
+            if isinstance(mat, SparseMatrix):
+                mat.dump(os.path.join(directory, f"{name}.txt"))
     except OSError as exc:
         raise UsageError(f"dump directory unwritable: {exc}")
 
 
-def _source_dims(sol) -> tuple[int, int]:
-    """(N, M) of a source solve: free U_{0,h} DoFs and all U_h DoFs."""
-    return sol.u.space.num_free, sol.u.space.ndofs
-
-
-def _solve_eig(problem: str, mesh: Mesh, order: int, num: int):
-    """Eigen solve, its (N, M) and the record's named blocks; M is 0 for Maxwell."""
-    build = build_curlcurl_system if problem == "maxwell-eig" else build_quadcurl_pencil
-    system = build(mesh, order)
+def _eig_single_table(problem: str, system, num: int) -> ConvergenceTable:
+    """One record's eigenvalue table: index, lambda and N + M per row."""
     res = eigenpairs(system, num)
-    blocks = {name: m for name, m in vars(system).items() if isinstance(m, SparseMatrix)}
-    return res, (system.n_free, system.m_total), blocks
-
-
-def _eig_single_table(problem: str, mesh: Mesh, order: int, num: int):
-    """One mesh's eigenvalue table and the named blocks it was solved from."""
-    res, dims, blocks = _solve_eig(problem, mesh, order, num)
-    table = ConvergenceTable(problem=problem,
-                             headers=["index", "lambda", "dof"])
-    for i, lam in enumerate(res.values[:num]):
-        table.rows.append([i + 1, lam, sum(dims)])
-    return table, blocks
+    dof = system.n_free + system.m_total
+    table = ConvergenceTable(problem=problem, headers=["index", "lambda", "dof"])
+    table.rows.extend([i + 1, lam, dof] for i, lam in enumerate(res.values[:num]))
+    return table
 
 
 class _Parser(argparse.ArgumentParser):
@@ -379,18 +393,16 @@ def run_cli(argv) -> int:
                 table = convergence_study(problem, args.order, levels, num=args.num)
             else:
                 mesh = parse_mesh_spec(DEFAULT_MESH if args.mesh is None else args.mesh)
-                table, blocks = _eig_single_table(problem, mesh, args.order, args.num)
+                build = build_quadcurl_pencil if args.command == "eig" else build_curlcurl_system
+                system = build(mesh, args.order)
+                table = _eig_single_table(problem, system, args.num)
                 if args.dump_matrices is not None:
-                    _dump_matrices(args.dump_matrices, blocks)
-        elif args.command == "source-conv":
-            problem = "quadcurl-src" if args.problem == "quadcurl" else "curlcurl-src"
-            levels = _parse_levels(args.levels) if args.levels is not None \
-                else list(DEFAULT_LEVELS[problem])
-            table = convergence_study(problem, args.order, levels)
+                    _dump_matrices(args.dump_matrices, system)
         else:
+            problem = f"{args.problem}-src" if args.command == "source-conv" else "interp"
             levels = _parse_levels(args.levels) if args.levels is not None \
-                else list(DEFAULT_LEVELS["interp"])
-            table = convergence_study("interp", args.order, levels)
+                else list(PROBLEMS[problem].levels)
+            table = convergence_study(problem, args.order, levels)
 
         buf = io.StringIO()
         emit_csv(table, buf)

@@ -130,7 +130,6 @@ class ManufacturedCase:
     problem only needs u x n = 0).
     """
 
-    name: str
     u: callable
     curl_u: callable
     curl2_u: callable
@@ -145,7 +144,6 @@ def curlcurl_sine_case() -> ManufacturedCase:
     cu = _curl(u)
     c2u = _curl(cu)
     return ManufacturedCase(
-        name="sine-curlcurl",
         u=_vectorize(u),
         curl_u=_vectorize(cu),
         curl2_u=_vectorize(c2u),
@@ -167,7 +165,6 @@ def quadcurl_sin3_case() -> ManufacturedCase:
     c2u = _curl(cu)
     f = _curl(_curl(c2u))
     return ManufacturedCase(
-        name="sin3-quadcurl",
         u=_vectorize(u),
         curl_u=_vectorize(cu),
         curl2_u=_vectorize(c2u),

@@ -229,8 +229,6 @@ class Topology:
         Global entity index per (tet, local entity).  Local traversal is
         low-to-high within the sorted cell tuple, which is the global
         orientation, so no incidence signs are needed.
-    face_tets:
-        For each face, the one or two incident tets (-1 when absent).
     boundary_vertices, boundary_edges, boundary_faces:
         Read-only masks over vertices, edges and faces: a face is on the
         boundary when it has one incident tet, an edge or vertex when it lies
@@ -241,7 +239,6 @@ class Topology:
     faces: np.ndarray
     tet_edges: np.ndarray
     tet_faces: np.ndarray
-    face_tets: np.ndarray
     boundary_vertices: np.ndarray
     boundary_edges: np.ndarray
     boundary_faces: np.ndarray
@@ -285,16 +282,8 @@ def build_topology(mesh: Mesh) -> Topology:
             f"face {tuple(faces[bad])} is shared by {counts.max()} tets"
         )
 
-    # Stable sort groups each face's (tet, local face) slots in ascending tet
-    # order; the slot is the rank within the face's run.
-    order = np.argsort(tet_faces.ravel(), kind="stable")
-    sorted_faces = tet_faces.ravel()[order]
-    slot = np.arange(order.size) - np.searchsorted(sorted_faces, sorted_faces)
-    face_tets = -np.ones((len(faces), 2), dtype=np.int64)
-    face_tets[sorted_faces, slot] = order // 4
-
     # A boundary face's one (tet, local face) slot names its edges and vertices.
-    boundary_faces = face_tets[:, 1] < 0
+    boundary_faces = counts == 1
     t, lf = np.nonzero(boundary_faces[tet_faces])
     boundary_edges = np.zeros(len(edges), dtype=bool)
     boundary_edges[tet_edges[t[:, None], FACE_EDGES[lf]]] = True
@@ -306,7 +295,6 @@ def build_topology(mesh: Mesh) -> Topology:
         faces=_freeze(faces),
         tet_edges=_freeze(tet_edges),
         tet_faces=_freeze(tet_faces),
-        face_tets=_freeze(face_tets),
         boundary_vertices=_freeze(boundary_vertices),
         boundary_edges=_freeze(boundary_edges),
         boundary_faces=_freeze(boundary_faces),

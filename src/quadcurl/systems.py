@@ -32,6 +32,10 @@ discretely divergence-free by itself.  ``saddle_solve`` factors no bordered
 matrix: p solves (Y^T B Y) p = Y^T F, and the primal field comes from
 projected iterative refinement on the factor of A - rho B, rho a fixed
 fraction of the shift the eigensolver uses on the same record.
+
+``solve_curlcurl_source`` and ``solve_quadcurl_source`` take a load callable
+and return the fields; comparing them with an exact solution is the study's
+job (``harness``).
 """
 
 from __future__ import annotations
@@ -51,8 +55,7 @@ from .assembly import (
     assemble_mass,
 )
 from .errors import NotSPDError, SpaceError
-from .fespace import DofVector, FESpace, integrate_errors, make_space
-from .manufactured import ManufacturedCase
+from .fespace import DofVector, FESpace, make_space
 from .mesh import Mesh
 from .solvers import EigenResult, gen_sym_eig, saddle_solve
 
@@ -214,8 +217,7 @@ class SourceSolution:
     in L2, the numerical version of the multiplier-vanishes statement for
     divergence-free loads.  ``residual`` is the relative residual of the
     saddle system and ``refine_steps`` the iterative-refinement steps
-    ``saddle_solve`` took.  ``errors`` is filled by the solves of an analytic
-    ManufacturedCase.
+    ``saddle_solve`` took.
     """
 
     u: DofVector
@@ -224,7 +226,6 @@ class SourceSolution:
     residual: float
     p_ratio: float
     refine_steps: int
-    errors: dict | None = None
 
 
 def solve_source(system: CurlCurlSystem | PencilSystem, load: np.ndarray) -> SourceSolution:
@@ -254,36 +255,17 @@ def solve_source(system: CurlCurlSystem | PencilSystem, load: np.ndarray) -> Sou
     )
 
 
-def _solve_analytic(system, f) -> tuple[SourceSolution, ManufacturedCase | None]:
-    """solve_source on the load of f, a callable or a ManufacturedCase, and the case."""
-    case = f if isinstance(f, ManufacturedCase) else None
+def _solve_load(system: CurlCurlSystem | PencilSystem, f) -> SourceSolution:
+    """solve_source on the load vector of the callable f."""
     s = system.spaces
-    F = assemble_load(s.uf, f if case is None else case.f).values[s.u0.free_dofs]
-    return solve_source(system, F), case
+    return solve_source(system, assemble_load(s.uf, f).values[s.u0.free_dofs])
 
 
 def solve_curlcurl_source(mesh: Mesh, order: int, f) -> SourceSolution:
-    """Second-order curl-curl source problem with a scalar multiplier.
-
-    f may be a callable (the load) or a ManufacturedCase; with a case, L2 and
-    H(curl) errors against the analytic solution are reported.
-    """
-    sol, case = _solve_analytic(build_curlcurl_system(mesh, order), f)
-    if case is not None:
-        e_l2, e_curl = integrate_errors(sol.u, case.u, case.curl_u)
-        sol.errors = {"l2": e_l2, "curl": e_curl, "hcurl": float(np.hypot(e_l2, e_curl))}
-    return sol
+    """Second-order curl-curl source problem with a scalar multiplier; f is the load."""
+    return _solve_load(build_curlcurl_system(mesh, order), f)
 
 
 def solve_quadcurl_source(mesh: Mesh, order: int, f) -> SourceSolution:
-    """Fourth-order source problem (u, phi, p) on the eigen pencil's blocks.
-
-    f may be a callable (the load) or a ManufacturedCase; with a case, the
-    errors of u and of phi against curl curl u are reported.
-    """
-    sol, case = _solve_analytic(build_quadcurl_pencil(mesh, order), f)
-    if case is not None:
-        e_l2, e_curl = integrate_errors(sol.u, case.u, case.curl_u)
-        e_phi, _ = integrate_errors(sol.phi, case.curl2_u, None)
-        sol.errors = {"l2_u": e_l2, "curl_u": e_curl, "phi": e_phi, "combined": e_curl + e_phi}
-    return sol
+    """Fourth-order source problem (u, phi, p) on the eigen pencil's blocks; f is the load."""
+    return _solve_load(build_quadcurl_pencil(mesh, order), f)

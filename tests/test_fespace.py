@@ -162,11 +162,13 @@ def test_tangential_continuity_across_interior_faces(order):
     vals, _ = eval_cells(vec, pts)
     phys = map_points(mesh, pts)
 
-    interior = np.flatnonzero(topo.face_tets[:, 1] >= 0)
-    sides = []
-    for tets in topo.face_tets[interior].T:
-        local = np.argmax(topo.tet_faces[tets] == interior[:, None], axis=1)
-        sides.append((vals[tets, local], phys[tets, local]))
+    # Sorted by face, an interior face's two (tet, local face) slots sit side by side.
+    slots = np.argsort(topo.tet_faces.ravel(), kind="stable")
+    faces = topo.tet_faces.ravel()[slots]
+    pair = np.flatnonzero(faces[1:] == faces[:-1])
+    interior = faces[pair]
+    assert len(interior) == np.count_nonzero(~topo.boundary_faces)
+    sides = [(vals[s // 4, s % 4], phys[s // 4, s % 4]) for s in (slots[pair], slots[pair + 1])]
     assert np.abs(sides[0][1] - sides[1][1]).max() < 1e-14
 
     tri = mesh.vertices[topo.faces[interior]]

@@ -185,15 +185,14 @@ def test_case_fields_reject_points_without_three_coordinates():
 def test_traced_source_solve_spans_every_field_evaluation(bench_spans):
     """The benchmark's tracer sees each of the four field callables.
 
-    It wraps u, curl_u, curl2_u and f of the returned case; a solve that
-    evaluated the fields some other way would read zero field time.
+    It wraps u, curl_u, curl2_u and f of the returned case; a source study
+    that evaluated the fields some other way would read zero field time.
     """
     mesh = generate_cube_mesh(2)
     tracer = bench_spans.Tracer()
     with bench_spans.traced(quadcurl, tracer):
-        case = quadcurl.quadcurl_sin3_case()
         request = tracer.begin(0)
-        quadcurl.solve_quadcurl_source(mesh, 1, case)
+        quadcurl.convergence_study("quadcurl-src", 1, [2])
         tracer.end(request)
     names = [s[0] for s in tracer.spans]
     assert names.count("manufactured.eval") == 4

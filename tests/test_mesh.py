@@ -189,31 +189,6 @@ def test_topology_deterministic_under_tet_permutation():
     assert np.array_equal(a.faces, b.faces)
 
 
-def _face_tets_oracle(topo):
-    """Incident tets per face by a loop over tets in order, -1 when absent."""
-    face_tets = -np.ones((topo.num_faces, 2), dtype=np.int64)
-    slot = np.zeros(topo.num_faces, dtype=np.int64)
-    for t, faces in enumerate(topo.tet_faces):
-        for f in faces:
-            face_tets[f, slot[f]] = t
-            slot[f] += 1
-    return face_tets
-
-
-@pytest.mark.parametrize("permuted", [False, True])
-def test_face_tets_match_loop_oracle(permuted):
-    mesh = jittered_cube_mesh(3, seed=29)
-    if permuted:
-        perm = np.random.default_rng(5).permutation(mesh.tets.shape[0])
-        mesh = Mesh(mesh.vertices.copy(), mesh.tets[perm])
-    topo = build_topology(mesh)
-    expected = _face_tets_oracle(topo)
-    assert np.array_equal(topo.face_tets, expected)
-    boundary = topo.face_tets[:, 1] < 0  # the -1 slots are exercised
-    assert boundary.any() and not boundary.all()
-    assert np.all(topo.face_tets[:, 0] >= 0)
-
-
 @pytest.mark.parametrize("permuted", [False, True])
 def test_scalar_topology_keys_match_unique_rows_oracle(permuted):
     """Edges and faces ranked by scalar keys equal np.unique over the vertex rows."""

@@ -6,8 +6,8 @@ import quadcurl
 from checks import divergence_residual
 from meshes import jittered_cube_mesh
 from quadcurl import (
-    Mesh, build_curlcurl_system, build_quadcurl_pencil, curlcurl_sine_case, eigenpairs,
-    generate_cube_mesh, quadcurl_sin3_case, setup_spaces, solve_curlcurl_source,
+    Mesh, build_curlcurl_system, build_quadcurl_pencil, convergence_study, curlcurl_sine_case,
+    eigenpairs, generate_cube_mesh, quadcurl_sin3_case, setup_spaces, solve_curlcurl_source,
     solve_maxwell_eig, solve_quadcurl_eig, solve_quadcurl_source, solve_source,
 )
 from quadcurl.assembly import (
@@ -176,14 +176,15 @@ def test_maxwell_eig_matches_dense(cube3):
 
 
 def test_curlcurl_source_on_manufactured_case(cube2):
-    sol = solve_curlcurl_source(cube2, 1, curlcurl_sine_case())
+    sol = solve_curlcurl_source(cube2, 1, curlcurl_sine_case().f)
     assert sol.phi is None
     assert sol.residual < 1e-9
     assert sol.p_ratio < 1e-8
-    assert set(sol.errors) == {"l2", "curl", "hcurl"}
-    assert sol.errors["hcurl"] == pytest.approx(
-        np.hypot(sol.errors["l2"], sol.errors["curl"]))
-    assert 0.0 < sol.errors["hcurl"] < 5.0
+    table = convergence_study("curlcurl-src", 1, [2], mesh_factory=lambda n: cube2)
+    (row,) = [dict(zip(table.headers, r)) for r in table.rows]
+    assert row["p_ratio"] == sol.p_ratio
+    assert row["err_hcurl"] == pytest.approx(np.hypot(row["err_l2"], row["err_curl"]))
+    assert 0.0 < row["err_hcurl"] < 5.0
 
 
 def test_gradient_load_is_absorbed_by_multiplier(cube2):
@@ -223,10 +224,11 @@ def test_quadcurl_source_zero_load(cube2):
 
 
 def test_quadcurl_source_manufactured_errors(cube2):
-    sol = solve_quadcurl_source(cube2, 1, quadcurl_sin3_case())
-    assert set(sol.errors) == {"l2_u", "curl_u", "phi", "combined"}
-    assert sol.errors["combined"] == pytest.approx(
-        sol.errors["curl_u"] + sol.errors["phi"])
+    sol = solve_quadcurl_source(cube2, 1, quadcurl_sin3_case().f)
+    table = convergence_study("quadcurl-src", 1, [2], mesh_factory=lambda n: cube2)
+    (row,) = [dict(zip(table.headers, r)) for r in table.rows]
+    assert row["p_ratio"] == sol.p_ratio
+    assert row["err_combined"] == pytest.approx(row["err_curl_u"] + row["err_phi"])
     assert sol.residual < 1e-9
     # ||GM^T M_M phi|| / ||M_M phi||, GM the gradient map from S_h (p's
     # space) to U_h (phi's): phi is discretely divergence-free with no
@@ -266,7 +268,7 @@ def test_source_multipliers_match_closed_form():
     case = quadcurl_sin3_case()
     F = assemble_load(s.uf, case.f).values[s.u0.free_dofs]
     p_star = np.linalg.solve((G0.T @ M0 @ G0).toarray(), G0.T @ F)
-    for sol in (solve_quadcurl_source(mesh, 1, case),
+    for sol in (solve_quadcurl_source(mesh, 1, case.f),
                 solve_curlcurl_source(mesh, 1, case.f)):
         p = sol.p.values[s.s0.free_dofs]
         assert np.abs(p - p_star).max() <= 1e-12 * np.abs(p_star).max()
@@ -275,20 +277,25 @@ def test_source_multipliers_match_closed_form():
 @pytest.mark.parametrize("order", [1, 2])
 def test_source_solves_report_refinement_steps(cube2, order, monkeypatch):
     """Steps are counted, and stopping on the roundoff floor saves the step(s)
-    the stall test alone spends confirming it, with the same errors."""
+    the stall test alone spends confirming it, with the same study errors."""
     def solve_both():
-        return (solve_quadcurl_source(cube2, order, quadcurl_sin3_case()),
-                solve_curlcurl_source(cube2, order, curlcurl_sine_case()))
+        return (solve_quadcurl_source(cube2, order, quadcurl_sin3_case().f),
+                solve_curlcurl_source(cube2, order, curlcurl_sine_case().f))
 
-    with_floor = solve_both()
+    def study_errors():
+        tables = [convergence_study(problem, order, [2], mesh_factory=lambda n: cube2)
+                  for problem in ("quadcurl-src", "curlcurl-src")]
+        return [t.column(h)[0] for t in tables for h in t.headers if h.startswith("err_")]
+
+    with_floor, errors = solve_both(), study_errors()
     monkeypatch.setattr(quadcurl.solvers, "_REFINE_FLOOR_FACTOR", 0.0)
     for sol, stalled in zip(with_floor, solve_both()):
         assert 2 <= sol.refine_steps < stalled.refine_steps <= _REFINE_STEPS
         assert sol.residual <= 1e-9
         u, ref = sol.u.values, stalled.u.values
         assert np.abs(u - ref).max() <= 1e-12 * np.abs(ref).max()
-        for key, err in stalled.errors.items():
-            assert sol.errors[key] == pytest.approx(err, rel=1e-11)
+    assert len(errors) == 6
+    assert errors == pytest.approx(study_errors(), rel=1e-11)
 
 
 def test_refinement_floor_tracks_roundoff_on_a_finer_mesh(monkeypatch):
@@ -299,9 +306,9 @@ def test_refinement_floor_tracks_roundoff_on_a_finer_mesh(monkeypatch):
     stall test alone spends confirming it.
     """
     mesh = generate_cube_mesh(5)
-    sol = solve_curlcurl_source(mesh, 2, curlcurl_sine_case())
+    sol = solve_curlcurl_source(mesh, 2, curlcurl_sine_case().f)
     monkeypatch.setattr(quadcurl.solvers, "_REFINE_FLOOR_FACTOR", 0.0)
-    stalled = solve_curlcurl_source(mesh, 2, curlcurl_sine_case())
+    stalled = solve_curlcurl_source(mesh, 2, curlcurl_sine_case().f)
     assert sol.refine_steps < stalled.refine_steps
     u, ref = sol.u.values, stalled.u.values
     assert np.abs(u - ref).max() <= 1e-12 * np.abs(ref).max()
