@@ -133,6 +133,9 @@ def map_points(mesh: Mesh, ref_points: np.ndarray) -> np.ndarray:
 
     The mesh keeps the last result, keyed by the reference points: a source
     solve maps one quadrature rule for its load and for each error integral.
+    Repeated calls with the same mesh and points return the same array
+    object, which the manufactured fields rely on to take the trig of those
+    points once.
     """
     ref = np.ascontiguousarray(ref_points, dtype=np.float64)
     key = (ref.shape, ref.tobytes())
@@ -245,10 +248,11 @@ def integrate_errors(
     rule = tet_rule(degree)
     vals, derivs = eval_cells(vec, rule.points)
     X = map_points(mesh, rule.points)
+    # eval_cells returns fresh arrays, so the mismatch overwrites them.
     if exact_value is not None:
-        vals = vals - exact_value(X)
+        vals -= exact_value(X)
     if exact_deriv is not None:
-        derivs = derivs - exact_deriv(X)
+        derivs -= exact_deriv(X)
     absdet = np.abs(mesh.jac_det)
 
     def norm(v):

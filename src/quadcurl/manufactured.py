@@ -15,9 +15,13 @@ Each of u, curl u, curl^2 u and f becomes its own numpy callable mapping
 point arrays (..., 3) to values (..., 3).  Its three components are written
 in Horner form as Python source over the six names c0, ..., s2 and compiled
 once into one lambda.  Points are evaluated in fixed-size blocks into one
-preallocated output: each block takes sin and cos of pi X once (only those
-the field uses) and calls the lambda; the output is scaled by pi^m at the
-end.
+preallocated output, and the output is scaled by pi^m at the end.  The
+blocks read slices of one (6, npts) table of c_k and s_k, whose rows are
+filled as the fields need them.  All fields share the table of the last
+read-only point array they saw: a source solve evaluates its load and the
+exact fields of its error integrals on the one array
+``fespace.map_points`` returns, so it takes sin and cos of those points
+once.
 
 The fourth-order case uses the potential psi = sin^3(pi x) sin^3(pi y)
 sin^3(pi z) and u = curl(0, 0, psi).  The cubed sines matter: they make both
@@ -31,6 +35,7 @@ u = (s1 s2, s2 s0, s0 s1) and curl u, built the same way.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -44,6 +49,12 @@ from .reference import vec_curl
 # s_k first).
 _GENS = ("c0", "c1", "c2", "s0", "s1", "s2")
 _BLOCK = 4096  # points per evaluation block
+
+# (weakref to a point array, its _trig table, the set of rows filled) for the
+# last read-only point array the fields saw, or None.  Threads racing on it
+# without a lock can only miss the memo or fill a row twice with the same
+# values, never read a row that is not yet filled.
+_trig_memo = None
 
 
 def _partial(F: dict, k: int) -> dict:
@@ -90,6 +101,41 @@ def _horner(terms: dict, depth: int = 0) -> str:
     return src
 
 
+def _forget(ref) -> None:
+    """Drop the memo when its array is collected, unless a newer array replaced it."""
+    global _trig_memo
+    memo = _trig_memo
+    if memo is not None and memo[0] is ref:
+        _trig_memo = None
+
+
+def _trig(X: np.ndarray, pts: np.ndarray, used: list) -> np.ndarray:
+    """(6, npts) table of the _GENS over pts = X.reshape(-1, 3); rows ``used`` are set.
+
+    The table of a read-only array that owns its memory (as ``map_points``
+    returns) is kept, with the rows set so far, until that array is collected
+    or another one takes its place.  A writeable array or a view is never
+    kept: its values can change between calls.
+    """
+    global _trig_memo
+    memo = _trig_memo
+    if memo is not None and memo[0]() is X:
+        _, table, done = memo
+    else:
+        table, done = np.empty((len(_GENS), len(pts))), set()
+        if not X.flags.writeable and X.base is None:
+            _trig_memo = (weakref.ref(X, _forget), table, done)
+    missing = [i for i in used if i not in done]
+    if missing:
+        for start in range(0, len(pts), _BLOCK):
+            block = slice(start, start + _BLOCK)
+            angles = np.multiply(pts[block].T, np.pi, order="C")
+            for i in missing:
+                (np.cos if i < 3 else np.sin)(angles[i % 3], out=table[i, block])
+        done.update(missing)
+    return table
+
+
 def _vectorize(field):
     m, polys = field
     # The source holds only integer literals and the six names, so the
@@ -97,8 +143,6 @@ def _vectorize(field):
     body = ", ".join(_horner(p) if p else "0" for p in polys)
     fn = eval(f"lambda {', '.join(_GENS)}: ({body})", {})
     used = [i for i in range(len(_GENS)) if any(monom[i] for p in polys for monom in p)]
-    cos_axes = [i for i in used if i < 3]
-    sin_axes = [i - 3 for i in used if i >= 3]
     scale = np.pi**m
 
     def call(X: np.ndarray) -> np.ndarray:
@@ -106,14 +150,12 @@ def _vectorize(field):
         if X.shape[-1:] != (3,):
             raise ValueError(f"points must have shape (..., 3), got {X.shape}")
         pts = X.reshape(-1, 3)
+        table = _trig(X, pts, used)
         out = np.empty(pts.shape)
         for start in range(0, len(pts), _BLOCK):
             block = slice(start, start + _BLOCK)
-            angles = np.multiply(pts[block].T, np.pi, order="C")
-            trig = [None] * len(_GENS)  # generators the field does not use stay None
-            for i, v in zip(used, (*np.cos(angles[cos_axes]), *np.sin(angles[sin_axes]))):
-                trig[i] = v
-            for c, v in enumerate(fn(*trig)):
+            # rows of generators the field does not use may be unset
+            for c, v in enumerate(fn(*table[:, block])):
                 out[block, c] = v  # a constant component broadcasts
         out *= scale
         return out.reshape(X.shape)

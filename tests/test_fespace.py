@@ -127,6 +127,18 @@ def test_order2_reproduces_general_linear():
     assert np.abs(vals - (phys @ A.T + b)).max() < 1e-10
 
 
+def test_map_points_returns_one_readonly_array_per_rule():
+    """Every caller in a source solve gets the same read-only array that owns
+    its memory: the manufactured fields key their shared trig table on it."""
+    mesh = jittered_cube_mesh(2, seed=4)
+    points = tet_rule(10).points
+    X = map_points(mesh, points)
+    assert map_points(mesh, points.copy()) is X
+    assert not X.flags.writeable and X.base is None
+    assert map_points(mesh, REF_PTS) is not X
+    assert np.array_equal(map_points(mesh, points), X)
+
+
 def test_nodal_interpolation_exact_for_polynomials(cube2):
     s1 = make_space(cube2, "nodal", 1)
     v1 = interpolate(s1, lambda x: 2.0 * x[..., 0] - x[..., 2] + 1.0)

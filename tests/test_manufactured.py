@@ -1,6 +1,8 @@
+import gc
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +11,7 @@ import sympy as sp
 
 import quadcurl
 from checks import boundary_trace_violation, divergence_violation
-from quadcurl import curlcurl_sine_case, generate_cube_mesh, quadcurl_sin3_case
+from quadcurl import curlcurl_sine_case, generate_cube_mesh, manufactured, quadcurl_sin3_case
 from quadcurl.manufactured import smooth_field
 
 FIELDS = ("u", "curl_u", "curl2_u", "f")
@@ -182,12 +184,31 @@ def test_case_fields_reject_points_without_three_coordinates():
         quadcurl_sin3_case().f(np.zeros((4, 2)))
 
 
-def test_traced_source_solve_spans_every_field_evaluation(bench_spans):
-    """The benchmark's tracer sees each of the four field callables.
+def test_traced_source_solve_spans_every_field_evaluation(bench_spans, monkeypatch):
+    """The benchmark's tracer sees each field evaluation of a quad-curl study.
 
     It wraps u, curl_u, curl2_u and f of the returned case; a source study
-    that evaluated the fields some other way would read zero field time.
+    that evaluated the fields some other way would read zero field time.  The
+    study evaluates f for the load, curl_u and curl2_u for its two errors, and
+    never u, whose error no column reads.
     """
+    raw = quadcurl_sin3_case()
+    field_of = {getattr(raw, f): f for f in FIELDS}
+    evaluated = []
+    wrap = bench_spans._wrap
+
+    def recording_wrap(tracer, name, fn, count=None):
+        traced_fn = wrap(tracer, name, fn, count)
+        if name != "manufactured.eval":
+            return traced_fn
+
+        def call(*args, **kwargs):
+            evaluated.append(field_of[fn])
+            return traced_fn(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(bench_spans, "_wrap", recording_wrap)
     mesh = generate_cube_mesh(2)
     tracer = bench_spans.Tracer()
     with bench_spans.traced(quadcurl, tracer):
@@ -195,6 +216,88 @@ def test_traced_source_solve_spans_every_field_evaluation(bench_spans):
         quadcurl.convergence_study("quadcurl-src", 1, [2])
         tracer.end(request)
     names = [s[0] for s in tracer.spans]
-    assert names.count("manufactured.eval") == 4
-    assert tracer.counts["manufactured.eval_points"] == 4 * mesh.num_tets * 216
+    assert names.count("manufactured.eval") == 3
+    assert sorted(evaluated) == ["curl2_u", "curl_u", "f"]
+    assert tracer.counts["manufactured.eval_points"] == 3 * mesh.num_tets * 216
     assert tracer.self_times()["manufactured.eval"] > 0.0
+
+
+def distinct_fields():
+    """The seven distinct fields of the two cases (the sine case's curl2_u
+    is its f), then the two of smooth_field."""
+    sin3, sine = quadcurl_sin3_case(), curlcurl_sine_case()
+    return [sin3.u, sin3.curl_u, sin3.curl2_u, sin3.f, sine.u, sine.curl_u, sine.f,
+            *smooth_field()]
+
+
+def read_only(a):
+    a = np.array(a)
+    a.flags.writeable = False
+    return a
+
+
+def test_shared_trig_table_changes_no_value():
+    """Fields agree bitwise whether the shared trig table is cold, warm or
+    partly filled, and when calls alternate between two read-only arrays.
+
+    5 x 1703 points span three evaluation blocks, the last one partial.
+    """
+    pts = np.random.default_rng(8).uniform(-0.2, 1.2, (5, 1703, 3))
+    fields = distinct_fields()
+    ref = [fn(pts) for fn in fields]  # a writeable array is never kept
+    A, B = read_only(pts), read_only(pts)
+    cold = [fn(read_only(pts)) for fn in fields]
+    filling = [fn(A) for fn in fields]  # each call fills the rows it needs
+    assert manufactured._trig_memo[0]() is A
+    assert manufactured._trig_memo[2] == set(range(6))
+    table = manufactured._trig_memo[1]
+    warm = [fn(A) for fn in fields]
+    assert manufactured._trig_memo[1] is table
+    interleaved = [(fn(A), fn(B)) for fn in fields]
+    for i, want in enumerate(ref):
+        for got in (cold[i], filling[i], warm[i], *interleaved[i]):
+            assert np.array_equal(got, want)
+
+
+def test_trig_of_changed_points_is_fresh():
+    """A writeable array, or a read-only view of one, changed in place between
+    two calls gets trig of its new values."""
+    f = quadcurl_sin3_case().f
+    rng = np.random.default_rng(9)
+    X = rng.random((40, 3))
+    f(X)
+    X += 0.125
+    assert np.array_equal(f(X), f(X.copy()))
+    base = rng.random((40, 3))
+    view = base.view()
+    view.flags.writeable = False
+    before = f(view)
+    base += 0.125
+    after = f(view)
+    assert not np.array_equal(after, before)
+    assert np.array_equal(after, f(base.copy()))
+
+
+def test_trig_table_released_with_its_points():
+    """The memo holds its array weakly: collecting the array frees the table,
+    and an older array's collection leaves a newer array's table in place."""
+    f = quadcurl_sin3_case().f
+    rng = np.random.default_rng(10)
+    A = read_only(rng.random((30, 3)))
+    f(A)
+    table = weakref.ref(manufactured._trig_memo[1])
+    del A
+    gc.collect()
+    assert manufactured._trig_memo is None
+    assert table() is None
+
+    A, B = read_only(rng.random((30, 3))), read_only(rng.random((30, 3)))
+    f(A)
+    held = manufactured._trig_memo  # keeps A's weakref, so its callback runs
+    f(B)
+    del A
+    gc.collect()
+    assert manufactured._trig_memo[0]() is B
+    del held, B
+    gc.collect()
+    assert manufactured._trig_memo is None
