@@ -29,6 +29,10 @@ derivative D d, where :func:`push_forward` gives the per-tet matrices:
 This is the only place where the family changes the math: every element
 integral and field evaluation is a contraction of a reference table with
 these maps.
+
+Errors.  :func:`integrate_errors` evaluates a field and integrates a norm
+only for the exact fields it is given: a None exact field means that norm is
+not computed, so its half of the field is never evaluated and it reads None.
 """
 
 from __future__ import annotations
@@ -183,9 +187,12 @@ def push_forward(space: FESpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # --- evaluation -------------------------------------------------------------
 
 
-def _pushed_field(coeffs: np.ndarray, ref: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """Field (T, Q, d) of per-tet coefficients (T, n) on a reference table (Q, n, c)."""
-    return np.tensordot(coeffs, ref, axes=(1, 1)) @ A.transpose(0, 2, 1)
+def _cell_field(vec: DofVector, ref_points: np.ndarray, half: int) -> np.ndarray:
+    """Half 0 (values) or 1 (derivatives) of :func:`eval_cells`, a fresh array."""
+    space = vec.space
+    ref, A = reference_basis(space, ref_points)[half], push_forward(space)[half]
+    field = np.tensordot(vec.values[space.cell_dofs], ref, axes=(1, 1)) @ A.transpose(0, 2, 1)
+    return field[..., 0] if space.family == "nodal" and half == 0 else field
 
 
 def eval_cells(vec: DofVector, ref_points: np.ndarray):
@@ -195,14 +202,7 @@ def eval_cells(vec: DofVector, ref_points: np.ndarray):
     shape (T, n, 3); for the nodal family, values (T, n) and gradients
     (T, n, 3).
     """
-    space = vec.space
-    rv, rd = reference_basis(space, ref_points)
-    value_map, deriv_map, _ = push_forward(space)
-    coeffs = vec.values[space.cell_dofs]
-    vals = _pushed_field(coeffs, rv, value_map)
-    if space.family == "nodal":
-        vals = vals[..., 0]
-    return vals, _pushed_field(coeffs, rd, deriv_map)
+    return _cell_field(vec, ref_points, 0), _cell_field(vec, ref_points, 1)
 
 
 # --- interpolation ----------------------------------------------------------
@@ -237,26 +237,28 @@ def integrate_errors(
     exact_value=None,
     exact_deriv=None,
     degree: int = 10,
-) -> tuple[float, float]:
+) -> tuple[float | None, float | None]:
     """L2 norms of (u_h - exact_value) and of the derivative mismatch.
 
     The derivative is the curl for the edge family and the gradient for the
-    nodal family.  Passing None for either exact field compares against zero,
-    which turns the corresponding output into a plain L2 norm.
+    nodal family.  None for either exact field means that norm is not
+    computed: that half of u_h is not evaluated, and its slot is None.
     """
     mesh = vec.space.mesh
     rule = tet_rule(degree)
-    vals, derivs = eval_cells(vec, rule.points)
-    X = map_points(mesh, rule.points)
-    # eval_cells returns fresh arrays, so the mismatch overwrites them.
-    if exact_value is not None:
-        vals -= exact_value(X)
-    if exact_deriv is not None:
-        derivs -= exact_deriv(X)
     absdet = np.abs(mesh.jac_det)
 
-    def norm(v):
-        sq = (v * v).reshape(len(absdet), len(rule.weights), -1).sum(axis=2)
+    def error(half, exact):
+        if exact is None:
+            return None
+        err = _cell_field(vec, rule.points, half)
+        err -= exact(map_points(mesh, rule.points))
+        # Squared components added in order: bitwise a sum over the component
+        # axis, without numpy's reduction overhead on a length-3 axis.
+        err = err.reshape(len(absdet), len(rule.weights), -1)
+        sq = err[..., 0] * err[..., 0]
+        for c in range(1, err.shape[2]):
+            sq += err[..., c] * err[..., c]
         return float(np.sqrt(absdet @ sq @ rule.weights))
 
-    return norm(vals), norm(derivs)
+    return error(0, exact_value), error(1, exact_deriv)

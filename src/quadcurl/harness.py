@@ -91,8 +91,8 @@ def _measure_quadcurl_src(mesh: Mesh, order: int, num: int):
     """Quad-curl solve of the sin^3 case: u's curl error, phi's against curl^2 u, p_ratio."""
     case = quadcurl_sin3_case()
     sol = solve_quadcurl_source(mesh, order, case.f)
-    _, e_curl = integrate_errors(sol.u, None, case.curl_u)
-    e_phi, _ = integrate_errors(sol.phi, case.curl2_u, None)
+    _, e_curl = integrate_errors(sol.u, exact_deriv=case.curl_u)
+    e_phi, _ = integrate_errors(sol.phi, exact_value=case.curl2_u)
     return _source_dims(sol), [e_curl, e_phi, e_curl + e_phi, sol.p_ratio], e_curl + e_phi
 
 

@@ -140,9 +140,14 @@ class PencilSystem:
 
     def operator(self) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
         """The (N+M) block pencil (A, B) and its gradient block Y = [G0; 0]."""
-        A = sp.bmat([[None, self.K.mat.T], [self.K.mat, -self.M_M.mat]], format="csr")
-        B = sp.block_diag([self.M_N.mat, sp.csr_matrix((self.m_total,) * 2)], format="csr")
-        Y = sp.vstack([self.G0.mat, sp.csr_matrix((self.m_total, self.p_free))], format="csr")
+        # All-CSR blocks take scipy's compressed-stack path, not a COO rebuild.
+        N, M = self.n_free, self.m_total
+        K = self.K.mat
+        A = sp.vstack([sp.hstack([sp.csr_matrix((N, N)), K.T.tocsr()], format="csr"),
+                       sp.hstack([K, -self.M_M.mat], format="csr")], format="csr")
+        B = sp.vstack([sp.hstack([self.M_N.mat, sp.csr_matrix((N, M))], format="csr"),
+                       sp.csr_matrix((M, N + M))], format="csr")
+        Y = sp.vstack([self.G0.mat, sp.csr_matrix((M, self.p_free))], format="csr")
         return A, B, Y
 
     def schur_dense(self) -> np.ndarray:

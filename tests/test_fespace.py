@@ -8,8 +8,10 @@ from quadcurl import (
     DofVector, Mesh, build_topology, generate_cube_mesh, integrate_errors,
     interpolate, make_space, read_gmsh,
 )
+from quadcurl import fespace
 from quadcurl.errors import SpaceError
 from quadcurl.fespace import eval_cells, map_points, reference_basis
+from quadcurl.manufactured import smooth_field
 from quadcurl.mesh import LOCAL_FACES
 from quadcurl.quadrature import tet_rule
 
@@ -263,6 +265,90 @@ def test_integrate_errors_zero_for_exact_field(cube2):
                                   -2.0 * c, np.asarray(x).shape).copy())
     assert e0 < 1e-12
     assert e1 < 1e-12
+
+
+def _exact_fields(family):
+    """(value, derivative) of a smooth field of the family: the curl or the gradient."""
+    if family == "edge":
+        return smooth_field()
+
+    def value(x):
+        return np.sin(np.pi * x[..., 0]) * np.cos(x[..., 1]) + x[..., 2] ** 2
+
+    def grad(x):
+        return np.stack([np.pi * np.cos(np.pi * x[..., 0]) * np.cos(x[..., 1]),
+                         -np.sin(np.pi * x[..., 0]) * np.sin(x[..., 1]),
+                         2.0 * x[..., 2]], axis=-1)
+
+    return value, grad
+
+
+def _summed_axis_errors(vec, exact_value, exact_deriv, degree=10):
+    """Both norms with the squares reduced by .sum(axis=2): the oracle of the fused norm."""
+    mesh = vec.space.mesh
+    rule = tet_rule(degree)
+    vals, derivs = eval_cells(vec, rule.points)
+    X = map_points(mesh, rule.points)
+    absdet = np.abs(mesh.jac_det)
+
+    def norm(v):
+        sq = (v * v).reshape(len(absdet), len(rule.weights), -1).sum(axis=2)
+        return float(np.sqrt(absdet @ sq @ rule.weights))
+
+    return norm(vals - exact_value(X)), norm(derivs - exact_deriv(X))
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("family", ["edge", "nodal"])
+def test_fused_norm_bitwise_equals_summed_axis(family, order):
+    """Each norm, computed alone or with the other, is bitwise the .sum(axis=2) formula's.
+
+    On the whole mesh a reordered sum of the squares rarely reaches the last
+    bit of the norm, so each tet is also checked alone with a one-point rule.
+    """
+    mesh = jittered_cube_mesh(2, seed=5)
+    value, deriv = _exact_fields(family)
+    rng = np.random.default_rng(order)
+    cells = [Mesh(mesh.vertices[tet], np.array([[0, 1, 2, 3]])) for tet in mesh.tets]
+    for m, degree in [(mesh, 10)] + [(cell, 1) for cell in cells]:
+        space = make_space(m, family, order)
+        vec = DofVector(space, rng.standard_normal(space.ndofs))
+        want = _summed_axis_errors(vec, value, deriv, degree)
+        assert integrate_errors(vec, value, deriv, degree) == want
+        assert integrate_errors(vec, exact_value=value, degree=degree) == (want[0], None)
+        assert integrate_errors(vec, exact_deriv=deriv, degree=degree) == (None, want[1])
+
+
+@pytest.mark.parametrize("skipped", [0, 1])
+def test_none_exact_field_is_neither_evaluated_nor_integrated(cube2, skipped, monkeypatch):
+    """A None exact field leaves its half of u_h unevaluated and its slot None."""
+    vec = interpolate(make_space(cube2, "edge", 2), smooth_field()[0])
+    both = integrate_errors(vec, *smooth_field())
+    halves = []
+    cell_field = fespace._cell_field
+
+    def recording_cell_field(v, points, half):
+        halves.append(half)
+        return cell_field(v, points, half)
+
+    def raising(x):
+        raise AssertionError("the kept exact field is called")
+
+    monkeypatch.setattr(fespace, "_cell_field", recording_cell_field)
+    fields = [raising, raising]
+    fields[skipped] = None
+    with pytest.raises(AssertionError, match="kept exact field"):
+        integrate_errors(vec, *fields)
+    assert halves == [1 - skipped]
+
+    halves.clear()
+    fields = list(smooth_field())
+    fields[skipped] = None
+    errors = integrate_errors(vec, *fields)
+    assert errors[skipped] is None and errors[1 - skipped] == both[1 - skipped]
+    assert halves == [1 - skipped]
+    assert integrate_errors(vec) == (None, None)
+    assert halves == [1 - skipped]
 
 
 def test_dofvector_length_checked(cube2):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 import quadcurl
 from checks import divergence_residual
@@ -42,6 +43,25 @@ def test_block_pencil_agrees_with_schur(pencil2):
     finite = finite[finite > 1e-6 * finite.max()]
     res = eigenpairs(pencil2, 5)
     assert np.abs(finite[:5] - res.values).max() < 1e-8 * res.values[0]
+
+
+@pytest.mark.parametrize("order, n", [(1, 5), (2, 2)])
+def test_operator_stacking_bitwise_equals_bmat(order, n):
+    """(A, B, Y) stacked from CSR blocks store exactly what bmat/block_diag build.
+
+    Y keeps its vstack spelling; A and B are checked against the COO-based
+    bmat and block_diag, which sort and merge their entries on compression.
+    """
+    pen = build_quadcurl_pencil(jittered_cube_mesh(n, seed=2), order)
+    K, M_M, M_N = pen.K.mat, pen.M_M.mat, pen.M_N.mat
+    want = (sp.bmat([[None, K.T], [K, -M_M]], format="csr"),
+            sp.block_diag([M_N, sp.csr_matrix((pen.m_total,) * 2)], format="csr"),
+            sp.vstack([pen.G0.mat, sp.csr_matrix((pen.m_total, pen.p_free))], format="csr"))
+    for got, ref in zip(pen.operator(), want):
+        assert got.format == "csr" and got.shape == ref.shape
+        for part in ("indptr", "indices", "data"):
+            a, b = getattr(got, part), getattr(ref, part)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_pencil_shapes_and_gradient_compatibility(pencil2):
