@@ -15,19 +15,27 @@ values), the curl-curl matrix (A = J / det J on curls) and the nodal mass
 contract once with the reference table.  Default quadrature degrees are the
 exact ones: 2k for mass and 2k - 2 for curl-curl at order k.
 
-Local blocks are scattered by triplet accumulation; duplicate triplets merge
-by addition when the store is compressed.  The result does not depend on the
-order of the element loop beyond roundoff (~1e-13 relative), which also makes
-a partitioned/merged parallel assembly admissible.
+Local blocks land on a coupling pattern: the CSR pattern of the full-layout
+DoF pairs that share a tet, built by one stable argsort of the (T, n, n) pair
+keys, with a slot map from every local entry to its data position.  An
+operator's values are then one ``np.bincount`` of its local blocks over the
+slots; the contributions to an entry add in element order.  The result does
+not depend on the order of the element loop beyond roundoff (~1e-13
+relative), which also makes a partitioned/merged parallel assembly
+admissible.  Inside ``_shared_couplings(mesh)``, as while a record is built,
+the operators of one (family, order) share one pattern, so the edge mass,
+curl-curl and coupling blocks of a record are sorted once between them.
 
 Matrices are returned on the active DoF set of the space arguments: the full
 layout for unconstrained spaces, and the free subset for constrained ones.
-Triplets that touch an inactive DoF are dropped before compression, so a
-constrained operator is never built on the full layout and then sliced.
+A constrained row or column space keeps the pattern's entries in its free
+rows or columns, a gather that sorts nothing again, so no operator is built
+on the full layout and then sliced.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +43,7 @@ import scipy.sparse as sp
 
 from .errors import SpaceError
 from .fespace import DofVector, FESpace, map_points, push_forward, reference_basis
+from .mesh import Mesh
 from .quadrature import tet_rule
 from .reference import ref_gradient_matrix
 
@@ -43,10 +52,10 @@ LOAD_DEGREE = 10  # default quadrature degree for analytic load integrands
 
 @dataclass
 class SparseMatrix:
-    """Compressed sparse matrix built from triplets.
+    """A sparse matrix; ``mat`` is the CSR store.
 
-    Duplicate (row, col) pairs merge by addition during compression.  ``mat``
-    is the CSR store.
+    Assembly builds it on a coupling pattern.  ``from_triplets`` compresses
+    (row, col, value) triplets, duplicate pairs merging by addition.
     """
 
     mat: sp.csr_matrix
@@ -95,47 +104,123 @@ def _active_position(space: FESpace) -> np.ndarray:
     return pos
 
 
-def _scatter(row_space: FESpace, col_space: FESpace, rows, cols, vals) -> SparseMatrix:
-    """Compress full-layout triplets onto the active DoF sets of the spaces.
+class _Pattern:
+    """CSR pattern of a set of full-layout (row, col) pairs, sorted once.
 
-    ``rows``, ``cols`` and ``vals`` broadcast against each other.  Triplets in
-    an inactive row or column are dropped before the one compression, so no
-    full-layout matrix is built.
+    ``rows`` and ``cols`` broadcast against each other.  One stable argsort of
+    the keys row * ncols + col gives the distinct pairs in CSR order
+    (``indptr``, ``indices``) and ``slot``, the data position of every input
+    pair, in the broadcast shape; repeated pairs share a position.
     """
-    r, c, v = np.broadcast_arrays(
-        _active_position(row_space)[rows], _active_position(col_space)[cols], vals
-    )
-    keep = (r >= 0) & (c >= 0)
-    return SparseMatrix.from_triplets(
-        (row_space.num_active, col_space.num_active), r[keep], c[keep], v[keep]
-    )
+
+    def __init__(self, shape: tuple[int, int], rows, cols):
+        keys = rows * shape[1] + cols
+        slot_shape = keys.shape
+        keys = keys.ravel()
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        new = np.empty(len(keys), dtype=bool)  # a pair differs from the one before it
+        new[:1] = False
+        np.not_equal(keys[1:], keys[:-1], out=new[1:])
+        rank = new.astype(np.intp)
+        np.cumsum(rank, out=rank)
+        slot = np.empty_like(order)
+        slot[order] = rank
+        self.slot = slot.reshape(slot_shape)
+        new[:1] = True
+        keys = keys[new]
+        self.indptr = np.searchsorted(keys, np.arange(shape[0] + 1) * shape[1])
+        keys -= np.repeat(np.arange(shape[0]) * shape[1], np.diff(self.indptr))
+        self.indices = keys
+
+    @property
+    def nnz(self) -> int:
+        return len(self.indices)
 
 
-def _scatter_square(row_space: FESpace, col_space: FESpace, local: np.ndarray) -> SparseMatrix:
-    """Scatter local blocks (T, n, n) by the cell DoFs of the row/col spaces."""
-    return _scatter(row_space, col_space, row_space.cell_dofs[:, :, None],
-                    col_space.cell_dofs[:, None, :], local)
+def _coupling(space: FESpace) -> _Pattern:
+    """Pattern of the DoF pairs that share a tet, on the space's full layout.
+
+    Inside ``_shared_couplings(space.mesh)`` it is built once per (family,
+    order); elsewhere every call builds its own.
+    """
+    shared = space.mesh._couplings
+    key = (space.family, space.order)
+    if shared is not None and key in shared:
+        return shared[key]
+    dofs = space.cell_dofs
+    pattern = _Pattern((space.ndofs, space.ndofs), dofs[:, :, None], dofs[:, None, :])
+    if shared is not None:
+        shared[key] = pattern
+    return pattern
 
 
-def _gram(ref: np.ndarray, A: np.ndarray, absdet: np.ndarray, weights: np.ndarray) -> np.ndarray:
+@contextmanager
+def _shared_couplings(mesh: Mesh):
+    """Operators assembled on the mesh inside the block share one coupling
+    pattern per (family, order).  The patterns are dropped when the block ends,
+    so their per-entry maps do not outlive the record being built."""
+    mesh._couplings = {}
+    try:
+        yield
+    finally:
+        mesh._couplings = None
+
+
+def _scatter(row_space: FESpace, col_space: FESpace, pattern: _Pattern, vals) -> SparseMatrix:
+    """Sum values onto a full-layout pattern, then keep the active DoF sets.
+
+    ``vals`` holds one value per input pair of the pattern, in its shape; the
+    values at one position add in the order of the pairs.  A constrained
+    space keeps the entries in its free rows or columns, a gather through a
+    mask on the pattern, so nothing is sorted again.
+    """
+    data = np.bincount(pattern.slot.ravel(), np.ravel(vals), minlength=pattern.nnz)
+    indptr, indices = pattern.indptr, pattern.indices
+    if row_space.constrained or col_space.constrained:
+        col_pos = _active_position(col_space)
+        keep = np.repeat(_active_position(row_space) >= 0, np.diff(indptr))
+        keep &= col_pos[indices] >= 0
+        keep = np.flatnonzero(keep)
+        indptr = np.searchsorted(keep, indptr[np.append(row_space.active_dofs, row_space.ndofs)])
+        indices = col_pos[indices[keep]]
+        data = data[keep]
+    shape = (row_space.num_active, col_space.num_active)
+    return SparseMatrix(sp.csr_matrix((data, indices, indptr), shape=shape))
+
+
+# R per (family, order, half, degree): the reference table and rule it reads
+# are fixed by that key, so the contraction is done once per key.
+_REFERENCE_TENSORS: dict = {}
+
+
+def _gram(space: FESpace, half: int, degree: int) -> np.ndarray:
     """Local blocks int_t (A_t r_i) . (A_t r_j), shape (T, n, n).
 
-    ``ref`` is the reference table (Q, n, c) at the rule's points, ``A`` the
-    per-tet push-forward (T, d, c) and ``absdet`` the |det J| per tet.
+    r is the space's reference table of values (``half`` 0) or derivatives
+    (``half`` 1) at the points of the degree-``degree`` rule, and A_t its
+    push-forward from :func:`push_forward`.
     """
-    _, n, c = ref.shape
-    R = np.einsum("q,qia,qjb->abij", weights, ref, ref).reshape(c * c, n * n)
+    key = (space.family, space.order, half, degree)
+    R = _REFERENCE_TENSORS.get(key)
+    if R is None:
+        rule = tet_rule(degree)
+        ref = reference_basis(space, rule.points)[half]
+        _, n, c = ref.shape
+        R = np.einsum("q,qia,qjb->abij", rule.weights, ref, ref).reshape(c * c, n * n)
+        R.flags.writeable = False
+        _REFERENCE_TENSORS[key] = R
+    maps = push_forward(space)
+    A, absdet = maps[half], maps[2]
+    n = space.element.ndofs
     G = absdet[:, None, None] * (A.transpose(0, 2, 1) @ A)
-    return (G.reshape(-1, c * c) @ R).reshape(-1, n, n)
+    return (G.reshape(len(absdet), -1) @ R).reshape(-1, n, n)
 
 
 def assemble_mass(space: FESpace, degree: int | None = None) -> SparseMatrix:
     """Mass matrix (phi_j, phi_i) on the active DoF set of the space."""
-    rule = tet_rule(degree if degree is not None else 2 * space.order)
-    value_map, _, absdet = push_forward(space)
-    ref, _ = reference_basis(space, rule.points)
-    local = _gram(ref, value_map, absdet, rule.weights)
-    return _scatter_square(space, space, local)
+    local = _gram(space, 0, degree if degree is not None else 2 * space.order)
+    return _scatter(space, space, _coupling(space), local)
 
 
 def assemble_curlcurl(row_space: FESpace, col_space: FESpace | None = None, degree: int | None = None) -> SparseMatrix:
@@ -147,11 +232,8 @@ def assemble_curlcurl(row_space: FESpace, col_space: FESpace | None = None, degr
     if col_space is None:
         col_space = row_space
     _check_edge_pair(row_space, col_space)
-    rule = tet_rule(degree if degree is not None else 2 * row_space.order - 2)
-    _, curl_map, absdet = push_forward(row_space)
-    _, ref = reference_basis(row_space, rule.points)
-    local = _gram(ref, curl_map, absdet, rule.weights)
-    return _scatter_square(row_space, col_space, local)
+    local = _gram(row_space, 1, degree if degree is not None else 2 * row_space.order - 2)
+    return _scatter(row_space, col_space, _coupling(row_space), local)
 
 
 def assemble_gradient_map(nodal_space: FESpace, edge_space: FESpace) -> SparseMatrix:
@@ -173,10 +255,10 @@ def assemble_gradient_map(nodal_space: FESpace, edge_space: FESpace) -> SparseMa
     rows, first = np.unique(edge_space.cell_dofs.ravel(), return_index=True)
     owner, local = np.divmod(first, g_ref.shape[0])
     vals = g_ref[local]
-    cols = nodal_space.cell_dofs[owner]
     nz = vals != 0.0
-    return _scatter(edge_space, nodal_space, np.broadcast_to(rows[:, None], vals.shape)[nz],
-                    cols[nz], vals[nz])
+    pairs = _Pattern((edge_space.ndofs, nodal_space.ndofs),
+                     np.broadcast_to(rows[:, None], vals.shape)[nz], nodal_space.cell_dofs[owner][nz])
+    return _scatter(edge_space, nodal_space, pairs, vals[nz])
 
 
 def assemble_load(space: FESpace, f, degree: int = LOAD_DEGREE) -> DofVector:

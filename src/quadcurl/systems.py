@@ -49,6 +49,7 @@ import scipy.sparse as sp
 
 from .assembly import (
     SparseMatrix,
+    _shared_couplings,
     assemble_curlcurl,
     assemble_gradient_map,
     assemble_load,
@@ -105,14 +106,18 @@ class CurlCurlSystem:
 
 
 def build_curlcurl_system(mesh: Mesh, order: int) -> CurlCurlSystem:
-    """Assemble C0, M0 and the gradient map G0 on their active DoF sets."""
+    """Assemble C0, M0 and the gradient map G0 on their active DoF sets.
+
+    C0 and M0 are gathered from one coupling pattern of the edge space.
+    """
     s = _interior_spaces(mesh, order)
-    return CurlCurlSystem(
-        C0=assemble_curlcurl(s.u0, s.u0),
-        M0=assemble_mass(s.u0),
-        G0=assemble_gradient_map(s.s0, s.u0),
-        spaces=s,
-    )
+    with _shared_couplings(mesh):
+        return CurlCurlSystem(
+            C0=assemble_curlcurl(s.u0, s.u0),
+            M0=assemble_mass(s.u0),
+            G0=assemble_gradient_map(s.s0, s.u0),
+            spaces=s,
+        )
 
 
 @dataclass
@@ -139,16 +144,20 @@ class PencilSystem:
         return self.G0.shape[1]
 
     def operator(self) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
-        """The (N+M) block pencil (A, B) and its gradient block Y = [G0; 0]."""
-        # All-CSR blocks take scipy's compressed-stack path, not a COO rebuild.
+        """The (N+M) block pencil (A, B) and its gradient block Y = [G0; 0].
+
+        The upper rows of A are K^T, a compressed transpose; the lower rows
+        are [K, -M_M], one compressed row stack.  A is their data and indices
+        one after the other; B and Y pad the indptr of M_N and G0.
+        """
         N, M = self.n_free, self.m_total
-        K = self.K.mat
-        A = sp.vstack([sp.hstack([sp.csr_matrix((N, N)), K.T.tocsr()], format="csr"),
-                       sp.hstack([K, -self.M_M.mat], format="csr")], format="csr")
-        B = sp.vstack([sp.hstack([self.M_N.mat, sp.csr_matrix((N, M))], format="csr"),
-                       sp.csr_matrix((M, N + M))], format="csr")
-        Y = sp.vstack([self.G0.mat, sp.csr_matrix((M, self.p_free))], format="csr")
-        return A, B, Y
+        KT = self.K.mat.T.tocsr()
+        lower = sp.hstack([self.K.mat, -self.M_M.mat], format="csr")
+        A = sp.csr_matrix((np.concatenate([KT.data, lower.data]),
+                           np.concatenate([KT.indices + N, lower.indices]),
+                           np.concatenate([KT.indptr, KT.nnz + lower.indptr[1:]])),
+                          shape=(N + M, N + M))
+        return A, _pad_rows(self.M_N.mat, (N + M, N + M)), _pad_rows(self.G0.mat, (N + M, self.p_free))
 
     def schur_dense(self) -> np.ndarray:
         """S = K^T M_M^{-1} K as a dense symmetric PSD matrix (a test oracle).
@@ -166,16 +175,26 @@ class PencilSystem:
         return 0.5 * (S + S.T)
 
 
+def _pad_rows(mat: sp.csr_matrix, shape: tuple[int, int]) -> sp.csr_matrix:
+    """A copy of ``mat`` as the leading rows and columns of a matrix of ``shape``."""
+    indptr = np.concatenate([mat.indptr, np.full(shape[0] - mat.shape[0], mat.nnz, mat.indptr.dtype)])
+    return sp.csr_matrix((mat.data.copy(), mat.indices.copy(), indptr), shape=shape)
+
+
 def build_quadcurl_pencil(mesh: Mesh, order: int) -> PencilSystem:
-    """Assemble K, M_N, M_M and the gradient map G0 on their active DoF sets."""
+    """Assemble K, M_N, M_M and the gradient map G0 on their active DoF sets.
+
+    K, M_N and M_M are gathered from one coupling pattern of the edge space.
+    """
     s = _interior_spaces(mesh, order)
-    return PencilSystem(
-        K=assemble_curlcurl(s.uf, s.u0),
-        M_N=assemble_mass(s.u0),
-        M_M=assemble_mass(s.uf),
-        G0=assemble_gradient_map(s.s0, s.u0),
-        spaces=s,
-    )
+    with _shared_couplings(mesh):
+        return PencilSystem(
+            K=assemble_curlcurl(s.uf, s.u0),
+            M_N=assemble_mass(s.u0),
+            M_M=assemble_mass(s.uf),
+            G0=assemble_gradient_map(s.s0, s.u0),
+            spaces=s,
+        )
 
 
 def _shift(system: CurlCurlSystem | PencilSystem) -> float:

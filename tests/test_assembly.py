@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from meshes import jittered_cube_mesh
+from meshes import five_tet_cube_mesh, jittered_cube_mesh
 from quadcurl import (
     DofVector, SparseMatrix, assemble_curlcurl, assemble_gradient_map,
     assemble_load, assemble_mass, generate_cube_mesh, interpolate, make_space,
 )
+from quadcurl.assembly import _coupling, _gram
 from quadcurl.errors import SpaceError
 from quadcurl.fespace import eval_cells
 from quadcurl.mesh import Mesh
@@ -300,3 +302,78 @@ def test_rectangular_curlcurl_block():
         for got, expected in cases:
             assert got.shape == expected.shape
             assert np.abs(got.to_dense() - expected).max() <= 1e-15 * np.abs(expected).max()
+
+
+# --- the coupling pattern against triplet compression ----------------------
+
+PATTERN_MESHES = {
+    "jittered": lambda: jittered_cube_mesh(2, seed=5),
+    "kuhn": lambda: generate_cube_mesh(2),
+    "five-tet": lambda: five_tet_cube_mesh(2),
+}
+
+
+def _coo_scatter(row_space, col_space, local):
+    """The triplet path the pattern replaced: local blocks (T, n, n) as COO
+    triplets, those in an inactive row or column dropped, then compressed."""
+    def position(space):
+        pos = np.full(space.ndofs, -1)
+        pos[space.active_dofs] = np.arange(space.num_active)
+        return pos
+
+    r, c, v = np.broadcast_arrays(position(row_space)[row_space.cell_dofs[:, :, None]],
+                                  position(col_space)[col_space.cell_dofs[:, None, :]], local)
+    keep = (r >= 0) & (c >= 0)
+    shape = (row_space.num_active, col_space.num_active)
+    return sp.coo_matrix((v[keep], (r[keep], c[keep])), shape=shape).tocsr()
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("mesh_name", sorted(PATTERN_MESHES))
+def test_pattern_matches_triplet_compression(mesh_name, order):
+    """Same indptr and indices as COO compression, data within 2 ulp of max|entry|.
+
+    Only the order in which an entry's contributions add may differ: the
+    pattern adds them in element order, the compression in its sort order.
+    """
+    mesh = PATTERN_MESHES[mesh_name]()
+    uf = make_space(mesh, "edge", order)
+    u0 = make_space(mesh, "edge", order, constrained=True)
+    s0 = make_space(mesh, "nodal", order, constrained=True)
+    cases = [
+        (assemble_mass(uf), uf, uf, _gram(uf, 0, 2 * order)),
+        (assemble_curlcurl(u0), u0, u0, _gram(u0, 1, 2 * order - 2)),
+        (assemble_curlcurl(uf, u0), uf, u0, _gram(uf, 1, 2 * order - 2)),
+        (assemble_mass(s0), s0, s0, _gram(s0, 0, 2 * order)),
+    ]
+    for got, row_space, col_space, local in cases:
+        want = _coo_scatter(row_space, col_space, local)
+        assert got.shape == want.shape
+        assert np.array_equal(got.mat.indptr, want.indptr)
+        assert np.array_equal(got.mat.indices, want.indices)
+        ulp = np.spacing(np.abs(want.data).max())
+        assert np.abs(got.mat.data - want.data).max() <= 2 * ulp
+
+
+@pytest.mark.parametrize("family, order", [("edge", 1), ("edge", 2), ("nodal", 2)])
+def test_coupling_slot_map_hits_every_entry_once(family, order):
+    """Each local entry (t, i, j) lands on the stored pair (dof_ti, dof_tj),
+    every stored pair is hit, and as often as tets share it."""
+    mesh = jittered_cube_mesh(2, seed=9)
+    space = make_space(mesh, family, order)
+    pattern = _coupling(space)
+    dofs = space.cell_dofs
+    T, n = dofs.shape
+    assert pattern.slot.shape == (T, n, n)
+    rows = np.repeat(np.arange(space.ndofs), np.diff(pattern.indptr))
+    assert np.array_equal(rows[pattern.slot], np.broadcast_to(dofs[:, :, None], (T, n, n)))
+    assert np.array_equal(pattern.indices[pattern.slot], np.broadcast_to(dofs[:, None, :], (T, n, n)))
+    hits = np.bincount(pattern.slot.ravel(), minlength=pattern.nnz)
+    shared = sp.coo_matrix((np.ones(T * n * n), (np.broadcast_to(dofs[:, :, None], (T, n, n)).ravel(),
+                                                 np.broadcast_to(dofs[:, None, :], (T, n, n)).ravel())),
+                           shape=(space.ndofs,) * 2).tocsr()
+    assert hits.min() >= 1
+    assert np.array_equal(hits, shared.data)
+    # Pairs that share a tet are symmetric, so is the pattern.
+    P = sp.csr_matrix((np.ones(pattern.nnz), pattern.indices, pattern.indptr), shape=shared.shape)
+    assert (P != P.T).nnz == 0
