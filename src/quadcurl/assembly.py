@@ -171,12 +171,19 @@ def _scatter(row_space: FESpace, col_space: FESpace, pattern: _Pattern, vals) ->
     """Sum values onto a full-layout pattern, then keep the active DoF sets.
 
     ``vals`` holds one value per input pair of the pattern, in its shape; the
-    values at one position add in the order of the pairs.  A constrained
-    space keeps the entries in its free rows or columns, a gather through a
-    mask on the pattern, so nothing is sorted again.
+    values at one position add in the order of the pairs.
     """
     data = np.bincount(pattern.slot.ravel(), np.ravel(vals), minlength=pattern.nnz)
-    indptr, indices = pattern.indptr, pattern.indices
+    return _restrict(row_space, col_space, pattern.indptr, pattern.indices, data)
+
+
+def _restrict(row_space: FESpace, col_space: FESpace, indptr, indices, data) -> SparseMatrix:
+    """The CSR matrix (data, indices, indptr) of the full layout on the active DoF sets.
+
+    A constrained space keeps the entries in its free rows or columns, a
+    gather through a mask on the pattern, so nothing is sorted again; the
+    entries kept are bitwise the full layout's.
+    """
     if row_space.constrained or col_space.constrained:
         col_pos = _active_position(col_space)
         keep = np.repeat(_active_position(row_space) >= 0, np.diff(indptr))

@@ -13,15 +13,15 @@ every polynomial of degree at most one in each c_k.
 
 Each of u, curl u, curl^2 u and f becomes its own numpy callable mapping
 point arrays (..., 3) to values (..., 3).  Its three components are written
-in Horner form as Python source over the six names c0, ..., s2 and compiled
-once into one lambda.  Points are evaluated in fixed-size blocks into one
-preallocated output, and the output is scaled by pi^m at the end.  The
-blocks read slices of one (6, npts) table of c_k and s_k, whose rows are
-filled as the fields need them.  All fields share the table of the last
-read-only point array they saw: a source solve evaluates its load and the
-exact fields of its error integrals on the one array
-``fespace.map_points`` returns, so it takes sin and cos of those points
-once.
+in Horner form as Python source over the six names c0, ..., s2, each
+compiled once into a lambda.  Points are evaluated in blocks large enough
+for numpy to run each Horner step in place, into one preallocated output,
+and the output is scaled by pi^m at the end.  The blocks read slices of one
+(6, npts) table of c_k and s_k, whose rows are filled as the fields need
+them.  All fields share the table of the last read-only point array they
+saw: a source solve evaluates its load and the exact fields of its error
+integrals on the one array ``fespace.map_points`` returns, so it takes sin
+and cos of those points once.
 
 The fourth-order case uses the potential psi = sin^3(pi x) sin^3(pi y)
 sin^3(pi z) and u = curl(0, 0, psi).  The cubed sines matter: they make both
@@ -48,7 +48,11 @@ from .reference import vec_curl
 # fewest operations (158 over the seven distinct fields, against 176 with the
 # s_k first).
 _GENS = ("c0", "c1", "c2", "s0", "s1", "s2")
-_BLOCK = 4096  # points per evaluation block
+# Points per evaluation block.  numpy elides a temporary only for arrays of
+# at least 256 KiB, here 32768 float64: at 4096 points every operation of a
+# Horner step allocated a fresh array, and a field took 1.2-1.6x as long
+# (35k-83k points, warm trig table).
+_BLOCK = 32768
 
 # (weakref to a point array, its _trig table, the set of rows filled) for the
 # last read-only point array the fields saw, or None.  Threads racing on it
@@ -101,6 +105,13 @@ def _horner(terms: dict, depth: int = 0) -> str:
     return src
 
 
+def _blocks(npts: int):
+    """range(npts) in npts // _BLOCK (at least one) near-equal slices, so no
+    block is shorter than _BLOCK unless it is the only one."""
+    count = max(npts // _BLOCK, 1)
+    return [slice(i * npts // count, (i + 1) * npts // count) for i in range(count)]
+
+
 def _forget(ref) -> None:
     """Drop the memo when its array is collected, unless a newer array replaced it."""
     global _trig_memo
@@ -127,8 +138,7 @@ def _trig(X: np.ndarray, pts: np.ndarray, used: list) -> np.ndarray:
             _trig_memo = (weakref.ref(X, _forget), table, done)
     missing = [i for i in used if i not in done]
     if missing:
-        for start in range(0, len(pts), _BLOCK):
-            block = slice(start, start + _BLOCK)
+        for block in _blocks(len(pts)):
             angles = np.multiply(pts[block].T, np.pi, order="C")
             for i in missing:
                 (np.cos if i < 3 else np.sin)(angles[i % 3], out=table[i, block])
@@ -139,9 +149,9 @@ def _trig(X: np.ndarray, pts: np.ndarray, used: list) -> np.ndarray:
 def _vectorize(field):
     m, polys = field
     # The source holds only integer literals and the six names, so the
-    # compiled lambda reads nothing else.
-    body = ", ".join(_horner(p) if p else "0" for p in polys)
-    fn = eval(f"lambda {', '.join(_GENS)}: ({body})", {})
+    # compiled lambdas read nothing else.  One lambda per component: each
+    # result is stored before the next component's temporaries are made.
+    fns = [eval(f"lambda {', '.join(_GENS)}: {_horner(p) if p else 0}", {}) for p in polys]
     used = [i for i in range(len(_GENS)) if any(monom[i] for p in polys for monom in p)]
     scale = np.pi**m
 
@@ -152,11 +162,10 @@ def _vectorize(field):
         pts = X.reshape(-1, 3)
         table = _trig(X, pts, used)
         out = np.empty(pts.shape)
-        for start in range(0, len(pts), _BLOCK):
-            block = slice(start, start + _BLOCK)
-            # rows of generators the field does not use may be unset
-            for c, v in enumerate(fn(*table[:, block])):
-                out[block, c] = v  # a constant component broadcasts
+        for block in _blocks(len(pts)):
+            rows = table[:, block]  # rows of generators the field does not use may be unset
+            for c, fn in enumerate(fns):
+                out[block, c] = fn(*rows)  # a constant component broadcasts
         out *= scale
         return out.reshape(X.shape)
 

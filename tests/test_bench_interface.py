@@ -48,3 +48,18 @@ def test_traced_eig_solve_builds_topology_once(bench_spans, run):
     names = [span[0] for span in tracer.spans]
     assert names.count("mesh.build_topology") == 1
     assert "mesh.boundary_classification" not in names
+
+
+def test_traced_quadcurl_source_level_assembles_one_mass(bench_spans):
+    """A quad-curl source level assembles one mass, M_M: M_N is its free
+    block, and ||p_h|| is summed over local blocks with no S_h mass.  It
+    still evaluates three fields: the load and the two exact fields of its
+    errors."""
+    tracer = bench_spans.Tracer()
+    with bench_spans.traced(quadcurl, tracer):
+        request = tracer.begin(0)
+        quadcurl.convergence_study("quadcurl-src", 1, [2])
+        tracer.end(request)
+    names = [span[0] for span in tracer.spans]
+    assert names.count("assembly.assemble_mass") == 1
+    assert names.count("manufactured.eval") == 3

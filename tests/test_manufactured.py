@@ -240,9 +240,10 @@ def test_shared_trig_table_changes_no_value():
     """Fields agree bitwise whether the shared trig table is cold, warm or
     partly filled, and when calls alternate between two read-only arrays.
 
-    5 x 1703 points span three evaluation blocks, the last one partial.
+    5 x 14003 points span two evaluation blocks.
     """
-    pts = np.random.default_rng(8).uniform(-0.2, 1.2, (5, 1703, 3))
+    pts = np.random.default_rng(8).uniform(-0.2, 1.2, (5, 14003, 3))
+    assert len(manufactured._blocks(5 * 14003)) == 2
     fields = distinct_fields()
     ref = [fn(pts) for fn in fields]  # a writeable array is never kept
     A, B = read_only(pts), read_only(pts)
@@ -301,3 +302,54 @@ def test_trig_table_released_with_its_points():
     del held, B
     gc.collect()
     assert manufactured._trig_memo is None
+
+
+def field_polynomials():
+    """The (pi power, polynomials) of distinct_fields(), derived as their
+    constructors derive them."""
+    curl = manufactured._curl
+    u = curl((0, ({}, {}, {(0, 0, 0, 3, 3, 3): 1})))
+    cu = curl(u)
+    c2u = curl(cu)
+    v = 0, ({}, {}, {(0, 0, 0, 1, 1, 0): 1})
+    w = 0, ({(0, 0, 0, 0, 1, 1): 1}, {(0, 0, 0, 1, 0, 1): 1}, {(0, 0, 0, 1, 1, 0): 1})
+    return [u, cu, c2u, curl(curl(c2u)), v, curl(v), curl(curl(v)), w, curl(w)]
+
+
+def blocked_4096(field, X):
+    """A field's values as the 4096-point blocks evaluated them: each block took
+    its own cos and sin, and its last block was partial."""
+    m, polys = field
+    body = ", ".join(manufactured._horner(p) if p else "0" for p in polys)
+    fn = eval(f"lambda {', '.join(manufactured._GENS)}: ({body})", {})
+    pts = X.reshape(-1, 3)
+    out = np.empty(pts.shape)
+    for start in range(0, len(pts), 4096):
+        block = slice(start, start + 4096)
+        angles = np.multiply(pts[block].T, np.pi, order="C")
+        for c, v in enumerate(fn(*np.cos(angles), *np.sin(angles))):
+            out[block, c] = v
+    out *= np.pi**m
+    return out.reshape(X.shape)
+
+
+@pytest.mark.parametrize("shape, blocks", [
+    pytest.param((10, 100, 3), 1, id="short-block"),
+    pytest.param((162, 216, 3), 1, id="one-block-34992"),
+    pytest.param((32768 + 37, 3), 1, id="one-block-and-a-bit"),
+    pytest.param((3 * 32768 + 1000, 3), 3, id="several-blocks"),
+])
+def test_fields_bitwise_equal_4096_point_blocks(shape, blocks):
+    """Evaluating in blocks of at least _BLOCK points changes no value: every
+    field on writeable and read-only arrays equals the 4096-point evaluation."""
+    npts = int(np.prod(shape[:-1]))
+    spans = manufactured._blocks(npts)
+    assert len(spans) == blocks and spans[0].start == 0 and spans[-1].stop == npts
+    assert all(a.stop == b.start for a, b in zip(spans, spans[1:]))
+    assert all(b.stop - b.start >= min(npts, manufactured._BLOCK) for b in spans)
+    pts = np.random.default_rng(11).uniform(-0.2, 1.2, shape)
+    frozen = read_only(pts)
+    for field, fn in zip(field_polynomials(), distinct_fields()):
+        want = blocked_4096(field, pts)
+        assert np.array_equal(fn(pts), want)
+        assert np.array_equal(fn(frozen), want)

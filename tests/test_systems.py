@@ -16,6 +16,7 @@ from quadcurl.assembly import (
 )
 from quadcurl.errors import EigenSolveError, SpaceError
 from quadcurl.fespace import make_space
+from quadcurl import solvers
 from quadcurl.solvers import _REFINE_STEPS
 
 
@@ -62,6 +63,56 @@ def test_operator_stacking_bitwise_equals_bmat(order, n):
         for part in ("indptr", "indices", "data"):
             a, b = getattr(got, part), getattr(ref, part)
             assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("mesh", [
+    pytest.param(generate_cube_mesh(3), id="kuhn3"),
+    pytest.param(jittered_cube_mesh(3, seed=4), id="jittered3"),
+    pytest.param(five_tet_cube_mesh(4), id="fivetet4"),
+])
+def test_pencil_edge_mass_on_free_dofs_is_bitwise_the_assembled_one(mesh, order):
+    """M_N, the free rows and columns of M_M, stores exactly what assembling
+    the U_{0,h} mass on its own stores."""
+    pen = build_quadcurl_pencil(mesh, order)
+    want = assemble_mass(pen.spaces.u0).mat
+    got = pen.M_N.mat
+    assert got.shape == want.shape
+    for part in ("indptr", "indices", "data"):
+        a, b = getattr(got, part), getattr(want, part)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert not np.shares_memory(got.data, pen.M_M.mat.data)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_divergence_constrained_system_has_only_the_nonzero_eigenvalues(cube2, order):
+    """The bypass claim, explicitly: the pencil with the divergence constraint
+
+        [[0, K^T, M_N G0], [K, -M_M, 0], [G0^T M_N, 0, 0]]  against  diag(M_N, 0, 0)
+
+    has exactly N - P finite eigenvalues, the nonzero ones of the record's
+    pencil, and no zero: dropping the multiplier only adds the P gradient
+    modes at lambda = 0.  The pencil's eigenvalues come from its Schur form
+    K^T M_M^-1 K against M_N.
+    """
+    pen = build_quadcurl_pencil(cube2, order)
+    N, M, P = pen.n_free, pen.m_total, pen.p_free
+    K, M_M, M_N, G0 = (b.mat.toarray() for b in (pen.K, pen.M_M, pen.M_N, pen.G0))
+    D = M_N @ G0
+    A = np.block([[np.zeros((N, N)), K.T, D],
+                  [K, -M_M, np.zeros((M, P))],
+                  [D.T, np.zeros((P, M + P))]])
+    B = scipy.linalg.block_diag(M_N, np.zeros((M + P, M + P)))
+    alpha, beta = scipy.linalg.eigvals(A, B, homogeneous_eigvals=True)
+    finite = np.abs(beta) > 1e-10 * np.abs(alpha)
+    assert finite.sum() == N - P
+    lam = alpha[finite] / beta[finite]
+    assert np.abs(lam.imag).max() <= 1e-12 * np.abs(lam).max()
+    lam = np.sort(lam.real)
+    pencil = scipy.linalg.eigh(pen.schur_dense(), M_N, eigvals_only=True)
+    assert np.abs(pencil[:P]).max() <= 1e-10 * pencil[P]  # the P gradient modes
+    assert lam[0] > 0.5 * pencil[P]
+    assert np.abs(lam / pencil[P:] - 1.0).max() <= 1e-12
 
 
 @pytest.mark.parametrize("solve, mesh, order", [
@@ -116,6 +167,35 @@ def test_eigenvectors_discretely_divergence_free(cube3):
     for i in range(4):
         direct = divergence_residual(s.u0, s.s0, res.vectors[:, i])
         assert direct < 1e-8
+
+
+def test_eigen_route_rejects_a_gradient_component(pencil2, monkeypatch):
+    """The divergence contract raises on its own.
+
+    A projector that leaves a gradient component of relative size 1e-11 in
+    every iterate gives eigenpairs whose residuals (about 1.1e-9) pass the
+    1e-8 residual gate, but whose divergence residuals (about 3.7e-9) do not
+    pass the 1e-10 divergence gate.
+    """
+    b_projector = solvers._b_projector
+
+    def leaky_projector(Y, B, error):
+        project, BYt, gram_solve = b_projector(Y, B, error)
+        grad = Y @ np.ones(Y.shape[1])
+
+        def leaky(z):
+            z = project(z)
+            z += 1e-11 * np.linalg.norm(z) / np.linalg.norm(grad) * grad
+            return z
+
+        return leaky, BYt, gram_solve
+
+    assert eigenpairs(pencil2, 3).div_residuals.max() <= 1e-14
+    monkeypatch.setattr(solvers, "_b_projector", leaky_projector)
+    with pytest.raises(EigenSolveError, match="divergence residual"):
+        eigenpairs(pencil2, 3)
+    monkeypatch.setattr(solvers, "_EIG_DIV_TOL", 1e-7)
+    assert eigenpairs(pencil2, 3).residuals.max() <= 1e-8  # the residual gate passes
 
 
 def test_divergence_residual_calibration(pencil2):
@@ -369,6 +449,21 @@ def test_traced_source_solve_reports_saddle_size(bench_spans):
     G = B @ Y
     assert tracer.counts["solvers.saddle_dim"] == G.shape[0] + G.shape[1]
     assert tracer.counts["solvers.saddle_nnz"] == K.nnz + 2 * G.nnz
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_multiplier_norm_matches_the_assembled_nodal_mass(order):
+    """p_ratio's ||p_h||, summed tet by tet over the local mass blocks, is
+    sqrt(p^T M_S p) with the assembled S_h mass, to roundoff."""
+    pen = build_quadcurl_pencil(jittered_cube_mesh(3, seed=6), order)
+    s = pen.spaces
+    sol = solve_source(pen, np.random.default_rng(order).standard_normal(pen.n_free))
+    p = sol.p.values[s.s0.free_dofs]
+    u = sol.u.values[s.u0.free_dofs]
+    norm_p = np.sqrt(p @ (assemble_mass(s.s0).mat @ p))
+    assert norm_p > 0.0
+    want = norm_p / np.sqrt(u @ (pen.M_N.mat @ u))
+    assert abs(sol.p_ratio - want) <= 1e-14 * want
 
 
 def test_quadcurl_source_rejects_bad_load_length(pencil2):
