@@ -22,9 +22,9 @@ operator's values are then one ``np.bincount`` of its local blocks over the
 slots; the contributions to an entry add in element order.  The result does
 not depend on the order of the element loop beyond roundoff (~1e-13
 relative), which also makes a partitioned/merged parallel assembly
-admissible.  Inside ``_shared_couplings(mesh)``, as while a record is built,
-the operators of one (family, order) share one pattern, so the edge mass,
-curl-curl and coupling blocks of a record are sorted once between them.
+admissible.  The pattern is the row space's ``FESpace.coupling``, built on
+the space's first operator and kept with it, so the operators a record
+assembles on one row space are sorted once between them.
 
 Matrices are returned on the active DoF set of the space arguments: the full
 layout for unconstrained spaces, and the free subset for constrained ones.
@@ -35,40 +35,26 @@ on the full layout and then sliced.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import SpaceError
-from .fespace import DofVector, FESpace, map_points, push_forward, reference_basis
-from .mesh import Mesh
+from .fespace import DofVector, FESpace, _Pattern, map_points, push_forward, reference_basis
 from .quadrature import tet_rule
-from .reference import ref_gradient_matrix
+from .reference import get_element, ref_gradient_matrix
 
 LOAD_DEGREE = 10  # default quadrature degree for analytic load integrands
 
 
 @dataclass
 class SparseMatrix:
-    """A sparse matrix; ``mat`` is the CSR store.
-
-    Assembly builds it on a coupling pattern.  ``from_triplets`` compresses
-    (row, col, value) triplets, duplicate pairs merging by addition.
-    """
+    """A sparse matrix; ``mat`` is the CSR store, which assembly builds on a
+    coupling pattern."""
 
     mat: sp.csr_matrix
-
-    @classmethod
-    def from_triplets(cls, shape, rows, cols, vals) -> "SparseMatrix":
-        rows = np.asarray(rows).ravel()
-        cols = np.asarray(cols).ravel()
-        if len(rows) and (
-            rows.min() < 0 or rows.max() >= shape[0] or cols.min() < 0 or cols.max() >= shape[1]
-        ):
-            raise SpaceError("triplet index out of range")
-        return cls(sp.coo_matrix((np.asarray(vals).ravel(), (rows, cols)), shape=shape).tocsr())
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -104,74 +90,13 @@ def _active_position(space: FESpace) -> np.ndarray:
     return pos
 
 
-class _Pattern:
-    """CSR pattern of a set of full-layout (row, col) pairs, sorted once.
-
-    ``rows`` and ``cols`` broadcast against each other.  One stable argsort of
-    the keys row * ncols + col gives the distinct pairs in CSR order
-    (``indptr``, ``indices``) and ``slot``, the data position of every input
-    pair, in the broadcast shape; repeated pairs share a position.
-    """
-
-    def __init__(self, shape: tuple[int, int], rows, cols):
-        keys = rows * shape[1] + cols
-        slot_shape = keys.shape
-        keys = keys.ravel()
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        new = np.empty(len(keys), dtype=bool)  # a pair differs from the one before it
-        new[:1] = False
-        np.not_equal(keys[1:], keys[:-1], out=new[1:])
-        rank = new.astype(np.intp)
-        np.cumsum(rank, out=rank)
-        slot = np.empty_like(order)
-        slot[order] = rank
-        self.slot = slot.reshape(slot_shape)
-        new[:1] = True
-        keys = keys[new]
-        self.indptr = np.searchsorted(keys, np.arange(shape[0] + 1) * shape[1])
-        keys -= np.repeat(np.arange(shape[0]) * shape[1], np.diff(self.indptr))
-        self.indices = keys
-
-    @property
-    def nnz(self) -> int:
-        return len(self.indices)
-
-
-def _coupling(space: FESpace) -> _Pattern:
-    """Pattern of the DoF pairs that share a tet, on the space's full layout.
-
-    Inside ``_shared_couplings(space.mesh)`` it is built once per (family,
-    order); elsewhere every call builds its own.
-    """
-    shared = space.mesh._couplings
-    key = (space.family, space.order)
-    if shared is not None and key in shared:
-        return shared[key]
-    dofs = space.cell_dofs
-    pattern = _Pattern((space.ndofs, space.ndofs), dofs[:, :, None], dofs[:, None, :])
-    if shared is not None:
-        shared[key] = pattern
-    return pattern
-
-
-@contextmanager
-def _shared_couplings(mesh: Mesh):
-    """Operators assembled on the mesh inside the block share one coupling
-    pattern per (family, order).  The patterns are dropped when the block ends,
-    so their per-entry maps do not outlive the record being built."""
-    mesh._couplings = {}
-    try:
-        yield
-    finally:
-        mesh._couplings = None
-
-
 def _scatter(row_space: FESpace, col_space: FESpace, pattern: _Pattern, vals) -> SparseMatrix:
     """Sum values onto a full-layout pattern, then keep the active DoF sets.
 
-    ``vals`` holds one value per input pair of the pattern, in its shape; the
-    values at one position add in the order of the pairs.
+    ``pattern`` is the row space's ``coupling`` for mass and curl-curl, and
+    one built for the call for the gradient map.  ``vals`` holds one value
+    per input pair of the pattern, in its shape; the values at one position
+    add in the order of the pairs.
     """
     data = np.bincount(pattern.slot.ravel(), np.ravel(vals), minlength=pattern.nnz)
     return _restrict(row_space, col_space, pattern.indptr, pattern.indices, data)
@@ -196,9 +121,20 @@ def _restrict(row_space: FESpace, col_space: FESpace, indptr, indices, data) -> 
     return SparseMatrix(sp.csr_matrix((data, indices, indptr), shape=shape))
 
 
-# R per (family, order, half, degree): the reference table and rule it reads
-# are fixed by that key, so the contraction is done once per key.
-_REFERENCE_TENSORS: dict = {}
+@lru_cache(maxsize=None)
+def _reference_tensor(family: str, order: int, half: int, degree: int) -> np.ndarray:
+    """R[ab, ij] of the module docstring, (c * c, n * n) and read-only.
+
+    The reference table and the rule it reads are fixed by the arguments, so
+    the contraction is done once per key.
+    """
+    rule = tet_rule(degree)
+    table = get_element(family, order).tabulate(rule.points)[half]
+    ref = table.reshape(table.shape[:2] + (-1,))  # nodal values gain a component axis
+    _, n, c = ref.shape
+    R = np.einsum("q,qia,qjb->abij", rule.weights, ref, ref).reshape(c * c, n * n)
+    R.flags.writeable = False
+    return R
 
 
 def _gram(space: FESpace, half: int, degree: int) -> np.ndarray:
@@ -208,15 +144,7 @@ def _gram(space: FESpace, half: int, degree: int) -> np.ndarray:
     (``half`` 1) at the points of the degree-``degree`` rule, and A_t its
     push-forward from :func:`push_forward`.
     """
-    key = (space.family, space.order, half, degree)
-    R = _REFERENCE_TENSORS.get(key)
-    if R is None:
-        rule = tet_rule(degree)
-        ref = reference_basis(space, rule.points)[half]
-        _, n, c = ref.shape
-        R = np.einsum("q,qia,qjb->abij", rule.weights, ref, ref).reshape(c * c, n * n)
-        R.flags.writeable = False
-        _REFERENCE_TENSORS[key] = R
+    R = _reference_tensor(space.family, space.order, half, degree)
     maps = push_forward(space)
     A, absdet = maps[half], maps[2]
     n = space.element.ndofs
@@ -227,7 +155,7 @@ def _gram(space: FESpace, half: int, degree: int) -> np.ndarray:
 def assemble_mass(space: FESpace, degree: int | None = None) -> SparseMatrix:
     """Mass matrix (phi_j, phi_i) on the active DoF set of the space."""
     local = _gram(space, 0, degree if degree is not None else 2 * space.order)
-    return _scatter(space, space, _coupling(space), local)
+    return _scatter(space, space, space.coupling, local)
 
 
 def assemble_curlcurl(row_space: FESpace, col_space: FESpace | None = None, degree: int | None = None) -> SparseMatrix:
@@ -240,7 +168,7 @@ def assemble_curlcurl(row_space: FESpace, col_space: FESpace | None = None, degr
         col_space = row_space
     _check_edge_pair(row_space, col_space)
     local = _gram(row_space, 1, degree if degree is not None else 2 * row_space.order - 2)
-    return _scatter(row_space, col_space, _coupling(row_space), local)
+    return _scatter(row_space, col_space, row_space.coupling, local)
 
 
 def assemble_gradient_map(nodal_space: FESpace, edge_space: FESpace) -> SparseMatrix:

@@ -38,7 +38,7 @@ not computed, so its half of the field is never evaluated and it reads None.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -55,6 +55,40 @@ def _entities(mesh: Mesh):
     t = mesh.topology
     return ((mesh.tets, np.arange(mesh.num_vertices)[:, None], t.boundary_vertices),
             (t.tet_edges, t.edges, t.boundary_edges), (t.tet_faces, t.faces, t.boundary_faces))
+
+
+class _Pattern:
+    """CSR pattern of a set of full-layout (row, col) pairs, sorted once.
+
+    ``rows`` and ``cols`` broadcast against each other.  One stable argsort of
+    the keys row * ncols + col gives the distinct pairs in CSR order
+    (``indptr``, ``indices``) and ``slot``, the data position of every input
+    pair, in the broadcast shape; repeated pairs share a position.
+    """
+
+    def __init__(self, shape: tuple[int, int], rows, cols):
+        keys = rows * shape[1] + cols
+        slot_shape = keys.shape
+        keys = keys.ravel()
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        new = np.empty(len(keys), dtype=bool)  # a pair differs from the one before it
+        new[:1] = False
+        np.not_equal(keys[1:], keys[:-1], out=new[1:])
+        rank = new.astype(np.intp)
+        np.cumsum(rank, out=rank)
+        slot = np.empty_like(order)
+        slot[order] = rank
+        self.slot = slot.reshape(slot_shape)
+        new[:1] = True
+        keys = keys[new]
+        self.indptr = np.searchsorted(keys, np.arange(shape[0] + 1) * shape[1])
+        keys -= np.repeat(np.arange(shape[0]) * shape[1], np.diff(self.indptr))
+        self.indices = keys
+
+    @property
+    def nnz(self) -> int:
+        return len(self.indices)
 
 
 @dataclass
@@ -87,6 +121,16 @@ class FESpace:
         self.free_dofs = np.flatnonzero(np.concatenate(free))
         self.free_dofs.flags.writeable = False
         self.cell_dofs.flags.writeable = False
+
+    @cached_property
+    def coupling(self) -> _Pattern:
+        """Pattern of the DoF pairs that share a tet, on the full layout.
+
+        Built on first use and kept as long as the space, so every operator
+        assembled with this space as its row space scatters onto one sort.
+        """
+        dofs = self.cell_dofs
+        return _Pattern((self.ndofs, self.ndofs), dofs[:, :, None], dofs[:, None, :])
 
     @property
     def num_free(self) -> int:

@@ -74,8 +74,6 @@ class Mesh:
     topology: Topology = field(init=False, repr=False, compare=False)
     # (reference points key, mapped points) of the last fespace.map_points call.
     _mapped_points: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    # (family, order) -> coupling pattern, inside assembly._shared_couplings only.
-    _couplings: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.vertices = _freeze(np.ascontiguousarray(self.vertices, dtype=np.float64))

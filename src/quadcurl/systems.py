@@ -51,7 +51,6 @@ from .assembly import (
     SparseMatrix,
     _gram,
     _restrict,
-    _shared_couplings,
     assemble_curlcurl,
     assemble_gradient_map,
     assemble_load,
@@ -110,16 +109,15 @@ class CurlCurlSystem:
 def build_curlcurl_system(mesh: Mesh, order: int) -> CurlCurlSystem:
     """Assemble C0, M0 and the gradient map G0 on their active DoF sets.
 
-    C0 and M0 are gathered from one coupling pattern of the edge space.
+    C0 and M0 both scatter onto ``u0.coupling``, so the edge pairs are sorted once.
     """
     s = _interior_spaces(mesh, order)
-    with _shared_couplings(mesh):
-        return CurlCurlSystem(
-            C0=assemble_curlcurl(s.u0, s.u0),
-            M0=assemble_mass(s.u0),
-            G0=assemble_gradient_map(s.s0, s.u0),
-            spaces=s,
-        )
+    return CurlCurlSystem(
+        C0=assemble_curlcurl(s.u0, s.u0),
+        M0=assemble_mass(s.u0),
+        G0=assemble_gradient_map(s.s0, s.u0),
+        spaces=s,
+    )
 
 
 @dataclass
@@ -186,20 +184,19 @@ def _pad_rows(mat: sp.csr_matrix, shape: tuple[int, int]) -> sp.csr_matrix:
 def build_quadcurl_pencil(mesh: Mesh, order: int) -> PencilSystem:
     """Assemble K, M_N, M_M and the gradient map G0 on their active DoF sets.
 
-    K and M_M are gathered from one coupling pattern of the edge space.  M_M
-    is the mass on the full layout of U_h, so M_N, the U_{0,h} mass, is its
-    free rows and columns.
+    K and M_M both scatter onto ``uf.coupling``, so the edge pairs are sorted
+    once.  M_M is the mass on the full layout of U_h, so M_N, the U_{0,h}
+    mass, is its free rows and columns.
     """
     s = _interior_spaces(mesh, order)
-    with _shared_couplings(mesh):
-        M_M = assemble_mass(s.uf)
-        return PencilSystem(
-            K=assemble_curlcurl(s.uf, s.u0),
-            M_N=_restrict(s.u0, s.u0, M_M.mat.indptr, M_M.mat.indices, M_M.mat.data),
-            M_M=M_M,
-            G0=assemble_gradient_map(s.s0, s.u0),
-            spaces=s,
-        )
+    M_M = assemble_mass(s.uf)
+    return PencilSystem(
+        K=assemble_curlcurl(s.uf, s.u0),
+        M_N=_restrict(s.u0, s.u0, M_M.mat.indptr, M_M.mat.indices, M_M.mat.data),
+        M_M=M_M,
+        G0=assemble_gradient_map(s.s0, s.u0),
+        spaces=s,
+    )
 
 
 def _shift(system: CurlCurlSystem | PencilSystem) -> float:

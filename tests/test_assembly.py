@@ -7,9 +7,9 @@ from quadcurl import (
     DofVector, SparseMatrix, assemble_curlcurl, assemble_gradient_map,
     assemble_load, assemble_mass, generate_cube_mesh, interpolate, make_space,
 )
-from quadcurl.assembly import _coupling, _gram
+from quadcurl.assembly import _gram, _reference_tensor
 from quadcurl.errors import SpaceError
-from quadcurl.fespace import eval_cells
+from quadcurl.fespace import eval_cells, reference_basis
 from quadcurl.mesh import Mesh
 from quadcurl.quadrature import tet_rule
 
@@ -218,24 +218,8 @@ def test_load_quadrature_degree_saturated(cube2):
     assert np.abs(b10 - b14).max() < 1e-10 * np.abs(b14).max()
 
 
-def test_from_triplets_accumulates_duplicates():
-    S = SparseMatrix.from_triplets((2, 2), [0, 0, 1], [1, 1, 0], [2.0, 3.0, 1.0])
-    dense = S.to_dense()
-    assert dense[0, 1] == 5.0
-    assert dense[1, 0] == 1.0
-    assert S.mat.nnz == 2
-
-
-def test_from_triplets_rejects_out_of_range():
-    with pytest.raises(SpaceError):
-        SparseMatrix.from_triplets((2, 2), [0, 2], [0, 0], [1.0, 1.0])
-    with pytest.raises(SpaceError):
-        SparseMatrix.from_triplets((2, 2), [0], [-1], [1.0])
-
-
 def test_dump_coordinate_format(tmp_path):
-    S = SparseMatrix.from_triplets((3, 4), [0, 2, 1], [3, 0, 1],
-                                   [1.5, -2.25, 1e-17])
+    S = SparseMatrix(sp.csr_matrix(([1.5, -2.25, 1e-17], ([0, 2, 1], [3, 0, 1])), shape=(3, 4)))
     path = tmp_path / "mat.txt"
     S.dump(str(path))
     lines = path.read_text().splitlines()
@@ -361,7 +345,7 @@ def test_coupling_slot_map_hits_every_entry_once(family, order):
     every stored pair is hit, and as often as tets share it."""
     mesh = jittered_cube_mesh(2, seed=9)
     space = make_space(mesh, family, order)
-    pattern = _coupling(space)
+    pattern = space.coupling
     dofs = space.cell_dofs
     T, n = dofs.shape
     assert pattern.slot.shape == (T, n, n)
@@ -377,3 +361,20 @@ def test_coupling_slot_map_hits_every_entry_once(family, order):
     # Pairs that share a tet are symmetric, so is the pattern.
     P = sp.csr_matrix((np.ones(pattern.nnz), pattern.indices, pattern.indptr), shape=shared.shape)
     assert (P != P.T).nnz == 0
+
+
+@pytest.mark.parametrize("family, order", [("edge", 1), ("edge", 2), ("nodal", 1), ("nodal", 2)])
+@pytest.mark.parametrize("half", [0, 1])
+def test_reference_tensor_is_the_contraction_of_the_cached_table(family, order, half):
+    """R is bitwise the contraction of the table ``reference_basis`` serves,
+    read-only, and one object per (family, order, half, degree)."""
+    space = make_space(generate_cube_mesh(1), family, order)
+    degree = 2 * order - 2 * half
+    rule = tet_rule(degree)
+    ref = reference_basis(space, rule.points)[half]
+    _, n, c = ref.shape
+    want = np.einsum("q,qia,qjb->abij", rule.weights, ref, ref).reshape(c * c, n * n)
+    R = _reference_tensor(family, order, half, degree)
+    assert R.dtype == want.dtype and np.array_equal(R, want)
+    assert not R.flags.writeable
+    assert _reference_tensor(family, order, half, degree) is R

@@ -15,7 +15,7 @@ from quadcurl.assembly import (
     assemble_curlcurl, assemble_gradient_map, assemble_load, assemble_mass,
 )
 from quadcurl.errors import EigenSolveError, SpaceError
-from quadcurl.fespace import make_space
+from quadcurl.fespace import _Pattern, make_space
 from quadcurl import solvers
 from quadcurl.solvers import _REFINE_STEPS
 
@@ -115,25 +115,57 @@ def test_divergence_constrained_system_has_only_the_nonzero_eigenvalues(cube2, o
     assert np.abs(lam / pencil[P:] - 1.0).max() <= 1e-12
 
 
-@pytest.mark.parametrize("solve, mesh, order", [
-    pytest.param(solve_maxwell_eig, generate_cube_mesh(3), 2, id="maxwell-kuhn3-order2"),
-    pytest.param(solve_quadcurl_eig, five_tet_cube_mesh(4), 1, id="quadcurl-fivetet4-order1"),
-    pytest.param(solve_quadcurl_eig, generate_cube_mesh(2), 2, id="quadcurl-kuhn2-order2"),
+def _negative_pivots(system, tau):
+    """Negative eigenvalues of A - tau B, by Sylvester inertia: the negative
+    pivots of the symmetric-mode, no-pivot LU the eigen route factors with."""
+    A, B, _ = system.operator()
+    lu = solvers._symmetric_lu(A - tau * B)
+    assert np.array_equal(lu.perm_r, lu.perm_c)  # a symmetric permutation: congruence
+    return int((lu.U.diagonal() < 0.0).sum())
+
+
+def _slice_count(system, values, tau):
+    """What the inertia of A - tau B must read if ``values`` are all the
+    eigenvalues below tau: the M of the w block, the P gradient modes at 0,
+    and the nonzero eigenvalues below tau."""
+    return system.m_total + system.spaces.s0.num_free + int((values < tau).sum())
+
+
+@pytest.mark.parametrize("build, mesh, order", [
+    pytest.param(build_curlcurl_system, generate_cube_mesh(3), 2, id="maxwell-kuhn3-order2"),
+    pytest.param(build_quadcurl_pencil, five_tet_cube_mesh(4), 1, id="quadcurl-fivetet4-order1"),
+    pytest.param(build_quadcurl_pencil, generate_cube_mesh(2), 2, id="quadcurl-kuhn2-order2"),
 ])
-def test_repeated_eigenvalues_survive_every_count(solve, mesh, order):
+def test_repeated_eigenvalues_survive_every_count(build, mesh, order):
     """Counts 1-5 return the first values of a count-8 solve, every copy of a
-    repeated eigenvalue included.
+    repeated eigenvalue included, and Sylvester inertia confirms none is missing.
 
     Each record has an exactly repeated eigenvalue among its first five (a
     double at 19.8 and 1733, a triple at 1558).  Lanczos finds only as many
     copies as its subspace allows: with ncv 28 the five-tet count-3 solve
     returned 3795.8 for the third copy of 1557.66.  Such a pair is a genuine
-    eigenpair, so no residual check catches it.
+    eigenpair, so no residual check catches it.  The inertia of A - tau B,
+    tau just below the largest returned value, counts every eigenvalue below
+    tau, so it does.
     """
-    ref = solve(mesh, order, 8).values
+    system = build(mesh, order)
+    ref = eigenpairs(system, 8).values
     for count in range(1, 6):
-        got = solve(mesh, order, count).values
+        got = eigenpairs(system, count).values
         assert np.abs(got - ref[:count]).max() <= 1e-9 * ref[0], count
+        tau = got[-1] * (1.0 - 1e-6)
+        assert _negative_pivots(system, tau) == _slice_count(system, got, tau), count
+
+
+def test_inertia_count_catches_a_skipped_cluster_copy():
+    """The five-tet triple with its third copy replaced by the next eigenvalue,
+    as a too-small Lanczos subspace returns it, fails the inertia count."""
+    pen = build_quadcurl_pencil(five_tet_cube_mesh(4), 1)
+    ref = eigenpairs(pen, 8).values
+    assert ref[2] - ref[0] <= 1e-9 * ref[0] < ref[3] - ref[2]  # the triple, then a gap
+    skipped = np.append(ref[:2], ref[3])
+    tau = skipped[-1] * (1.0 - 1e-6)
+    assert _negative_pivots(pen, tau) == _slice_count(pen, skipped, tau) + 1
 
 
 def test_pencil_shapes_and_gradient_compatibility(pencil2):
@@ -517,6 +549,55 @@ def test_setup_spaces_share_the_meshs_topology(cube2):
     assert all(space.mesh.topology is topo for space in (s.u0, s.uf, s.s0))
     assert s.uf.ndofs == 2 * topo.num_edges + 2 * topo.num_faces
     assert s.s0.ndofs == cube2.num_vertices + topo.num_edges
+
+
+@pytest.mark.parametrize("build, row_space", [
+    (build_curlcurl_system, "u0"), (build_quadcurl_pencil, "uf")])
+def test_record_sorts_two_patterns_and_its_row_space_keeps_one(build, row_space, monkeypatch):
+    """A record makes exactly two patterns: its row space's edge coupling,
+    which every edge block scatters onto, and the gradient map's.  The
+    coupling stays on the space; the mesh keeps no pattern."""
+    made = []
+    init = _Pattern.__init__
+
+    def counting(self, *args):
+        made.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(_Pattern, "__init__", counting)
+    mesh = jittered_cube_mesh(2, seed=6)
+    system = build(mesh, 2)
+    space = getattr(system.spaces, row_space)
+    assert len(made) == 2
+    assert space.coupling is space.coupling is made[0]
+    assert len(made) == 2  # reading it again sorts nothing
+    assert not hasattr(mesh, "_couplings")  # a Mesh field would be a class attribute
+
+
+def _relabelled_and_moved(mesh, seed):
+    """The mesh with a random vertex numbering, a shuffled tet order and
+    reversed vertex order in each tet, under a random rotation and translation."""
+    rng = np.random.default_rng(seed)
+    new_id = rng.permutation(mesh.num_vertices)
+    vertices = np.empty_like(mesh.vertices)
+    vertices[new_id] = mesh.vertices
+    tets = new_id[mesh.tets][rng.permutation(mesh.num_tets), ::-1]
+    Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    if np.linalg.det(Q) < 0.0:  # a rotation, not a reflection
+        Q[:, 0] = -Q[:, 0]
+    return Mesh(vertices @ Q.T + rng.uniform(-2.0, 2.0, 3), tets)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("solve", [solve_quadcurl_eig, solve_maxwell_eig])
+def test_eig_invariant_under_relabelling_and_rigid_motion(solve, order):
+    """lambda_1-3 do not depend on how the mesh is numbered, ordered or placed."""
+    mesh = jittered_cube_mesh(3)
+    moved = _relabelled_and_moved(mesh, seed=order)
+    assert not np.array_equal(moved.tets, mesh.tets)
+    ref = solve(mesh, order, 3).values
+    got = solve(moved, order, 3).values
+    assert np.abs(got / ref - 1.0).max() <= 1e-12
 
 
 def test_pencil_requires_interior_edges():
