@@ -13,7 +13,9 @@ which is the one kernel :func:`_gram` behind the edge mass (A = J^{-T} on
 values), the curl-curl matrix (A = J / det J on curls) and the nodal mass
 (a 1x1 map).  Loads pull f back instead, f(x) . (A r_i) = (A^T f) . r_i, and
 contract once with the reference table.  Default quadrature degrees are the
-exact ones: 2k for mass and 2k - 2 for curl-curl at order k.
+exact ones, 2k for mass and 2k - 2 for curl-curl at order k, and loads
+sample f at ``fespace.SAMPLE_DEGREE``.  Every reference table is the one
+``fespace`` keeps per (family, order, degree).
 
 Local blocks land on a coupling pattern: the CSR pattern of the full-layout
 DoF pairs that share a tet, built by one stable argsort of the (T, n, n) pair
@@ -42,14 +44,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import SpaceError
-from .fespace import DofVector, FESpace, _Pattern, map_points, push_forward, reference_basis
+from .fespace import (SAMPLE_DEGREE, DofVector, FESpace, _Pattern, _reference_tables,
+                      map_points, push_forward, reference_basis)
 from .quadrature import tet_rule
-from .reference import get_element, ref_gradient_matrix
-
-LOAD_DEGREE = 10  # default quadrature degree for analytic load integrands
+from .reference import ref_gradient_matrix
 
 
-@dataclass
+@dataclass(eq=False)
 class SparseMatrix:
     """A sparse matrix; ``mat`` is the CSR store, which assembly builds on a
     coupling pattern."""
@@ -123,16 +124,11 @@ def _restrict(row_space: FESpace, col_space: FESpace, indptr, indices, data) -> 
 
 @lru_cache(maxsize=None)
 def _reference_tensor(family: str, order: int, half: int, degree: int) -> np.ndarray:
-    """R[ab, ij] of the module docstring, (c * c, n * n) and read-only.
-
-    The reference table and the rule it reads are fixed by the arguments, so
-    the contraction is done once per key.
-    """
-    rule = tet_rule(degree)
-    table = get_element(family, order).tabulate(rule.points)[half]
-    ref = table.reshape(table.shape[:2] + (-1,))  # nodal values gain a component axis
+    """R[ab, ij] of the module docstring, (c * c, n * n) and read-only: the
+    contraction of the shared table of the degree-``degree`` rule, once per key."""
+    ref = _reference_tables(family, order, degree)[half]
     _, n, c = ref.shape
-    R = np.einsum("q,qia,qjb->abij", rule.weights, ref, ref).reshape(c * c, n * n)
+    R = np.einsum("q,qia,qjb->abij", tet_rule(degree).weights, ref, ref).reshape(c * c, n * n)
     R.flags.writeable = False
     return R
 
@@ -196,15 +192,14 @@ def assemble_gradient_map(nodal_space: FESpace, edge_space: FESpace) -> SparseMa
     return _scatter(edge_space, nodal_space, pairs, vals[nz])
 
 
-def assemble_load(space: FESpace, f, degree: int = LOAD_DEGREE) -> DofVector:
+def assemble_load(space: FESpace, f, degree: int = SAMPLE_DEGREE) -> DofVector:
     """Load vector entries (f, phi_i) over the full DoF layout."""
-    rule = tet_rule(degree)
     value_map, _, absdet = push_forward(space)
-    ref, _ = reference_basis(space, rule.points)
+    ref, _ = reference_basis(space, degree)
     Q, n, c = ref.shape
     T = len(absdet)
-    pulled = f(map_points(space.mesh, rule.points)).reshape(T, Q, -1) @ value_map
-    pulled *= rule.weights[:, None]
+    pulled = f(map_points(space.mesh, degree)).reshape(T, Q, -1) @ value_map
+    pulled *= tet_rule(degree).weights[:, None]
     local = absdet[:, None] * (pulled.reshape(T, Q * c) @ ref.transpose(0, 2, 1).reshape(Q * c, n))
     out = np.bincount(space.cell_dofs.ravel(), local.ravel(), minlength=space.ndofs)
     return DofVector(space, out)

@@ -30,6 +30,11 @@ This is the only place where the family changes the math: every element
 integral and field evaluation is a contraction of a reference table with
 these maps.
 
+Sampling.  Fields are evaluated only at tet-rule points, so the reference
+tables (:func:`reference_basis`) and the mapped points (:func:`map_points`)
+are keyed by the rule's degree; loads and error norms sample at
+``SAMPLE_DEGREE``.
+
 Errors.  :func:`integrate_errors` evaluates a field and integrates a norm
 only for the exact fields it is given: a None exact field means that norm is
 not computed, so its half of the field is never evaluated and it reads None.
@@ -48,6 +53,7 @@ from .quadrature import tet_rule
 from .reference import DOFS_PER_ENTITY, entity_moments, get_element
 
 INTERP_DEGREE = 13  # quadrature degree for entity moments of analytic fields
+SAMPLE_DEGREE = 10  # tet rule at which loads and error norms sample analytic fields
 
 
 def _entities(mesh: Mesh):
@@ -91,7 +97,7 @@ class _Pattern:
         return len(self.indices)
 
 
-@dataclass
+@dataclass(eq=False)
 class FESpace:
     """A global FE space; ``cell_dofs`` (T, element ndofs) holds each tet's
     global DoFs in the element's order.  See the module docstring for the layout.
@@ -152,7 +158,7 @@ class FESpace:
         return DofVector(self, full)
 
 
-@dataclass
+@dataclass(eq=False)
 class DofVector:
     """Coefficients over the full DoF layout of a space."""
 
@@ -176,39 +182,34 @@ def make_space(mesh: Mesh, family: str, order: int, constrained: bool = False) -
 # --- geometry ---------------------------------------------------------------
 
 
-def map_points(mesh: Mesh, ref_points: np.ndarray) -> np.ndarray:
-    """Push reference points to every tet: (T, n, 3), read-only.
+def map_points(mesh: Mesh, degree: int) -> np.ndarray:
+    """Points of the degree-``degree`` tet rule on every tet: (T, Q, 3), read-only.
 
-    The mesh keeps the last result, keyed by the reference points: a source
-    solve maps one quadrature rule for its load and for each error integral.
-    Repeated calls with the same mesh and points return the same array
-    object, which the manufactured fields rely on to take the trig of those
-    points once.
+    The mesh keeps its last mapping under its degree, so a source solve's
+    load and error integrals all get the same array object, which owns its
+    memory; the manufactured fields rely on it to take the trig once.
     """
-    ref = np.ascontiguousarray(ref_points, dtype=np.float64)
-    key = (ref.shape, ref.tobytes())
-    if mesh._mapped_points is None or mesh._mapped_points[0] != key:
+    if mesh._mapped_points is None or mesh._mapped_points[0] != degree:
         origin = mesh.vertices[mesh.tets[:, 0]]
-        points = origin[:, None, :] + ref @ mesh.jac.transpose(0, 2, 1)
+        points = origin[:, None, :] + tet_rule(degree).points @ mesh.jac.transpose(0, 2, 1)
         points.flags.writeable = False
-        mesh._mapped_points = (key, points)
+        mesh._mapped_points = (degree, points)
     return mesh._mapped_points[1]
 
 
-def reference_basis(space: FESpace, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reference basis values and derivatives at points, each (Q, n, c).
+def reference_basis(space: FESpace, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reference basis values and derivatives at a tet rule's points, each (Q, n, c).
 
     Nodal values get a trailing axis of length 1, so both families push
     forward through the (T, d, c) maps of :func:`push_forward`.  The tables
-    are tabulated once per (family, order, points) and shared read-only.
+    are tabulated once per (family, order, degree) and shared read-only.
     """
-    pts = np.ascontiguousarray(points, dtype=np.float64)
-    return _reference_tables(space.family, space.order, pts.shape, pts.tobytes())
+    return _reference_tables(space.family, space.order, degree)
 
 
-@lru_cache(maxsize=32)  # bounded: eval_cells callers pass arbitrary points
-def _reference_tables(family: str, order: int, shape: tuple, points: bytes):
-    vals, derivs = get_element(family, order).tabulate(np.frombuffer(points).reshape(shape))
+@lru_cache(maxsize=None)  # bounded: only degrees 0..MAX_DEGREE succeed
+def _reference_tables(family: str, order: int, degree: int):
+    vals, derivs = get_element(family, order).tabulate(tet_rule(degree).points)
     tables = vals.reshape(derivs.shape[:2] + (-1,)), derivs
     for t in tables:
         t.flags.writeable = False
@@ -231,22 +232,13 @@ def push_forward(space: FESpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # --- evaluation -------------------------------------------------------------
 
 
-def _cell_field(vec: DofVector, ref_points: np.ndarray, half: int) -> np.ndarray:
-    """Half 0 (values) or 1 (derivatives) of :func:`eval_cells`, a fresh array."""
+def _cell_field(vec: DofVector, degree: int, half: int) -> np.ndarray:
+    """Values (half 0) or derivatives (half 1) of a field at the degree-``degree``
+    rule's points on every tet, a fresh (T, Q, 3) array; nodal values are (T, Q)."""
     space = vec.space
-    ref, A = reference_basis(space, ref_points)[half], push_forward(space)[half]
+    ref, A = reference_basis(space, degree)[half], push_forward(space)[half]
     field = np.tensordot(vec.values[space.cell_dofs], ref, axes=(1, 1)) @ A.transpose(0, 2, 1)
     return field[..., 0] if space.family == "nodal" and half == 0 else field
-
-
-def eval_cells(vec: DofVector, ref_points: np.ndarray):
-    """Evaluate a field on every tet of its space's mesh at shared reference points.
-
-    Returns (values, derivs): for the edge family, values and curls, both of
-    shape (T, n, 3); for the nodal family, values (T, n) and gradients
-    (T, n, 3).
-    """
-    return _cell_field(vec, ref_points, 0), _cell_field(vec, ref_points, 1)
 
 
 # --- interpolation ----------------------------------------------------------
@@ -280,7 +272,7 @@ def integrate_errors(
     vec: DofVector,
     exact_value=None,
     exact_deriv=None,
-    degree: int = 10,
+    degree: int = SAMPLE_DEGREE,
 ) -> tuple[float | None, float | None]:
     """L2 norms of (u_h - exact_value) and of the derivative mismatch.
 
@@ -295,8 +287,8 @@ def integrate_errors(
     def error(half, exact):
         if exact is None:
             return None
-        err = _cell_field(vec, rule.points, half)
-        err -= exact(map_points(mesh, rule.points))
+        err = _cell_field(vec, degree, half)
+        err -= exact(map_points(mesh, degree))
         # Squared components added in order: bitwise a sum over the component
         # axis, without numpy's reduction overhead on a length-3 axis.
         err = err.reshape(len(absdet), len(rule.weights), -1)

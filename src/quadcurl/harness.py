@@ -385,6 +385,8 @@ def run_cli(argv) -> int:
             table = _info_table(mesh, args.order)
         elif args.command in ("eig", "maxwell"):
             problem = "quadcurl-eig" if args.command == "eig" else "maxwell-eig"
+            if args.num < 1:
+                raise UsageError(f"--num must be >= 1, got {args.num}")
             if args.levels is not None:
                 if args.mesh is not None or args.dump_matrices is not None:
                     raise UsageError("--levels runs on cube levels; it takes "

@@ -43,7 +43,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass
+@dataclass(eq=False)
 class Mesh:
     """Immutable tetrahedral mesh.
 
@@ -54,26 +54,29 @@ class Mesh:
     tets:
         Integer array of shape (T, 4); whole-valued floats are accepted.
         Rows are sorted ascending during construction; the input order of
-        the four vertices is irrelevant.  A tet whose |det J| is at most
-        1e-12 times the cube of its longest edge is rejected as degenerate,
-        and so is a vertex that no tet uses.
+        the four vertices is irrelevant.  A tet listed twice (in any vertex
+        order) is rejected, and so is a tet whose |det J| is at most 1e-12
+        times the cube of its longest edge (degenerate) and a vertex that no
+        tet uses.
 
     Construction also sets ``h_max`` (the longest edge), the affine map
     x = v_0 + J x_hat of every tet (``jac`` (T, 3, 3), whose column d is
     vertex d+1 minus vertex 0, ``jac_inv`` and ``jac_det``) and the
     ``topology`` that every space on the mesh reads; a face of more than two
-    tets raises NonConformingMeshError.
+    tets raises NonConformingMeshError.  ``fespace.map_points`` keeps its
+    last mapping of a tet rule here, under the rule's degree.  Meshes compare
+    by identity.
     """
 
     vertices: np.ndarray
     tets: np.ndarray
     h_max: float = field(init=False)
-    jac: np.ndarray = field(init=False, repr=False, compare=False)
-    jac_inv: np.ndarray = field(init=False, repr=False, compare=False)
-    jac_det: np.ndarray = field(init=False, repr=False, compare=False)
-    topology: Topology = field(init=False, repr=False, compare=False)
-    # (reference points key, mapped points) of the last fespace.map_points call.
-    _mapped_points: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    jac: np.ndarray = field(init=False, repr=False)
+    jac_inv: np.ndarray = field(init=False, repr=False)
+    jac_det: np.ndarray = field(init=False, repr=False)
+    topology: Topology = field(init=False, repr=False)
+    # (rule degree, mapped points) of the last fespace.map_points call.
+    _mapped_points: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.vertices = _freeze(np.ascontiguousarray(self.vertices, dtype=np.float64))
@@ -95,6 +98,11 @@ class Mesh:
         self.tets = _freeze(tets)
         if np.any(np.diff(tets, axis=1) == 0):
             raise MeshError("tet with repeated vertex")
+        # A lone tet listed twice would share all four faces with its copy.
+        rows = tets[np.lexsort(tets.T)]
+        twice = np.flatnonzero((rows[1:] == rows[:-1]).all(axis=1))
+        if len(twice):
+            raise MeshError(f"tet {tuple(rows[twice[0]].tolist())} listed twice")
         # An unused vertex would become a free nodal DoF with no gradient.
         unused = np.flatnonzero(np.bincount(tets.ravel(), minlength=len(self.vertices)) == 0)
         if len(unused):
@@ -219,7 +227,7 @@ def read_gmsh(text: str) -> Mesh:
     return Mesh(coords[used], remap[tets_arr])
 
 
-@dataclass
+@dataclass(eq=False)
 class Topology:
     """Edge/face enumeration and cell incidence for a mesh.
 

@@ -27,7 +27,7 @@ from .errors import QuadratureError
 MAX_DEGREE = 40
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadRule:
     """Points (n, dim) on the reference simplex and matching weights (n,)."""
 

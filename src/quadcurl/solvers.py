@@ -54,7 +54,7 @@ _REFINE_FLOOR_FACTOR = np.finfo(np.float64).eps
 _LANCZOS_TOL = 1e-12
 
 
-@dataclass
+@dataclass(eq=False)
 class EigenResult:
     """Ascending eigenvalues, B-orthonormal eigenvector columns, residuals.
 

@@ -62,7 +62,7 @@ from .mesh import Mesh
 from .solvers import EigenResult, gen_sym_eig, saddle_solve
 
 
-@dataclass
+@dataclass(eq=False)
 class Spaces:
     """Edge/nodal space triple shared by the solvers on one mesh."""
 
@@ -86,7 +86,7 @@ def _interior_spaces(mesh: Mesh, order: int) -> Spaces:
     return s
 
 
-@dataclass
+@dataclass(eq=False)
 class CurlCurlSystem:
     """Blocks of the curl-curl (Maxwell) operator on U_{0,h}, on active DoF sets."""
 
@@ -120,7 +120,7 @@ def build_curlcurl_system(mesh: Mesh, order: int) -> CurlCurlSystem:
     )
 
 
-@dataclass
+@dataclass(eq=False)
 class PencilSystem:
     """Blocks of the fourth-order eigenvalue pencil, on active DoF sets."""
 
@@ -233,7 +233,7 @@ def solve_maxwell_eig(mesh: Mesh, order: int, count: int) -> EigenResult:
     return eigenpairs(build_curlcurl_system(mesh, order), count)
 
 
-@dataclass
+@dataclass(eq=False)
 class SourceSolution:
     """Solution bundle of a source problem.
 

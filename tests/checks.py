@@ -1,10 +1,36 @@
-"""Checks used only by the tests: the discrete divergence of edge-space
-fields and the boundary traces and divergence of the manufactured cases."""
+"""Checks used only by the tests: a pointwise evaluator of discrete fields,
+the discrete divergence of edge-space fields and the boundary traces and
+divergence of the manufactured cases."""
 
 import numpy as np
 
 from quadcurl.assembly import assemble_gradient_map, assemble_mass
-from quadcurl.fespace import DofVector, FESpace
+from quadcurl.fespace import DofVector, FESpace, push_forward
+
+
+def physical_points(mesh, ref_points) -> np.ndarray:
+    """Chosen reference points pushed to every tet: (T, n, 3)."""
+    origin = mesh.vertices[mesh.tets[:, 0]]
+    return origin[:, None, :] + np.asarray(ref_points, dtype=np.float64) @ mesh.jac.transpose(0, 2, 1)
+
+
+def eval_at(vec: DofVector, ref_points):
+    """A field on every tet at chosen reference points: (values, derivatives).
+
+    For the edge family, values and curls, both (T, n, 3); for the nodal
+    family, values (T, n) and gradients (T, n, 3).  It is the library's
+    contraction of reference tables with the push-forward maps, so at a tet
+    rule's points it is bitwise the library's evaluation.
+    """
+    space = vec.space
+    vals, derivs = space.element.tabulate(np.asarray(ref_points, dtype=np.float64))
+    coeffs = vec.values[space.cell_dofs]
+    fields = [np.tensordot(coeffs, ref, axes=(1, 1)) @ A.transpose(0, 2, 1)
+              for ref, A in zip((vals.reshape(derivs.shape[:2] + (-1,)), derivs),
+                                push_forward(space))]
+    if space.family == "nodal":
+        fields[0] = fields[0][..., 0]
+    return tuple(fields)
 
 
 def divergence_residual(edge_space: FESpace, nodal_space: FESpace, u) -> float:

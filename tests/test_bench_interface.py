@@ -1,5 +1,6 @@
 """The program names that the benchmark under ``bench/`` reads stay in place."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +18,16 @@ def test_bench_selftest_passes():
     proc = subprocess.run([sys.executable, "bench/selftest.py"], cwd=ROOT,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_bench_src_conv_smoke_run():
+    """A short ``src-conv`` benchmark run exits 0 with every request verified."""
+    proc = subprocess.run([sys.executable, "bench/run.py", "--workload", "src-conv",
+                           "--seed", "1", "--seconds", "0.5"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0
 
 
 def test_traced_eig_solve_counts_assembled_matrices(bench_spans):

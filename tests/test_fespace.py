@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from checks import eval_at, physical_points
 from meshes import five_tet_cube_mesh, jittered_cube_mesh
 from quadcurl import (
     DofVector, Mesh, build_topology, generate_cube_mesh, integrate_errors,
@@ -10,7 +11,7 @@ from quadcurl import (
 )
 from quadcurl import fespace
 from quadcurl.errors import SpaceError
-from quadcurl.fespace import eval_cells, map_points, reference_basis
+from quadcurl.fespace import SAMPLE_DEGREE, map_points, reference_basis
 from quadcurl.manufactured import smooth_field
 from quadcurl.mesh import LOCAL_FACES
 from quadcurl.quadrature import tet_rule
@@ -100,7 +101,7 @@ def test_constant_field_reproduced(order):
     space = make_space(mesh, "edge", order)
     c = np.array([1.0, -2.0, 0.5])
     vec = interpolate(space, lambda x: np.broadcast_to(c, np.asarray(x).shape).copy())
-    vals, curls = eval_cells(vec, REF_PTS)
+    vals, curls = eval_at(vec, REF_PTS)
     assert np.abs(vals - c).max() < 1e-11
     assert np.abs(curls).max() < 1e-10
 
@@ -112,8 +113,8 @@ def test_rotational_field_reproduced(order):
     space = make_space(mesh, "edge", order)
     c = np.array([0.4, 1.3, -0.6])
     vec = interpolate(space, lambda x: np.cross(np.asarray(x), c))
-    vals, curls = eval_cells(vec, REF_PTS)
-    phys = map_points(mesh, REF_PTS)
+    vals, curls = eval_at(vec, REF_PTS)
+    phys = physical_points(mesh, REF_PTS)
     assert np.abs(vals - np.cross(phys, c)).max() < 1e-11
     assert np.abs(curls - (-2.0 * c)).max() < 1e-10
 
@@ -124,8 +125,8 @@ def test_order2_reproduces_general_linear():
     A = np.array([[0.3, 1.2, -0.1], [0.7, -0.5, 0.2], [0.0, 0.8, 1.1]])
     b = np.array([0.2, -0.9, 0.4])
     vec = interpolate(space, lambda x: np.asarray(x) @ A.T + b)
-    vals, _ = eval_cells(vec, REF_PTS)
-    phys = map_points(mesh, REF_PTS)
+    vals, _ = eval_at(vec, REF_PTS)
+    phys = physical_points(mesh, REF_PTS)
     assert np.abs(vals - (phys @ A.T + b)).max() < 1e-10
 
 
@@ -133,19 +134,18 @@ def test_map_points_returns_one_readonly_array_per_rule():
     """Every caller in a source solve gets the same read-only array that owns
     its memory: the manufactured fields key their shared trig table on it."""
     mesh = jittered_cube_mesh(2, seed=4)
-    points = tet_rule(10).points
-    X = map_points(mesh, points)
-    assert map_points(mesh, points.copy()) is X
+    X = map_points(mesh, SAMPLE_DEGREE)
+    assert map_points(mesh, SAMPLE_DEGREE) is X
     assert not X.flags.writeable and X.base is None
-    assert map_points(mesh, REF_PTS) is not X
-    assert np.array_equal(map_points(mesh, points), X)
+    assert map_points(mesh, 2) is not X
+    assert np.array_equal(map_points(mesh, SAMPLE_DEGREE), X)
 
 
 def test_nodal_interpolation_exact_for_polynomials(cube2):
     s1 = make_space(cube2, "nodal", 1)
     v1 = interpolate(s1, lambda x: 2.0 * x[..., 0] - x[..., 2] + 1.0)
-    vals, grads = eval_cells(v1, REF_PTS)
-    phys = map_points(cube2, REF_PTS)
+    vals, grads = eval_at(v1, REF_PTS)
+    phys = physical_points(cube2, REF_PTS)
     assert np.abs(vals - (2 * phys[..., 0] - phys[..., 2] + 1)).max() < 1e-12
     assert np.abs(grads - np.array([2.0, 0.0, -1.0])).max() < 1e-12
 
@@ -156,7 +156,7 @@ def test_nodal_interpolation_exact_for_polynomials(cube2):
         return x[..., 0] * x[..., 1] + x[..., 2] ** 2
 
     v2 = interpolate(s2, q)
-    vals2, _ = eval_cells(v2, REF_PTS)
+    vals2, _ = eval_at(v2, REF_PTS)
     assert np.abs(vals2 - q(phys)).max() < 1e-11
 
 
@@ -173,8 +173,8 @@ def test_tangential_continuity_across_interior_faces(order):
     # vertices: two tets sharing a face both see it at the same physical point.
     corners = np.vstack([np.zeros(3), np.eye(3)])
     pts = np.einsum("k,fkd->fd", [0.55, 0.25, 0.20], corners[LOCAL_FACES])
-    vals, _ = eval_cells(vec, pts)
-    phys = map_points(mesh, pts)
+    vals, _ = eval_at(vec, pts)
+    phys = physical_points(mesh, pts)
 
     # Sorted by face, an interior face's two (tet, local face) slots sit side by side.
     slots = np.argsort(topo.tet_faces.ravel(), kind="stable")
@@ -287,8 +287,8 @@ def _summed_axis_errors(vec, exact_value, exact_deriv, degree=10):
     """Both norms with the squares reduced by .sum(axis=2): the oracle of the fused norm."""
     mesh = vec.space.mesh
     rule = tet_rule(degree)
-    vals, derivs = eval_cells(vec, rule.points)
-    X = map_points(mesh, rule.points)
+    vals, derivs = eval_at(vec, rule.points)
+    X = map_points(mesh, degree)
     absdet = np.abs(mesh.jac_det)
 
     def norm(v):
@@ -327,9 +327,9 @@ def test_none_exact_field_is_neither_evaluated_nor_integrated(cube2, skipped, mo
     halves = []
     cell_field = fespace._cell_field
 
-    def recording_cell_field(v, points, half):
+    def recording_cell_field(v, degree, half):
         halves.append(half)
-        return cell_field(v, points, half)
+        return cell_field(v, degree, half)
 
     def raising(x):
         raise AssertionError("the kept exact field is called")
@@ -360,40 +360,41 @@ def test_dofvector_length_checked(cube2):
 @pytest.mark.parametrize("order", [1, 2])
 @pytest.mark.parametrize("family", ["edge", "nodal"])
 def test_reference_tables_cached_read_only(family, order, cube2):
-    """Tables are tabulated once per (family, order, points) and cannot be written."""
+    """Tables are tabulated once per (family, order, degree) and cannot be written."""
     space = make_space(cube2, family, order)
-    points = tet_rule(10).points
-    vals, derivs = reference_basis(space, points)
+    points = tet_rule(SAMPLE_DEGREE).points
+    vals, derivs = reference_basis(space, SAMPLE_DEGREE)
     fresh_vals, fresh_derivs = space.element.tabulate(points)
     assert np.array_equal(vals, fresh_vals.reshape(vals.shape[:2] + (-1,)))
     assert np.array_equal(derivs, fresh_derivs)
     assert vals.shape[:2] == derivs.shape[:2] == (len(points), space.element.ndofs)
 
-    again = reference_basis(make_space(cube2, family, order, constrained=True), points.copy())
+    again = reference_basis(make_space(cube2, family, order, constrained=True), SAMPLE_DEGREE)
     assert again[0] is vals and again[1] is derivs
     for table in (vals, derivs):
         with pytest.raises(ValueError):
             table[0, 0, 0] = 1.0
 
-    other = reference_basis(space, REF_PTS)
-    assert other[0].shape[0] == len(REF_PTS)
-    assert np.array_equal(other[1], space.element.tabulate(REF_PTS)[1])
+    other = reference_basis(space, 2)
+    assert other[0].shape[0] == tet_rule(2).num_points
+    assert np.array_equal(other[1], space.element.tabulate(tet_rule(2).points)[1])
 
 
 def test_mapped_points_memoized_read_only():
-    """The mesh keeps its last mapping: equal to a fresh one and not writable."""
+    """The mesh keeps its last mapping under its degree: equal to a fresh one
+    and not writable."""
     mesh = jittered_cube_mesh(2, seed=3)
-    points = tet_rule(10).points
-    mapped = map_points(mesh, points)
-    fresh = map_points(Mesh(mesh.vertices, mesh.tets), points)
+    points = tet_rule(SAMPLE_DEGREE).points
+    mapped = map_points(mesh, SAMPLE_DEGREE)
+    fresh = map_points(Mesh(mesh.vertices, mesh.tets), SAMPLE_DEGREE)
     assert mapped is not fresh and np.array_equal(mapped, fresh)
     by_hand = mesh.vertices[mesh.tets[:, :1]] + np.einsum("tij,qj->tqi", mesh.jac, points)
     assert np.abs(mapped - by_hand).max() <= 1e-15
-    assert map_points(mesh, points.copy()) is mapped
+    assert map_points(mesh, SAMPLE_DEGREE) is mapped
     with pytest.raises(ValueError):
         mapped[0, 0, 0] = 1.0
 
-    other = map_points(mesh, REF_PTS)
-    assert other.shape == (mesh.num_tets, len(REF_PTS), 3)
+    other = map_points(mesh, 2)
+    assert other.shape == (mesh.num_tets, tet_rule(2).num_points, 3)
     assert not other.flags.writeable
-    assert np.array_equal(map_points(mesh, points), mapped)
+    assert np.array_equal(map_points(mesh, SAMPLE_DEGREE), mapped)

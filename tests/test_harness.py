@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 import os
@@ -10,8 +11,9 @@ import pytest
 
 from meshes import five_tet_cube_mesh, write_gmsh
 from quadcurl import (
-    ConvergenceTable, convergence_study, emit_csv, observed_rates, run_cli,
+    ConvergenceTable, convergence_study, emit_csv, observed_rates, quadcurl_sin3_case, run_cli,
 )
+from quadcurl import harness
 from quadcurl.errors import UsageError
 from quadcurl.harness import parse_mesh_spec
 
@@ -82,6 +84,32 @@ def test_study_multiple_orders_stack_rows():
     rates = table.column("rate")
     assert rates[0] is None and rates[2] is None
     assert rates[1] is not None and rates[3] is not None
+
+
+def test_source_level_samples_its_fields_on_one_array(monkeypatch):
+    """A quad-curl source level hands its load f and the exact curl_u and
+    curl2_u of its errors the very same read-only point array, which owns its
+    memory, so the three fields share one trig table."""
+    case = quadcurl_sin3_case()
+    seen = {}
+
+    def recording(name):
+        field = getattr(case, name)
+
+        def call(X):
+            seen.setdefault(name, []).append(X)
+            return field(X)
+
+        return call
+
+    names = ("f", "curl_u", "curl2_u")
+    wrapped = dataclasses.replace(case, **{name: recording(name) for name in names})
+    monkeypatch.setattr(harness, "quadcurl_sin3_case", lambda: wrapped)
+    convergence_study("quadcurl-src", 1, [2])
+    assert sorted(seen) == sorted(names) and all(len(seen[n]) == 1 for n in names)
+    X = seen["f"][0]
+    assert seen["curl_u"][0] is X and seen["curl2_u"][0] is X
+    assert not X.flags.writeable and X.base is None
 
 
 def test_study_validates_inputs():
@@ -199,11 +227,14 @@ def test_cli_stdout_default(capsys):
     ["info", "--levels", "1,2"],
     ["info", "--dump-matrices", "never"],
     ["info", "--num", "3"],
+    ["eig", "--num", "0"],
+    ["maxwell", "--levels", "2", "--num", "-1"],
 ])
 def test_cli_usage_errors_exit_2(argv, capsys):
     assert run_cli(argv) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith("usage error:")
+    assert out == ""
 
 
 def test_cli_usage_error_leaves_no_partial_output(tmp_path, capsys):

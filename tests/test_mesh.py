@@ -259,6 +259,22 @@ def test_gmsh_single_tet():
     assert abs(mesh.volumes()[0] - 1.0 / 6.0) < 1e-15
 
 
+def test_tet_listed_twice_rejected():
+    """A lone tet listed twice shares all four faces with its copy: the face
+    count sees no boundary and no face of three tets, and the volume would
+    read twice the tet's."""
+    verts = np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0], [0.0, 0, 1]])
+    with pytest.raises(MeshError, match=r"^tet \(0, 1, 2, 3\) listed twice$"):
+        Mesh(verts, np.array([[0, 1, 2, 3], [3, 2, 1, 0]]))
+    cube = generate_cube_mesh(2)
+    with pytest.raises(MeshError, match="listed twice"):
+        Mesh(cube.vertices, np.vstack([cube.tets, cube.tets[5, ::-1]]))
+    text = REF_TET_MSH.replace("$Elements\n1\n1 4 2 0 1 1 2 3 4\n",
+                               "$Elements\n2\n1 4 2 0 1 1 2 3 4\n2 4 2 0 1 4 2 3 1\n")
+    with pytest.raises(MeshError, match=r"^tet \(0, 1, 2, 3\) listed twice$"):
+        read_gmsh(text)
+
+
 def test_gmsh_skips_triangles_and_points():
     text = REF_TET_MSH.replace(
         "$Elements\n1\n1 4 2 0 1 1 2 3 4\n",

@@ -16,6 +16,7 @@ from quadcurl.assembly import (
 )
 from quadcurl.errors import EigenSolveError, SpaceError
 from quadcurl.fespace import _Pattern, make_space
+from quadcurl.quadrature import QuadRule, tet_rule
 from quadcurl import solvers
 from quadcurl.solvers import _REFINE_STEPS
 
@@ -549,6 +550,25 @@ def test_setup_spaces_share_the_meshs_topology(cube2):
     assert all(space.mesh.topology is topo for space in (s.u0, s.uf, s.s0))
     assert s.uf.ndofs == 2 * topo.num_edges + 2 * topo.num_faces
     assert s.s0.ndofs == cube2.num_vertices + topo.num_edges
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda mesh: mesh, id="mesh"),
+    pytest.param(lambda mesh: make_space(mesh, "edge", 1), id="space"),
+    pytest.param(lambda mesh: build_quadcurl_pencil(mesh, 1), id="record"),
+    pytest.param(lambda mesh: QuadRule(tet_rule(2).points, tet_rule(2).weights, 2), id="rule"),
+])
+def test_array_records_compare_by_identity(make):
+    """An object that holds arrays equals only itself, so ``in`` finds it and
+    it works as a dict key; field-wise equality of arrays would raise."""
+    mesh = generate_cube_mesh(1)
+    a = make(mesh)
+    b = make(Mesh(mesh.vertices, mesh.tets) if a is mesh else mesh)
+    assert a == a and b == b
+    assert a != b and not a == b
+    assert b in [a, b] and a in [b, a]
+    table = {a: "a", b: "b"}
+    assert table[a] == "a" and table[b] == "b"
 
 
 @pytest.mark.parametrize("build, row_space", [
