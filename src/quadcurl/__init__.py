@@ -4,7 +4,7 @@ from .mesh import Mesh, Topology, generate_cube_mesh, read_gmsh, build_topology
 from .fespace import FESpace, DofVector, make_space, interpolate, integrate_errors
 from .quadrature import QuadRule, tet_rule, triangle_rule, segment_rule
 from .assembly import SparseMatrix, assemble_mass, assemble_curlcurl, assemble_gradient_map, assemble_load
-from .solvers import EigenResult, saddle_solve, gen_sym_eig
+from .solvers import EigenResult, ShiftedFactor, gen_sym_eig, saddle_solve, shifted_factor
 from .manufactured import ManufacturedCase, curlcurl_sine_case, quadcurl_sin3_case
 from .systems import (
     CurlCurlSystem,

@@ -198,6 +198,8 @@ def read_gmsh(text: str) -> Mesh:
     if len(node_lines) != n_nodes + 1:
         raise GmshParseError("node count does not match $Nodes header")
     id2row = {int(g): r for r, g in enumerate(ids)}
+    if len(id2row) != n_nodes:
+        raise GmshParseError("node id listed twice in $Nodes section")
 
     elem_lines = section("Elements")
     tets = []

@@ -1,19 +1,21 @@
 """Linear algebra kernels: symmetric eigensolve and saddle-point solve.
 
-Both rest on one set-up: a symmetric-mode LU of A - sigma B with no
-pivoting (sigma < 0, A - sigma B SPD or quasi-definite), and the
-B-orthogonal projector off a known subspace range(Y), the discrete
-gradients, which span the kernel of A.  The eigensolver runs Lanczos in
-shift-invert mode on that factor and projects every iterate, so the
-gradient modes never appear.  The saddle solve takes its multiplier in
-closed form from the Gram factor of the projector and its primal field by
-projected iterative refinement on the same kind of factor, so no bordered
-matrix is ever factored.  Each verifies its relative residuals and raises
-when a contract is broken.
+Both read one set-up, a ``ShiftedFactor``: the symmetric-mode LU of
+A - sigma B with no pivoting (sigma < 0, A - sigma B SPD or quasi-definite),
+and the B-orthogonal projector off a known subspace range(Y), the discrete
+gradients, which span the kernel of A.  ``shifted_factor`` makes it once for
+every solve on (A, B, Y).  The eigensolver runs Lanczos in shift-invert mode
+on that LU and projects every iterate, so the gradient modes never appear.
+The saddle solve takes its multiplier in closed form from the Gram factor of
+the projector and its primal field by projected iterative refinement on the
+same LU, so no bordered matrix is ever factored.  Each verifies its relative
+residuals and raises when a contract is broken.
 """
 
 from __future__ import annotations
 
+import numbers
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,14 +31,6 @@ _EIG_RESIDUAL_TOL = 1e-8
 # vector B-orthogonal to range(Y) up to roundoff: measured values on the cube,
 # jittered and reentrant meshes are at most 2.4e-15.
 _EIG_DIV_TOL = 1e-10
-# The saddle refinement factors K - rho B with rho = _SHIFT_FRACTION * sigma,
-# sigma the pencil's eigen shift (about -lambda_1 / 2).  Each step contracts
-# the error by |rho| / (lambda_1 + |rho|), about 5e-4, so 4-5 steps reach
-# roundoff on the cube meshes.  A smaller |rho| saves a step or two (about
-# 1 ms each against a 20-60 ms factor) but moves the factor toward the
-# singular K: at 1e-11 the order-2 refinement stalled.  At 1e-2 it took 7-9
-# steps, and 1e-1 did not converge within the cap.
-_SHIFT_FRACTION = 1e-3
 _REFINE_STEPS = 10
 # Refinement stops at the first step that does not cut the residual of the
 # first block row by this factor: roundoff floor reached.
@@ -73,6 +67,28 @@ class EigenResult:
     div_residuals: np.ndarray
 
 
+@dataclass(eq=False)
+class ShiftedFactor:
+    """The one set-up of a pencil (A, B) with deflation basis Y (n x P).
+
+    ``lu`` factors A - sigma B; ``BY`` is B Y, the constraint block of the
+    saddle system; ``gram_solve`` solves with Y^T B Y, factored once.
+    """
+
+    A: sp.csr_matrix
+    B: sp.csr_matrix
+    Y: sp.csr_matrix
+    sigma: float
+    lu: spla.SuperLU
+    BY: sp.csr_matrix
+    gram_solve: Callable[[np.ndarray], np.ndarray]
+
+    def project(self, z: np.ndarray) -> np.ndarray:
+        """In-place B-orthogonal projection off range(Y): z -= Y (Y^T B Y)^-1 (B Y)^T z."""
+        z -= self.Y @ self.gram_solve(self.BY.T @ z)
+        return z
+
+
 def _symmetric_lu(A):
     """SuperLU with a symmetric ordering and no pivoting.
 
@@ -88,93 +104,77 @@ def _symmetric_lu(A):
     )
 
 
-def _b_projector(Y: sp.csr_matrix, B: sp.csr_matrix, error):
-    """In-place B-orthogonal projection off range(Y): z -= Y (Y^T B Y)^-1 (B Y)^T z.
+def shifted_factor(A, B, Y, sigma: float) -> ShiftedFactor:
+    """Factor A - sigma B and Y^T B Y once, for every solve on (A, B, Y).
 
-    Returns the projector, (B Y)^T and the solve with Y^T B Y, which is
-    factored once; a non-positive pivot means the columns of Y are not
-    B-independent, so the deflated dimension would not be P.  Failures raise
-    ``error``.
+    A and B are sparse symmetric, B positive semidefinite, and A - sigma B
+    (sigma < 0) must factor without pivoting: SPD, or symmetric quasi-definite
+    like the quad-curl block pencil.  Y (n x P, P >= 0) spans the subspace to
+    deflate, typically the kernel of A.  Raises SingularSystemError on
+    inconsistent shapes, a shift that is not negative, a failed factor, or a
+    non-positive Gram pivot: columns of Y that are not B-independent.
     """
-    BYt = (B @ Y).T.tocsr()
-    try:
-        gram = _symmetric_lu(BYt @ Y)
-    except RuntimeError as exc:
-        raise error(f"deflation Gram matrix is singular: {exc}") from exc
-    if gram.U.diagonal().min() <= 0.0:
-        raise error("non-positive pivot in the deflation Gram matrix Y^T B Y")
-
-    def project(z: np.ndarray) -> np.ndarray:
-        z -= Y @ gram.solve(BYt @ z)
-        return z
-
-    return project, BYt, gram.solve
-
-
-def _shifted_factor(A, B, sigma: float, Y: sp.csr_matrix, error):
-    """The shared set-up: symmetric LU of A - sigma B and the projector off range(Y).
-
-    Returns (lu, project, (B Y)^T, gram_solve); with no columns in Y the
-    projector is the identity.  Failures raise ``error``.
-    """
+    A = sp.csr_matrix(A, dtype=np.float64)
+    B = sp.csr_matrix(B, dtype=np.float64)
+    Y = sp.csr_matrix(Y, dtype=np.float64)
+    n = A.shape[0]
+    if A.shape != (n, n) or B.shape != (n, n) or Y.shape[0] != n:
+        raise SingularSystemError("pencil matrices and deflation basis have inconsistent shapes")
+    if not sigma < 0.0:
+        raise SingularSystemError(f"shift sigma must be negative, got {sigma}")
     try:
         lu = _symmetric_lu(A - sigma * B)
     except RuntimeError as exc:
-        raise error(f"shifted pencil A - sigma B is singular: {exc}") from exc
-    if Y.shape[1]:
-        return (lu, *_b_projector(Y, B, error))
-    return lu, (lambda z: z), sp.csr_matrix((0, A.shape[0])), (lambda b: b)
+        raise SingularSystemError(f"shifted pencil A - sigma B is singular: {exc}") from exc
+    BY = B @ Y
+    if not Y.shape[1]:
+        return ShiftedFactor(A, B, Y, sigma, lu, BY, lambda b: b)
+    try:
+        gram = _symmetric_lu(BY.T.tocsr() @ Y)
+    except RuntimeError as exc:
+        raise SingularSystemError(f"deflation Gram matrix is singular: {exc}") from exc
+    if gram.U.diagonal().min() <= 0.0:
+        raise SingularSystemError("non-positive pivot in the deflation Gram matrix Y^T B Y")
+    return ShiftedFactor(A, B, Y, sigma, lu, BY, gram.solve)
 
 
-def saddle_solve(K, G, f, B, deflate, sigma: float):
+def saddle_solve(K, G, f, factor: ShiftedFactor):
     """Solve [[K, G], [G^T, 0]] (u, p) = (f, 0) where G = B Y and K Y = 0.
 
-    K and B are sparse symmetric, B positive semidefinite; Y = ``deflate``
-    (n x P) spans the kernel of K and has a positive definite Gram matrix
-    Y^T B Y; K - rho B must factor without pivoting for rho < 0 (SPD, or
-    quasi-definite like the quad-curl block pencil).  ``sigma`` < 0 is the
-    pencil's eigen shift, about -lambda_1 / 2.
+    ``factor`` is ``shifted_factor(K, B, Y, sigma)``, Y spanning the kernel of K.
 
     No bordered matrix is factored.  Y^T times the first block row leaves
     (Y^T B Y) p = Y^T f, because Y^T K = 0, so p comes from the Gram factor.
     u then solves K u = f - G p with (B Y)^T u = 0, by iterative refinement
-    on the LU of K - rho B, rho = _SHIFT_FRACTION * sigma, each correction
-    passed through the B-orthogonal projector off range(Y).  Refinement
-    stops once the first-row residual is below the roundoff of evaluating
-    it, _REFINE_FLOOR_FACTOR * || |K| |u| || with u after the first step, or
-    at the first step that fails to halve it.
+    on the LU of K - sigma B, each correction passed through the B-orthogonal
+    projector off range(Y); a step contracts the error by |sigma| / (lambda_1
+    + |sigma|).  Refinement stops once the first-row residual is below the
+    roundoff of evaluating it, _REFINE_FLOOR_FACTOR * || |K| |u| || with u
+    after the first step, or at the first step that fails to halve it.
 
     Returns (u, p, residual, steps): the relative residual of the bordered
     system with K and G as given, and the refinement steps taken.  Raises
-    SingularSystemError when the factor fails, the Gram matrix has a
-    non-positive pivot, refinement has not converged within _REFINE_STEPS
-    steps, or the residual exceeds _SADDLE_RESIDUAL_TOL.  A kernel of K
-    larger than range(Y), or a G other than B Y, ends in one of the last two.
+    SingularSystemError when the shapes do not match the factor's,
+    refinement has not converged within _REFINE_STEPS steps, or the
+    residual exceeds _SADDLE_RESIDUAL_TOL.  A kernel of K larger than
+    range(Y), or a G other than B Y, ends in one of the last two.
     """
-    K = sp.csr_matrix(K, dtype=np.float64)
-    G = sp.csr_matrix(G, dtype=np.float64)
-    B = sp.csr_matrix(B, dtype=np.float64)
-    Y = sp.csr_matrix(deflate, dtype=np.float64)
     f = np.asarray(f, dtype=np.float64)
-    n, P = G.shape
-    if K.shape != (n, n) or B.shape != (n, n) or Y.shape != (n, P) or f.shape != (n,):
-        raise SingularSystemError("saddle blocks and load have inconsistent shapes")
-    if not sigma < 0.0:
-        raise SingularSystemError(f"shift sigma must be negative, got {sigma}")
-    lu, project, _, gram_solve = _shifted_factor(
-        K, B, _SHIFT_FRACTION * sigma, Y, SingularSystemError)
+    n, P = factor.Y.shape
+    if K.shape != (n, n) or G.shape != (n, P) or f.shape != (n,):
+        raise SingularSystemError("saddle blocks and load do not match the factor's shapes")
 
-    p = gram_solve(Y.T @ f)
+    p = factor.gram_solve(factor.Y.T @ f)
     r = f - G @ p
     scale = max(np.linalg.norm(f), np.finfo(np.float64).tiny)
     u = np.zeros(n)
     d = r  # residual of the first block row, f - G p - K u
     last = np.linalg.norm(d) / scale
     for steps in range(1, _REFINE_STEPS + 1):
-        u += project(lu.solve(d))
+        u += factor.project(factor.lu.solve(d))
         d = r - K @ u
         res = np.linalg.norm(d) / scale
-        if steps == 1:  # u is already within about |rho| / lambda_1 of its limit
+        if steps == 1:  # u is already within about |sigma| / lambda_1 of its limit
             floor = _REFINE_FLOOR_FACTOR * np.linalg.norm(abs(K) @ np.abs(u)) / scale
         if res < floor or not res < _REFINE_STALL * last:  # a NaN stops too
             break
@@ -206,43 +206,29 @@ def _range_ritz(op, A, B, nonzero_rows: np.ndarray, rank: int):
     return vals, Q @ Z
 
 
-def gen_sym_eig(A, B, count: int, sigma: float, deflate=None) -> EigenResult:
-    """The `count` smallest eigenpairs of A x = lam B x off the deflated subspace.
+def gen_sym_eig(factor: ShiftedFactor, count: int) -> EigenResult:
+    """The `count` smallest eigenpairs of A x = lam B x off range(Y).
 
-    A and B are sparse symmetric, B positive semidefinite and definite on its
-    nonzero rows, and A - sigma B (sigma < 0) must factor without pivoting:
-    SPD, or symmetric quasi-definite like the quad-curl block pencil.
-    ``deflate`` (n x P) spans a subspace to leave out, typically the nullspace
-    of A; its B-Gram matrix must be positive definite.  Every eigenvalue of
-    the rest must be positive.
+    ``factor`` is the pencil's ``shifted_factor``.  B must be definite on its
+    nonzero rows, and every eigenvalue off the deflated subspace positive.
 
-    A - sigma B is factored once; each Lanczos step applies the projected
-    shift-invert operator (A - sigma B)^-1 to the B-image ARPACK supplies
-    (mode 3, which accepts a semidefinite B).  The operator has rank
-    R - P, R the count of nonzero rows of B; when `count` equals that rank,
-    Lanczos has no room, and a Rayleigh-Ritz on the operator's range gives
-    the whole spectrum exactly.  Raises EigenSolveError when ARPACK fails,
-    any relative residual exceeds _EIG_RESIDUAL_TOL, or any divergence
-    residual (``EigenResult.div_residuals``) exceeds _EIG_DIV_TOL: every
-    returned vector is B-orthogonal to the deflated subspace.
+    Each Lanczos step applies the projected shift-invert operator
+    (A - sigma B)^-1 to the B-image ARPACK supplies (mode 3, which accepts a
+    semidefinite B).  The operator has rank R - P, R the count of nonzero
+    rows of B; when `count` equals that rank, Lanczos has no room, and a
+    Rayleigh-Ritz on the operator's range gives the whole spectrum exactly.
+    Raises EigenSolveError when `count` is not an integer in 1..R - P,
+    ARPACK fails, any relative residual exceeds _EIG_RESIDUAL_TOL, or any
+    divergence residual (``EigenResult.div_residuals``) exceeds
+    _EIG_DIV_TOL: every returned vector is B-orthogonal to the deflated
+    subspace.
     """
-    A = sp.csr_matrix(A, dtype=np.float64)
-    B = sp.csr_matrix(B, dtype=np.float64)
-    n = A.shape[0]
-    if A.shape != (n, n) or B.shape != (n, n):
-        raise EigenSolveError("pencil matrices must be square and equal-sized")
-    if not sigma < 0.0:
-        raise EigenSolveError(f"shift sigma must be negative, got {sigma}")
-    Y = sp.csr_matrix((n, 0)) if deflate is None else sp.csr_matrix(deflate)
-    if Y.shape[0] != n:
-        raise EigenSolveError(f"deflation basis has {Y.shape[0]} rows, pencil has {n}")
-    P = Y.shape[1]
+    A, B, lu, project = factor.A, factor.B, factor.lu, factor.project
+    n, P = factor.Y.shape
     nonzero_rows = np.flatnonzero(B.getnnz(axis=1))
     rank = len(nonzero_rows) - P
-    if not 1 <= count <= rank:
-        raise EigenSolveError(f"count {count} out of range for {rank} eigenvalues")
-
-    lu, project, BYt, _ = _shifted_factor(A, B, sigma, Y, EigenSolveError)
+    if not (isinstance(count, numbers.Integral) and 1 <= count <= rank):
+        raise EigenSolveError(f"count {count!r} is not an integer in 1..{rank}")
 
     def op(v):
         return project(lu.solve(v))
@@ -260,7 +246,7 @@ def gen_sym_eig(A, B, count: int, sigma: float, deflate=None) -> EigenResult:
         v0 = np.random.default_rng(0).standard_normal(n)
         opinv = spla.LinearOperator((n, n), matvec=op, dtype=np.float64)
         try:
-            vals, vecs = spla.eigsh(A, count, M=B, sigma=sigma, which="LM",
+            vals, vecs = spla.eigsh(A, count, M=B, sigma=factor.sigma, which="LM",
                                     OPinv=opinv, ncv=ncv, v0=v0, tol=_LANCZOS_TOL)
         except (spla.ArpackNoConvergence, spla.ArpackError) as exc:
             raise EigenSolveError(f"shift-invert Lanczos failed: {exc}") from exc
@@ -274,7 +260,7 @@ def gen_sym_eig(A, B, count: int, sigma: float, deflate=None) -> EigenResult:
     BX = B @ vecs
     bnorm = np.linalg.norm(BX, axis=0)
     residuals = np.linalg.norm(A @ vecs - BX * vals, axis=0) / (vals * bnorm)
-    div = np.linalg.norm(BYt @ vecs, axis=0) / bnorm
+    div = np.linalg.norm(factor.BY.T @ vecs, axis=0) / bnorm
     worst = float(np.max(residuals))
     if not worst <= _EIG_RESIDUAL_TOL:  # a NaN residual fails too
         raise EigenSolveError(

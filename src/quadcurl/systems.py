@@ -30,8 +30,8 @@ for all w.  phi needs no multiplier: it equals M_M^{-1} K u, and
 (grad s, phi) = (curl grad s, curl u) = 0 for every nodal s, so phi is
 discretely divergence-free by itself.  ``saddle_solve`` factors no bordered
 matrix: p solves (Y^T B Y) p = Y^T F, and the primal field comes from
-projected iterative refinement on the factor of A - rho B, rho a fixed
-fraction of the shift the eigensolver uses on the same record.
+projected iterative refinement on the factor of A - sigma B: the one factor
+a record makes, on its first solve, for every eigen and source solve.
 
 ``solve_curlcurl_source`` and ``solve_quadcurl_source`` take a load callable
 and return the fields; comparing them with an exact solution is the study's
@@ -41,6 +41,7 @@ job (``harness``).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -59,7 +60,7 @@ from .assembly import (
 from .errors import NotSPDError, SpaceError
 from .fespace import DofVector, FESpace, make_space
 from .mesh import Mesh
-from .solvers import EigenResult, gen_sym_eig, saddle_solve
+from .solvers import EigenResult, ShiftedFactor, gen_sym_eig, saddle_solve, shifted_factor
 
 
 @dataclass(eq=False)
@@ -86,8 +87,17 @@ def _interior_spaces(mesh: Mesh, order: int) -> Spaces:
     return s
 
 
+class _Record:
+    """The part every record shares: its operator's factor at its shift."""
+
+    @cached_property
+    def factor(self) -> ShiftedFactor:
+        """(A, B, Y) and the LU of A - sigma B, made on the first solve and kept."""
+        return shifted_factor(*self.operator(), _shift(self))
+
+
 @dataclass(eq=False)
-class CurlCurlSystem:
+class CurlCurlSystem(_Record):
     """Blocks of the curl-curl (Maxwell) operator on U_{0,h}, on active DoF sets."""
 
     C0: SparseMatrix  # (N x N): (curl phi_j^0, curl phi_i^0)
@@ -121,7 +131,7 @@ def build_curlcurl_system(mesh: Mesh, order: int) -> CurlCurlSystem:
 
 
 @dataclass(eq=False)
-class PencilSystem:
+class PencilSystem(_Record):
     """Blocks of the fourth-order eigenvalue pencil, on active DoF sets."""
 
     K: SparseMatrix  # (M x N): (curl phi_j^0, curl phi_i), columns on free DoFs
@@ -200,15 +210,18 @@ def build_quadcurl_pencil(mesh: Mesh, order: int) -> PencilSystem:
 
 
 def _shift(system: CurlCurlSystem | PencilSystem) -> float:
-    """Lanczos shift below the spectrum, scaled with the record's own domain.
+    """The record's one shift, below the spectrum and scaled with its own domain.
 
     The first eigenvalue of curl^(power/2) on a domain of volume |Omega|
-    scales like (2 pi)^power |Omega|^(-power/3); sigma is minus half of that.
+    scales like (2 pi)^power |Omega|^(-power/3); sigma is minus 1/200 of that.
+    Each saddle refinement step contracts by |sigma| / (lambda_1 + |sigma|), but
+    eigenpairs lose accuracy as sigma nears 0: at 1/200 the order-2 n = 8 residual
+    is 2.6e-10, and u's Schur-form residuals are 60-100x those at 1/2.
     A fixed shift would let the residuals grow with the eigenvalue's scale.
     """
     power = system.shift_power
     volume = float(system.spaces.u0.mesh.volumes().sum())
-    return -0.5 * (2.0 * np.pi) ** power * volume ** (-power / 3.0)
+    return -(2.0 * np.pi) ** power * volume ** (-power / 3.0) / 200.0
 
 
 def eigenpairs(system: CurlCurlSystem | PencilSystem, count: int) -> EigenResult:
@@ -218,8 +231,7 @@ def eigenpairs(system: CurlCurlSystem | PencilSystem, count: int) -> EigenResult
     returned vectors are the u block (length N), orthonormal in the U_{0,h}
     mass.
     """
-    A, B, Y = system.operator()
-    res = gen_sym_eig(A, B, count, _shift(system), deflate=Y)
+    res = gen_sym_eig(system.factor, count)
     return replace(res, vectors=res.vectors[: system.n_free])
 
 
@@ -266,15 +278,15 @@ def solve_source(system: CurlCurlSystem | PencilSystem, load: np.ndarray) -> Sou
     F = np.asarray(load, dtype=np.float64)
     if F.shape != (N,):
         raise SpaceError(f"load vector must have length {N}")
-    A, B, Y = system.operator()
+    factor = system.factor
     rhs = np.concatenate([F, np.zeros(system.m_total)])
-    x, pvals, res, steps = saddle_solve(A, B @ Y, rhs, B, Y, _shift(system))
+    x, pvals, res, steps = saddle_solve(factor.A, factor.BY, rhs, factor)
     p = s.s0.embed(pvals)
     # ||p_h||^2 = sum_t |det J_t| p_t^T R p_t over the local mass blocks: no
     # S_h mass, and no pattern for it, is assembled for one number.
     p_t = p.values[s.s0.cell_dofs]
     norm_p = np.sqrt(float(np.einsum("ti,tij,tj->", p_t, _gram(s.s0, 0, 2 * s.s0.order), p_t)))
-    norm_u = np.sqrt(float(x[:N] @ (B @ x)[:N]))
+    norm_u = np.sqrt(float(x[:N] @ (factor.B @ x)[:N]))
     return SourceSolution(
         u=s.u0.embed(x[:N]),
         phi=DofVector(s.uf, x[N:]) if system.m_total else None,

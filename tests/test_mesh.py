@@ -312,6 +312,14 @@ def test_gmsh_bad_node_count():
         read_gmsh(text)
 
 
+def test_gmsh_repeated_node_id_rejected():
+    """A second line for node 4 is refused, not read over the first."""
+    text = REF_TET_MSH.replace("$Nodes\n4\n", "$Nodes\n5\n").replace(
+        "4 0 0 1\n", "4 0 0 1\n4 9 9 9\n")
+    with pytest.raises(GmshParseError, match="node id listed twice"):
+        read_gmsh(text)
+
+
 def test_gmsh_no_tets():
     text = REF_TET_MSH.replace("1 4 2 0 1 1 2 3 4", "1 2 2 0 1 1 2 3")
     with pytest.raises(GmshParseError, match="tetrahedra"):

@@ -5,7 +5,7 @@ import scipy.sparse as sp
 
 from quadcurl import gen_sym_eig, saddle_solve, solvers
 from quadcurl.errors import EigenSolveError, SingularSystemError
-from quadcurl.solvers import _REFINE_STEPS, _SHIFT_FRACTION
+from quadcurl.solvers import _REFINE_STEPS, shifted_factor
 
 
 def _random_spd(n, seed):
@@ -16,7 +16,8 @@ def _random_spd(n, seed):
 
 def _kernel_pencil(n, P, seed, extra_kernel=0):
     """SPD B and a PSD K with K Y = 0 for a known Y (n x P), plus `extra_kernel`
-    kernel vectors outside range(Y); sigma is minus half the first eigenvalue."""
+    kernel vectors outside range(Y); sigma is minus 1/200 of the first
+    nonzero eigenvalue, the ratio the model problems' shift has."""
     rng = np.random.default_rng(seed)
     Y = rng.standard_normal((n, P))
     B = _random_spd(n, seed + 1) / n
@@ -26,7 +27,7 @@ def _kernel_pencil(n, P, seed, extra_kernel=0):
     K = Q @ (L @ L.T) @ Q.T
     K = 0.5 * (K + K.T)
     lam = scipy.linalg.eigh(K, B, eigvals_only=True)[P + extra_kernel]
-    return K, B, Y, -0.5 * lam
+    return K, B, Y, -lam / 200.0
 
 
 def _bordered_dense(K, G, f):
@@ -41,7 +42,7 @@ def test_saddle_solve_manufactured_solution():
 
     The load is dominated by its gradient part G p*, which p absorbs; a
     correction not projected off range(Y) would carry that part's roundoff
-    into u, amplified by 1 / |rho|.
+    into u, amplified by 1 / |sigma|.
     """
     K, B, Y, sigma = _kernel_pencil(14, 3, seed=21)
     rng = np.random.default_rng(22)
@@ -52,7 +53,7 @@ def test_saddle_solve_manufactured_solution():
     f = K @ u_star + G @ p_star
     u_dense, p_dense = _bordered_dense(K, G, f)
     assert np.abs(u_dense - u_star).max() <= 1e-10 * np.abs(u_star).max()
-    u, p, res, steps = saddle_solve(sp.csr_matrix(K), G, f, B, Y, sigma)
+    u, p, res, steps = saddle_solve(sp.csr_matrix(K), G, f, shifted_factor(K, B, Y, sigma))
     for x, x_star in ((u, u_star), (p, p_star), (u, u_dense), (p, p_dense)):
         assert np.abs(x - x_star).max() <= 1e-10 * np.abs(x_star).max()
     assert res <= 1e-12
@@ -64,7 +65,7 @@ def test_saddle_solve_rank_deficient_raises():
     K, B, Y, sigma = _kernel_pencil(14, 3, seed=23, extra_kernel=1)
     f = np.random.default_rng(24).standard_normal(14)
     with pytest.raises(SingularSystemError):
-        saddle_solve(K, B @ Y, f, B, Y, sigma)
+        saddle_solve(K, B @ Y, f, shifted_factor(K, B, Y, sigma))
 
 
 def test_saddle_solve_residual_gate_rejects_foreign_constraint():
@@ -75,40 +76,48 @@ def test_saddle_solve_residual_gate_rejects_foreign_constraint():
     G = B @ Y + W - Y @ np.linalg.solve(Y.T @ Y, Y.T @ W)  # Y^T G = Y^T B Y
     f = rng.standard_normal(14)
     with pytest.raises(SingularSystemError, match="residual"):
-        saddle_solve(K, G, f, B, Y, sigma)
+        saddle_solve(K, G, f, shifted_factor(K, B, Y, sigma))
 
 
 def test_saddle_solve_shift_lies_below_the_spectrum():
-    """K - rho B is factored with rho = _SHIFT_FRACTION * sigma < 0.
+    """K - sigma B is factored with the sigma < 0 given to shifted_factor.
 
-    The diagonal pencil has the eigenvalue |rho| on a mode the load does not
-    touch, so K - |rho| B would be exactly singular; K + |rho| B is not.
+    The diagonal pencil has the eigenvalue |sigma| on a mode the load does not
+    touch, so K - |sigma| B would be exactly singular; K + |sigma| B is not.
     """
-    rho = _SHIFT_FRACTION * -1.0
-    K = sp.diags([0.0, -rho, 2.0, 3.0])
+    sigma = -1e-3
+    K = sp.diags([0.0, -sigma, 2.0, 3.0])
     B = sp.identity(4, format="csr")
     Y = np.eye(4)[:, :1]
     f = np.array([5.0, 0.0, 4.0, 6.0])
-    u, p, _, _ = saddle_solve(K, B @ Y, f, B, Y, -1.0)
+    u, p, _, _ = saddle_solve(K, B @ Y, f, shifted_factor(K, B, Y, sigma))
     assert np.abs(u - np.array([0.0, 0.0, 2.0, 2.0])).max() < 1e-14
     assert np.abs(p - 5.0).max() < 1e-14
     with pytest.raises(SingularSystemError, match="shift"):
-        saddle_solve(K, B @ Y, f, B, Y, 1.0)
+        shifted_factor(K, B, Y, -sigma)
 
 
 def test_saddle_solve_gram_and_factor_failures_raise():
     K, B, Y, sigma = _kernel_pencil(8, 2, seed=27)
-    f = np.ones(8)
     with pytest.raises(SingularSystemError, match="Gram"):
-        saddle_solve(K, B @ Y, f, B, np.hstack([Y[:, :1], Y[:, :1]]), sigma)
+        shifted_factor(K, B, np.hstack([Y[:, :1], Y[:, :1]]), sigma)
     with pytest.raises(SingularSystemError, match="singular"):
-        saddle_solve(np.zeros((8, 8)), B @ Y, f, np.zeros((8, 8)), Y, sigma)
+        shifted_factor(np.zeros((8, 8)), np.zeros((8, 8)), Y, sigma)
+    factor = shifted_factor(K, B, Y, sigma)
+    with pytest.raises(SingularSystemError, match="shapes"):
+        saddle_solve(K, B @ Y, np.ones(7), factor)
+
+
+def _eig(A, B, count, sigma, deflate=None):
+    """gen_sym_eig on a fresh factor; no deflation without ``deflate``."""
+    Y = np.zeros((A.shape[0], 0)) if deflate is None else deflate
+    return gen_sym_eig(shifted_factor(A, B, Y, sigma), count)
 
 
 def test_gen_sym_eig_diagonal_oracle():
     a = np.array([4.0, 1.0, 9.0, 16.0, 2.0])
     b = np.array([2.0, 1.0, 3.0, 4.0, 1.0])
-    res = gen_sym_eig(sp.diags(a), sp.diags(b), 4, sigma=-1.0)
+    res = _eig(sp.diags(a), sp.diags(b), 4, -1.0)
     expected = np.sort(a / b)[:4]
     assert np.abs(res.values - expected).max() < 1e-12
     assert np.all(np.diff(res.values) >= 0)
@@ -129,7 +138,7 @@ def _tridiagonal_pencil(n):
 def test_gen_sym_eig_matches_dense_eigh():
     A, B = _tridiagonal_pencil(80)
     dense = scipy.linalg.eigh(A.toarray(), B.toarray(), eigvals_only=True)[:4]
-    res = gen_sym_eig(A, B, 4, sigma=-0.01)
+    res = _eig(A, B, 4, -0.01)
     assert np.abs(res.values - dense).max() < 1e-10 * dense[0]
     assert res.residuals.max() < 1e-10
 
@@ -143,58 +152,62 @@ def test_gen_sym_eig_nullspace_deflation():
     assert Y.shape == (60, 2)
     dense = scipy.linalg.eigh(A, eigvals_only=True)
     assert np.abs(dense[:2]).max() < 1e-8 * dense[2]
-    res = gen_sym_eig(A, np.eye(60), 3, sigma=-1.0, deflate=Y)
+    res = _eig(A, np.eye(60), 3, -1.0, deflate=Y)
     assert res.n_zero == 2
     assert np.abs(res.values - dense[2:5]).max() < 1e-10 * dense[2]
     assert res.div_residuals.max() < 1e-12  # vectors are orthogonal to null(A)
     # Without deflation the zero modes are not positive eigenvalues: refused.
     with pytest.raises(EigenSolveError):
-        gen_sym_eig(A, np.eye(60), 3, sigma=-1.0)
+        _eig(A, np.eye(60), 3, -1.0)
 
 
 def test_gen_sym_eig_input_validation():
     A = np.eye(4)
+    with pytest.raises(SingularSystemError):
+        _eig(A, np.eye(3), 1, -1.0)
     with pytest.raises(EigenSolveError):
-        gen_sym_eig(A, np.eye(3), 1, sigma=-1.0)
+        _eig(A, A, 0, -1.0)
     with pytest.raises(EigenSolveError):
-        gen_sym_eig(A, A, 0, sigma=-1.0)
+        _eig(A, A, 5, -1.0)
+    with pytest.raises(SingularSystemError):
+        _eig(A, A, 2, 0.5)  # the shift must lie below the spectrum
+    with pytest.raises(SingularSystemError):
+        _eig(A, A, 1, -1.0, deflate=np.ones((3, 1)))
     with pytest.raises(EigenSolveError):
-        gen_sym_eig(A, A, 5, sigma=-1.0)
-    with pytest.raises(EigenSolveError):
-        gen_sym_eig(A, A, 2, sigma=0.5)  # the shift must lie below the spectrum
-    with pytest.raises(EigenSolveError):
-        gen_sym_eig(A, A, 1, sigma=-1.0, deflate=np.ones((3, 1)))
-    with pytest.raises(EigenSolveError):
-        gen_sym_eig(A, np.diag([1.0, 1.0, 1.0, -1.0]), 2, sigma=-0.5)
+        _eig(A, np.diag([1.0, 1.0, 1.0, -1.0]), 2, -0.5)
+    with pytest.raises(EigenSolveError, match="integer"):
+        _eig(np.diag([1.0, 2.0, 3.0, 4.0, 5.0]), np.eye(5), 2.5, -1.0)
+    res = _eig(np.diag([1.0, 2.0, 3.0, 4.0, 5.0]), np.eye(5), np.int64(2), -1.0)
+    assert np.abs(res.values - np.array([1.0, 2.0])).max() < 1e-12
 
 
 def test_gen_sym_eig_rejects_dependent_deflation_basis():
     """A singular or indefinite Y^T B Y would make n_zero differ from P."""
     A, B = _tridiagonal_pencil(20)
     y = np.linspace(0.0, 1.0, 20)[:, None]
-    with pytest.raises(EigenSolveError, match="Gram"):
-        gen_sym_eig(A, B, 2, sigma=-0.01, deflate=np.hstack([y, 2.0 * y]))
-    with pytest.raises(EigenSolveError, match="Gram"):
-        gen_sym_eig(A, -B, 2, sigma=-0.01, deflate=y)
+    with pytest.raises(SingularSystemError, match="Gram"):
+        _eig(A, B, 2, -0.01, deflate=np.hstack([y, 2.0 * y]))
+    with pytest.raises(SingularSystemError, match="Gram"):
+        _eig(A, -B, 2, -0.01, deflate=y)
 
 
 def test_gen_sym_eig_residual_gate(monkeypatch):
     """The residual contract raises instead of handing back loose pairs."""
     A, B = _tridiagonal_pencil(80)
-    gen_sym_eig(A, B, 3, sigma=-0.01)
+    _eig(A, B, 3, -0.01)
     monkeypatch.setattr(solvers, "_EIG_RESIDUAL_TOL", 1e-20)
     with pytest.raises(EigenSolveError, match="residual"):
-        gen_sym_eig(A, B, 3, sigma=-0.01)
+        _eig(A, B, 3, -0.01)
 
 
 def test_gen_sym_eig_full_spectrum():
     """count equal to the operator's rank: Rayleigh-Ritz on its whole range."""
     A = np.diag([3.0, 1.0, 2.0])
-    res = gen_sym_eig(A, np.eye(3), 3, sigma=-1.0)
+    res = _eig(A, np.eye(3), 3, -1.0)
     assert np.abs(res.values - np.array([1.0, 2.0, 3.0])).max() < 1e-12
     # Semidefinite B: only its two nonzero rows carry eigenvalues.
     # Eliminating x3 = x1 leaves diag(4, 2).
     A = sp.csr_matrix(np.array([[3.0, 0.0, 1.0], [0.0, 2.0, 0.0], [1.0, 0.0, -1.0]]))
     B = sp.diags([1.0, 1.0, 0.0], format="csr")
-    res = gen_sym_eig(A, B, 2, sigma=-1.0)
+    res = _eig(A, B, 2, -1.0)
     assert np.abs(res.values - np.array([2.0, 4.0])).max() < 1e-12
