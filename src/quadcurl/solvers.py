@@ -1,15 +1,14 @@
 """Linear algebra kernels: symmetric eigensolve and saddle-point solve.
 
-Both read one set-up, a ``ShiftedFactor``: the symmetric-mode LU of
-A - sigma B with no pivoting (sigma < 0, A - sigma B SPD or quasi-definite),
-and the B-orthogonal projector off a known subspace range(Y), the discrete
-gradients, which span the kernel of A.  ``shifted_factor`` makes it once for
-every solve on (A, B, Y).  The eigensolver runs Lanczos in shift-invert mode
-on that LU and projects every iterate, so the gradient modes never appear.
-The saddle solve takes its multiplier in closed form from the Gram factor of
-the projector and its primal field by projected iterative refinement on the
-same LU, so no bordered matrix is ever factored.  Each verifies its relative
-residuals and raises when a contract is broken.
+Both read a ``ShiftedFactor``: the symmetric-mode LU of A - sigma B with no
+pivoting (sigma < 0, A - sigma B SPD or quasi-definite) and the B-orthogonal
+projector off range(Y), the discrete gradients, which span the kernel of A.
+The eigensolver runs Lanczos in shift-invert mode on the LU and projects
+every iterate, so the gradient modes never appear.  The saddle solve takes
+its multiplier from the projector's Gram factor and its primal field by
+projected iterative refinement on the LU, so no bordered matrix is ever
+factored.  Each verifies its relative residuals and raises when a contract
+is broken.
 """
 
 from __future__ import annotations
@@ -69,10 +68,10 @@ class EigenResult:
 
 @dataclass(eq=False)
 class ShiftedFactor:
-    """The one set-up of a pencil (A, B) with deflation basis Y (n x P).
+    """The set-up of a pencil (A, B) at one shift, with deflation basis Y (n x P).
 
-    ``lu`` factors A - sigma B; ``BY`` is B Y, the constraint block of the
-    saddle system; ``gram_solve`` solves with Y^T B Y, factored once.
+    ``lu`` factors A - sigma B; ``BYt`` is (B Y)^T, compressed by rows, whose
+    transpose is the saddle constraint block; ``gram_solve`` solves with Y^T B Y.
     """
 
     A: sp.csr_matrix
@@ -80,12 +79,12 @@ class ShiftedFactor:
     Y: sp.csr_matrix
     sigma: float
     lu: spla.SuperLU
-    BY: sp.csr_matrix
+    BYt: sp.csr_matrix
     gram_solve: Callable[[np.ndarray], np.ndarray]
 
     def project(self, z: np.ndarray) -> np.ndarray:
         """In-place B-orthogonal projection off range(Y): z -= Y (Y^T B Y)^-1 (B Y)^T z."""
-        z -= self.Y @ self.gram_solve(self.BY.T @ z)
+        z -= self.Y @ self.gram_solve(self.BYt @ z)
         return z
 
 
@@ -105,7 +104,7 @@ def _symmetric_lu(A):
 
 
 def shifted_factor(A, B, Y, sigma: float) -> ShiftedFactor:
-    """Factor A - sigma B and Y^T B Y once, for every solve on (A, B, Y).
+    """Factor A - sigma B and Y^T B Y once, for every solve on (A, B, Y) at sigma.
 
     A and B are sparse symmetric, B positive semidefinite, and A - sigma B
     (sigma < 0) must factor without pivoting: SPD, or symmetric quasi-definite
@@ -114,9 +113,7 @@ def shifted_factor(A, B, Y, sigma: float) -> ShiftedFactor:
     inconsistent shapes, a shift that is not negative, a failed factor, or a
     non-positive Gram pivot: columns of Y that are not B-independent.
     """
-    A = sp.csr_matrix(A, dtype=np.float64)
-    B = sp.csr_matrix(B, dtype=np.float64)
-    Y = sp.csr_matrix(Y, dtype=np.float64)
+    A, B, Y = (sp.csr_matrix(m, dtype=np.float64) for m in (A, B, Y))
     n = A.shape[0]
     if A.shape != (n, n) or B.shape != (n, n) or Y.shape[0] != n:
         raise SingularSystemError("pencil matrices and deflation basis have inconsistent shapes")
@@ -126,31 +123,30 @@ def shifted_factor(A, B, Y, sigma: float) -> ShiftedFactor:
         lu = _symmetric_lu(A - sigma * B)
     except RuntimeError as exc:
         raise SingularSystemError(f"shifted pencil A - sigma B is singular: {exc}") from exc
-    BY = B @ Y
+    BYt = (B @ Y).T.tocsr()
     if not Y.shape[1]:
-        return ShiftedFactor(A, B, Y, sigma, lu, BY, lambda b: b)
+        return ShiftedFactor(A, B, Y, sigma, lu, BYt, lambda b: b)
     try:
-        gram = _symmetric_lu(BY.T.tocsr() @ Y)
+        gram = _symmetric_lu(BYt @ Y)
     except RuntimeError as exc:
         raise SingularSystemError(f"deflation Gram matrix is singular: {exc}") from exc
     if gram.U.diagonal().min() <= 0.0:
         raise SingularSystemError("non-positive pivot in the deflation Gram matrix Y^T B Y")
-    return ShiftedFactor(A, B, Y, sigma, lu, BY, gram.solve)
+    return ShiftedFactor(A, B, Y, sigma, lu, BYt, gram.solve)
 
 
 def saddle_solve(K, G, f, factor: ShiftedFactor):
     """Solve [[K, G], [G^T, 0]] (u, p) = (f, 0) where G = B Y and K Y = 0.
 
-    ``factor`` is ``shifted_factor(K, B, Y, sigma)``, Y spanning the kernel of K.
-
-    No bordered matrix is factored.  Y^T times the first block row leaves
-    (Y^T B Y) p = Y^T f, because Y^T K = 0, so p comes from the Gram factor.
-    u then solves K u = f - G p with (B Y)^T u = 0, by iterative refinement
-    on the LU of K - sigma B, each correction passed through the B-orthogonal
-    projector off range(Y); a step contracts the error by |sigma| / (lambda_1
-    + |sigma|).  Refinement stops once the first-row residual is below the
-    roundoff of evaluating it, _REFINE_FLOOR_FACTOR * || |K| |u| || with u
-    after the first step, or at the first step that fails to halve it.
+    ``factor`` is ``shifted_factor(K, B, Y, sigma)``; no bordered matrix is
+    factored.  Y^T times the first block row leaves (Y^T B Y) p = Y^T f,
+    because Y^T K = 0, so p comes from the Gram factor.  u then solves
+    K u = f - G p with (B Y)^T u = 0, by iterative refinement on the LU of
+    K - sigma B, each correction passed through the B-orthogonal projector
+    off range(Y); a step contracts the error by |sigma| / (lambda_1 + |sigma|).
+    Refinement stops once the first-row residual is below the roundoff of
+    evaluating it, _REFINE_FLOOR_FACTOR * || |K| |u| || with u after the
+    first step, or at the first step that fails to halve it.
 
     Returns (u, p, residual, steps): the relative residual of the bordered
     system with K and G as given, and the refinement steps taken.  Raises
@@ -211,17 +207,14 @@ def gen_sym_eig(factor: ShiftedFactor, count: int) -> EigenResult:
 
     ``factor`` is the pencil's ``shifted_factor``.  B must be definite on its
     nonzero rows, and every eigenvalue off the deflated subspace positive.
-
     Each Lanczos step applies the projected shift-invert operator
     (A - sigma B)^-1 to the B-image ARPACK supplies (mode 3, which accepts a
     semidefinite B).  The operator has rank R - P, R the count of nonzero
     rows of B; when `count` equals that rank, Lanczos has no room, and a
     Rayleigh-Ritz on the operator's range gives the whole spectrum exactly.
     Raises EigenSolveError when `count` is not an integer in 1..R - P,
-    ARPACK fails, any relative residual exceeds _EIG_RESIDUAL_TOL, or any
-    divergence residual (``EigenResult.div_residuals``) exceeds
-    _EIG_DIV_TOL: every returned vector is B-orthogonal to the deflated
-    subspace.
+    ARPACK fails, or a relative residual exceeds _EIG_RESIDUAL_TOL or a
+    divergence residual (``EigenResult.div_residuals``) _EIG_DIV_TOL.
     """
     A, B, lu, project = factor.A, factor.B, factor.lu, factor.project
     n, P = factor.Y.shape
@@ -260,7 +253,7 @@ def gen_sym_eig(factor: ShiftedFactor, count: int) -> EigenResult:
     BX = B @ vecs
     bnorm = np.linalg.norm(BX, axis=0)
     residuals = np.linalg.norm(A @ vecs - BX * vals, axis=0) / (vals * bnorm)
-    div = np.linalg.norm(factor.BY.T @ vecs, axis=0) / bnorm
+    div = np.linalg.norm(factor.BYt @ vecs, axis=0) / bnorm
     worst = float(np.max(residuals))
     if not worst <= _EIG_RESIDUAL_TOL:  # a NaN residual fails too
         raise EigenSolveError(

@@ -30,8 +30,8 @@ for all w.  phi needs no multiplier: it equals M_M^{-1} K u, and
 (grad s, phi) = (curl grad s, curl u) = 0 for every nodal s, so phi is
 discretely divergence-free by itself.  ``saddle_solve`` factors no bordered
 matrix: p solves (Y^T B Y) p = Y^T F, and the primal field comes from
-projected iterative refinement on the factor of A - sigma B: the one factor
-a record makes, on its first solve, for every eigen and source solve.
+projected iterative refinement on the factor of A - rho B, rho a fixed
+fraction of the eigen shift.  A record keeps each route's factor.
 
 ``solve_curlcurl_source`` and ``solve_quadcurl_source`` take a load callable
 and return the fields; comparing them with an exact solution is the study's
@@ -87,13 +87,23 @@ def _interior_spaces(mesh: Mesh, order: int) -> Spaces:
     return s
 
 
+# The source route factors A - rho B, rho = _SHIFT_FRACTION * sigma: a
+# refinement step contracts the error by about |rho| / lambda_1, so 4-5 steps
+# reach roundoff on the cube meshes (1e-2 took 7-9; 1e-11 stalled at order 2).
+# The eigen route keeps sigma: the nearer 0 its shift, the looser its vectors.
+_SHIFT_FRACTION = 1e-3
+
+
 class _Record:
-    """The part every record shares: its operator's factor at its shift."""
+    """Each route's factor, made on that route's first solve and kept."""
 
     @cached_property
-    def factor(self) -> ShiftedFactor:
-        """(A, B, Y) and the LU of A - sigma B, made on the first solve and kept."""
+    def eigen_factor(self) -> ShiftedFactor:
         return shifted_factor(*self.operator(), _shift(self))
+
+    @cached_property
+    def source_factor(self) -> ShiftedFactor:
+        return shifted_factor(*self.operator(), _SHIFT_FRACTION * _shift(self))
 
 
 @dataclass(eq=False)
@@ -210,18 +220,15 @@ def build_quadcurl_pencil(mesh: Mesh, order: int) -> PencilSystem:
 
 
 def _shift(system: CurlCurlSystem | PencilSystem) -> float:
-    """The record's one shift, below the spectrum and scaled with its own domain.
+    """Lanczos shift below the spectrum, scaled with the record's own domain.
 
     The first eigenvalue of curl^(power/2) on a domain of volume |Omega|
-    scales like (2 pi)^power |Omega|^(-power/3); sigma is minus 1/200 of that.
-    Each saddle refinement step contracts by |sigma| / (lambda_1 + |sigma|), but
-    eigenpairs lose accuracy as sigma nears 0: at 1/200 the order-2 n = 8 residual
-    is 2.6e-10, and u's Schur-form residuals are 60-100x those at 1/2.
+    scales like (2 pi)^power |Omega|^(-power/3); sigma is minus half of that.
     A fixed shift would let the residuals grow with the eigenvalue's scale.
     """
     power = system.shift_power
     volume = float(system.spaces.u0.mesh.volumes().sum())
-    return -(2.0 * np.pi) ** power * volume ** (-power / 3.0) / 200.0
+    return -0.5 * (2.0 * np.pi) ** power * volume ** (-power / 3.0)
 
 
 def eigenpairs(system: CurlCurlSystem | PencilSystem, count: int) -> EigenResult:
@@ -231,7 +238,7 @@ def eigenpairs(system: CurlCurlSystem | PencilSystem, count: int) -> EigenResult
     returned vectors are the u block (length N), orthonormal in the U_{0,h}
     mass.
     """
-    res = gen_sym_eig(system.factor, count)
+    res = gen_sym_eig(system.eigen_factor, count)
     return replace(res, vectors=res.vectors[: system.n_free])
 
 
@@ -278,9 +285,9 @@ def solve_source(system: CurlCurlSystem | PencilSystem, load: np.ndarray) -> Sou
     F = np.asarray(load, dtype=np.float64)
     if F.shape != (N,):
         raise SpaceError(f"load vector must have length {N}")
-    factor = system.factor
+    factor = system.source_factor
     rhs = np.concatenate([F, np.zeros(system.m_total)])
-    x, pvals, res, steps = saddle_solve(factor.A, factor.BY, rhs, factor)
+    x, pvals, res, steps = saddle_solve(factor.A, factor.BYt.T, rhs, factor)
     p = s.s0.embed(pvals)
     # ||p_h||^2 = sum_t |det J_t| p_t^T R p_t over the local mass blocks: no
     # S_h mass, and no pattern for it, is assembled for one number.

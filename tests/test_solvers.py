@@ -16,8 +16,8 @@ def _random_spd(n, seed):
 
 def _kernel_pencil(n, P, seed, extra_kernel=0):
     """SPD B and a PSD K with K Y = 0 for a known Y (n x P), plus `extra_kernel`
-    kernel vectors outside range(Y); sigma is minus 1/200 of the first
-    nonzero eigenvalue, the ratio the model problems' shift has."""
+    kernel vectors outside range(Y); sigma is the source route's shift,
+    1e-3 of minus half the first nonzero eigenvalue."""
     rng = np.random.default_rng(seed)
     Y = rng.standard_normal((n, P))
     B = _random_spd(n, seed + 1) / n
@@ -27,7 +27,7 @@ def _kernel_pencil(n, P, seed, extra_kernel=0):
     K = Q @ (L @ L.T) @ Q.T
     K = 0.5 * (K + K.T)
     lam = scipy.linalg.eigh(K, B, eigvals_only=True)[P + extra_kernel]
-    return K, B, Y, -lam / 200.0
+    return K, B, Y, 1e-3 * (-0.5 * lam)
 
 
 def _bordered_dense(K, G, f):
