@@ -21,6 +21,7 @@ when it lies on such a face.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,7 +114,13 @@ class Mesh:
         longest = np.sqrt((edges**2).sum(axis=2)).max(axis=1)
         self.h_max = float(longest.max())
         self.jac = _freeze((corners[:, 1:, :] - corners[:, :1, :]).transpose(0, 2, 1))
-        self.jac_det = _freeze(np.linalg.det(self.jac))
+        # np.linalg.det is not exact under a power-of-two dilation, so take it
+        # on the mesh shrunk by the power of 4 nearest its extent (1 for
+        # extents from 1/2 to 2) and scale back: a mesh dilated by 4^k then
+        # has exactly 64^k times the determinants.
+        extent = float(np.ptp(self.vertices, axis=0).max())
+        scale = 4.0 ** round(math.log2(extent) / 2.0) if extent > 0.0 else 1.0
+        self.jac_det = _freeze(np.linalg.det(self.jac / scale) * scale**3)
         # Relative to the cube of the longest edge, so the test is scale-free.
         if (np.abs(self.jac_det) <= 1e-12 * longest**3).any():
             raise MeshError("degenerate tetrahedron (zero volume)")

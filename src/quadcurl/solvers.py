@@ -57,6 +57,8 @@ class EigenResult:
     ``div_residuals`` are ||(B Y)^T x|| / ||B x|| for the deflation basis Y:
     for the gradient space, the discrete divergence of each vector.
     ``gen_sym_eig`` raises instead of returning one above _EIG_DIV_TOL.
+    ``applications`` counts the projected shift-invert applications: one per
+    Lanczos step, or one per column of the Rayleigh-Ritz spanning set.
     """
 
     values: np.ndarray
@@ -64,6 +66,7 @@ class EigenResult:
     residuals: np.ndarray
     n_zero: int
     div_residuals: np.ndarray
+    applications: int
 
 
 @dataclass(eq=False)
@@ -223,7 +226,11 @@ def gen_sym_eig(factor: ShiftedFactor, count: int) -> EigenResult:
     if not (isinstance(count, numbers.Integral) and 1 <= count <= rank):
         raise EigenSolveError(f"count {count!r} is not an integer in 1..{rank}")
 
+    applications = 0
+
     def op(v):
+        nonlocal applications
+        applications += v.size // n  # a vector, or a block of columns
         return project(lu.solve(v))
 
     if count == rank:
@@ -263,4 +270,4 @@ def gen_sym_eig(factor: ShiftedFactor, count: int) -> EigenResult:
         raise EigenSolveError(
             f"eigenvector divergence residual {worst:.3e} exceeds {_EIG_DIV_TOL:.1e}")
     return EigenResult(values=vals, vectors=vecs, residuals=residuals, n_zero=P,
-                       div_residuals=div)
+                       div_residuals=div, applications=applications)

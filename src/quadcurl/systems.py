@@ -30,8 +30,16 @@ for all w.  phi needs no multiplier: it equals M_M^{-1} K u, and
 (grad s, phi) = (curl grad s, curl u) = 0 for every nodal s, so phi is
 discretely divergence-free by itself.  ``saddle_solve`` factors no bordered
 matrix: p solves (Y^T B Y) p = Y^T F, and the primal field comes from
-projected iterative refinement on the factor of A - rho B, rho a fixed
-fraction of the eigen shift.  A record keeps each route's factor.
+projected iterative refinement on the factor of A - rho B.
+
+A record keeps each route's factor, made at unit scale: the blocks are taken
+as if the mesh were shrunk by ell = 4^k, the power of 4 nearest |Omega|^(1/3)
+(K and C0 times ell, the masses over ell, Y as it is), so the blocks of the
+factored matrices keep their relative sizes on a mesh in any units.  The
+routes return their results in the record's units, and every rescaling is by
+a power of two, so it is exact; ell = 1 whenever 1/8 <= |Omega| <= 8.  The
+eigen route factors at a tenth of the unit-scale shift, the source route at
+``_SHIFT_FRACTION`` of it.
 
 ``solve_curlcurl_source`` and ``solve_quadcurl_source`` take a load callable
 and return the fields; comparing them with an exact solution is the study's
@@ -40,6 +48,7 @@ job (``harness``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import ClassVar
@@ -87,23 +96,38 @@ def _interior_spaces(mesh: Mesh, order: int) -> Spaces:
     return s
 
 
-# The source route factors A - rho B, rho = _SHIFT_FRACTION * sigma: a
+# The source route factors A - rho B, rho = _SHIFT_FRACTION * _shift: a
 # refinement step contracts the error by about |rho| / lambda_1, so 4-5 steps
 # reach roundoff on the cube meshes (1e-2 took 7-9; 1e-11 stalled at order 2).
-# The eigen route keeps sigma: the nearer 0 its shift, the looser its vectors.
 _SHIFT_FRACTION = 1e-3
+# The eigen route factors at _EIGEN_SHIFT_FRACTION * _shift.  Lanczos converges
+# with the transformed gap (lam_k+1 - lam_k) / (lam_k - sigma), so a shift
+# nearer 0 takes fewer applications: 22 % fewer than at the full _shift over
+# the benchmark's classes at counts 1-5.  The nearer 0 the shift, the looser
+# the vectors: the Schur-form residual of u rises about 10x at this fraction.
+_EIGEN_SHIFT_FRACTION = 0.1
 
 
 class _Record:
-    """Each route's factor, made on that route's first solve and kept."""
+    """Each route's factor, made at unit scale on that route's first solve and kept."""
+
+    @cached_property
+    def scale(self) -> float:
+        """ell = 4^k with k = round(log_4 |Omega|^(1/3)): the routes' unit of length."""
+        return 4.0 ** round(math.log2(_volume(self)) / 6.0)
 
     @cached_property
     def eigen_factor(self) -> ShiftedFactor:
-        return shifted_factor(*self.operator(), _shift(self))
+        return shifted_factor(*self.operator(self.scale), _EIGEN_SHIFT_FRACTION * _shift(self))
 
     @cached_property
     def source_factor(self) -> ShiftedFactor:
-        return shifted_factor(*self.operator(), _SHIFT_FRACTION * _shift(self))
+        return shifted_factor(*self.operator(self.scale), _SHIFT_FRACTION * _shift(self))
+
+
+def _scaled(mat: sp.csr_matrix, factor: float) -> sp.csr_matrix:
+    """mat times a power of two, which is exact; mat itself, not a copy, at 1."""
+    return mat if factor == 1.0 else mat * factor
 
 
 @dataclass(eq=False)
@@ -121,9 +145,9 @@ class CurlCurlSystem(_Record):
     def n_free(self) -> int:
         return self.C0.shape[0]
 
-    def operator(self) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
-        """(A, B, Y) = (C0, M0, G0)."""
-        return self.C0.mat, self.M0.mat, self.G0.mat
+    def operator(self, scale: float = 1.0) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
+        """(A, B, Y) = (C0, M0, G0), on the mesh shrunk by ``scale`` (a power of two)."""
+        return _scaled(self.C0.mat, scale), _scaled(self.M0.mat, 1.0 / scale), self.G0.mat
 
 
 def build_curlcurl_system(mesh: Mesh, order: int) -> CurlCurlSystem:
@@ -163,21 +187,24 @@ class PencilSystem(_Record):
     def p_free(self) -> int:
         return self.G0.shape[1]
 
-    def operator(self) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
-        """The (N+M) block pencil (A, B) and its gradient block Y = [G0; 0].
+    def operator(self, scale: float = 1.0) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
+        """The (N+M) block pencil (A, B) and its gradient block Y = [G0; 0],
+        on the mesh shrunk by ``scale`` (a power of two).
 
         The upper rows of A are K^T, a compressed transpose; the lower rows
         are [K, -M_M], one compressed row stack.  A is their data and indices
         one after the other; B and Y pad the indptr of M_N and G0.
         """
         N, M = self.n_free, self.m_total
-        KT = self.K.mat.T.tocsr()
-        lower = sp.hstack([self.K.mat, -self.M_M.mat], format="csr")
+        K = _scaled(self.K.mat, scale)
+        KT = K.T.tocsr()
+        lower = sp.hstack([K, self.M_M.mat * (-1.0 / scale)], format="csr")
         A = sp.csr_matrix((np.concatenate([KT.data, lower.data]),
                            np.concatenate([KT.indices + N, lower.indices]),
                            np.concatenate([KT.indptr, KT.nnz + lower.indptr[1:]])),
                           shape=(N + M, N + M))
-        return A, _pad_rows(self.M_N.mat, (N + M, N + M)), _pad_rows(self.G0.mat, (N + M, self.p_free))
+        B = _pad_rows(_scaled(self.M_N.mat, 1.0 / scale), (N + M, N + M))
+        return A, B, _pad_rows(self.G0.mat, (N + M, self.p_free))
 
     def schur_dense(self) -> np.ndarray:
         """S = K^T M_M^{-1} K as a dense symmetric PSD matrix (a test oracle).
@@ -219,15 +246,19 @@ def build_quadcurl_pencil(mesh: Mesh, order: int) -> PencilSystem:
     )
 
 
-def _shift(system: CurlCurlSystem | PencilSystem) -> float:
-    """Lanczos shift below the spectrum, scaled with the record's own domain.
+def _volume(system: CurlCurlSystem | PencilSystem) -> float:
+    return float(system.spaces.u0.mesh.volumes().sum())
 
-    The first eigenvalue of curl^(power/2) on a domain of volume |Omega|
-    scales like (2 pi)^power |Omega|^(-power/3); sigma is minus half of that.
-    A fixed shift would let the residuals grow with the eigenvalue's scale.
+
+def _shift(system: CurlCurlSystem | PencilSystem) -> float:
+    """Shift below the spectrum of the record at unit scale.
+
+    The first eigenvalue of curl^(power/2) on a domain of volume V scales
+    like (2 pi)^power V^(-power/3); this is minus half of that for the
+    record's volume in units of its scale, V = |Omega| / ell^3.
     """
     power = system.shift_power
-    volume = float(system.spaces.u0.mesh.volumes().sum())
+    volume = _volume(system) / system.scale**3
     return -0.5 * (2.0 * np.pi) ** power * volume ** (-power / 3.0)
 
 
@@ -236,10 +267,13 @@ def eigenpairs(system: CurlCurlSystem | PencilSystem, count: int) -> EigenResult
 
     The pencil (A, B) is solved with its gradient block Y deflated; the
     returned vectors are the u block (length N), orthonormal in the U_{0,h}
-    mass.
+    mass.  The unit-scale eigenvalues scale back by ell^-power, the vectors
+    by ell^-1/2.
     """
     res = gen_sym_eig(system.eigen_factor, count)
-    return replace(res, vectors=res.vectors[: system.n_free])
+    ell = system.scale
+    return replace(res, values=res.values * ell ** -system.shift_power,
+                   vectors=res.vectors[: system.n_free] * ell**-0.5)
 
 
 def solve_quadcurl_eig(mesh: Mesh, order: int, count: int) -> EigenResult:
@@ -261,8 +295,8 @@ class SourceSolution:
     that keeps u discretely divergence-free.  ``p_ratio`` is ||p_h|| / ||u_h||
     in L2, the numerical version of the multiplier-vanishes statement for
     divergence-free loads.  ``residual`` is the relative residual of the
-    saddle system and ``refine_steps`` the iterative-refinement steps
-    ``saddle_solve`` took.
+    saddle system at unit scale and ``refine_steps`` the iterative-refinement
+    steps ``saddle_solve`` took.
     """
 
     u: DofVector
@@ -277,8 +311,9 @@ def solve_source(system: CurlCurlSystem | PencilSystem, load: np.ndarray) -> Sou
     """Source problem of a record for a load vector F on the free U_{0,h} DoFs.
 
     Solves [[A, B Y], [(B Y)^T, 0]] (x, p) = ((F, 0), 0) with the record's
-    operator: x is u, followed by phi when there is a w block.  Raises
-    SpaceError when F does not have length N.
+    operator: x is u, followed by phi when there is a w block.  The unit-scale
+    solution with the same F scales back to u ell^(power-1), phi ell and
+    p / ell.  Raises SpaceError when F does not have length N.
     """
     s = system.spaces
     N = system.n_free
@@ -288,12 +323,15 @@ def solve_source(system: CurlCurlSystem | PencilSystem, load: np.ndarray) -> Sou
     factor = system.source_factor
     rhs = np.concatenate([F, np.zeros(system.m_total)])
     x, pvals, res, steps = saddle_solve(factor.A, factor.BYt.T, rhs, factor)
-    p = s.s0.embed(pvals)
+    ell = system.scale
+    x[:N] *= ell ** (system.shift_power - 1)
+    x[N:] *= ell
+    p = s.s0.embed(pvals / ell)
     # ||p_h||^2 = sum_t |det J_t| p_t^T R p_t over the local mass blocks: no
     # S_h mass, and no pattern for it, is assembled for one number.
     p_t = p.values[s.s0.cell_dofs]
     norm_p = np.sqrt(float(np.einsum("ti,tij,tj->", p_t, _gram(s.s0, 0, 2 * s.s0.order), p_t)))
-    norm_u = np.sqrt(float(x[:N] @ (factor.B @ x)[:N]))
+    norm_u = np.sqrt(ell * float(x[:N] @ (factor.B @ x)[:N]))  # B is M_N / ell
     return SourceSolution(
         u=s.u0.embed(x[:N]),
         phi=DofVector(s.uf, x[N:]) if system.m_total else None,

@@ -19,7 +19,7 @@ from quadcurl.assembly import (
 from quadcurl.errors import EigenSolveError, SpaceError
 from quadcurl.fespace import _Pattern, make_space
 from quadcurl.quadrature import QuadRule, tet_rule
-from quadcurl import solvers
+from quadcurl import solvers, systems
 from quadcurl.solvers import _REFINE_STEPS
 
 
@@ -233,7 +233,9 @@ def test_eigen_route_rejects_a_gradient_component(pencil2, cube2, monkeypatch):
 @pytest.mark.parametrize("build", [build_quadcurl_pencil, build_curlcurl_system])
 def test_record_factors_each_route_once(build, cube2, monkeypatch):
     """Two eigen and two source solves on a fresh record factor A - sigma B and
-    Y^T B Y once per route, each at its own shift; the results keep neither."""
+    Y^T B Y once per route, each at its own shift (a tenth of the unit-scale
+    shift for the eigen route, _SHIFT_FRACTION of it for the source route);
+    the results keep neither."""
     made = []
     symmetric_lu = solvers._symmetric_lu
 
@@ -249,7 +251,8 @@ def test_record_factors_each_route_once(build, cube2, monkeypatch):
         results += [eigenpairs(system, 2), solve_source(system, load)]
     n, P = system.n_free + system.m_total, system.spaces.s0.num_free
     assert made == [(n, n), (P, P)] * 2  # the eigen route's, then the source route's
-    assert system.source_factor.sigma == 1e-3 * system.eigen_factor.sigma < 0.0
+    assert system.eigen_factor.sigma == 0.1 * systems._shift(system) < 0.0
+    assert system.source_factor.sigma == systems._SHIFT_FRACTION * systems._shift(system)
     assert np.array_equal(results[0].values, results[2].values)
     assert np.array_equal(results[1].u.values, results[3].u.values)
     factors = [weakref.ref(system.eigen_factor), weakref.ref(system.source_factor)]
@@ -293,34 +296,71 @@ def test_quadcurl_eig_beyond_former_dense_limit():
 def test_eig_invariant_under_dilation(cube2):
     """Scaling the cube by L scales lam by L^-4 (quad-curl) and L^-2 (Maxwell).
 
-    The shift scales with the mesh volume, so the iteration is the same one
-    up to units.  A shift fixed at its unit-cube value passes at L = 3 but
-    fails the residual gate at L = 10 (relative residual 1.7e7).  L = 1e-5
-    needs the mesh's scale-free degeneracy test; order-2 quad-curl is left
-    out there, since its pencil misses the residual gate at small L.
+    Each record is solved at unit scale, so the iteration is the same one up
+    to units.  Before it was, the shift alone followed the volume: order-2
+    quad-curl at count 5 missed the residual gate at L = 1e-5 (0.69), and
+    order 1 at L = 1e5 (6.0e-7) and at L = 2^17, an exact power of two.
     """
     for order in (1, 2):
-        q_ref = solve_quadcurl_eig(cube2, order, 4).values
-        m_ref = solve_maxwell_eig(cube2, order, 4).values
-        for L in (3.0, 10.0, 1e-5):
-            scaled = Mesh(L * cube2.vertices, cube2.tets)
-            if order == 1 or L > 1.0:
-                q = solve_quadcurl_eig(scaled, order, 4).values
-                assert np.abs(q * L**4 - q_ref).max() <= 1e-9 * q_ref[0]
-            m = solve_maxwell_eig(scaled, order, 4).values
-            assert np.abs(m * L**2 - m_ref).max() <= 1e-9 * m_ref[0]
+        for count in (3, 4, 5):
+            q_ref = solve_quadcurl_eig(cube2, order, count).values
+            m_ref = solve_maxwell_eig(cube2, order, count).values
+            for L in (3.0, 10.0, 1e-5, 1e5, 2.0**17):
+                scaled = Mesh(L * cube2.vertices, cube2.tets)
+                q = solve_quadcurl_eig(scaled, order, count).values
+                assert np.abs(q * L**4 - q_ref).max() <= 1e-9 * q_ref[0], (order, count, L)
+                m = solve_maxwell_eig(scaled, order, count).values
+                assert np.abs(m * L**2 - m_ref).max() <= 1e-9 * m_ref[0], (order, count, L)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("solve, power", [(solve_quadcurl_eig, 4), (solve_maxwell_eig, 2)])
+def test_eig_dilated_by_a_power_of_four_is_bitwise_the_unit_cubes(cube2, solve, power, order):
+    """At L = 4^k the unit-scale blocks are bitwise the unit cube's, so
+    lam L^power and the M_N-normalized u L^(1/2) are too."""
+    ref = solve(cube2, order, 3)
+    for L in (4.0**3, 4.0**-3):
+        res = solve(Mesh(L * cube2.vertices, cube2.tets), order, 3)
+        assert np.array_equal(res.values * L**power, ref.values), L
+        assert np.array_equal(res.vectors * L**0.5, ref.vectors), L
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("build, power", [(build_quadcurl_pencil, 3), (build_curlcurl_system, 1)])
+def test_source_solve_invariant_under_dilation(cube3, build, power, order):
+    """For a fixed load vector F, scaling the cube by L scales u by L^3
+    (quad-curl) and by L (curl-curl): bitwise at L = 4^k, to roundoff at any L.
+
+    The unit-scale solve keeps the saddle residual at roundoff.  Before it
+    did, L = 1e5 raised SingularSystemError for both problems (residuals
+    4.0e-8 to 1.0e-7), and so did quad-curl at L = 1e3 (8.0e-8 and 8.6e-8).
+    """
+    unit = build(cube3, order)
+    F = np.random.default_rng(order).standard_normal(unit.n_free)
+    ref = solve_source(unit, F).u.values
+    for L in (1e-5, 1e3, 1e5, 4.0**-8, 4.0**7):
+        sol = solve_source(build(Mesh(L * cube3.vertices, cube3.tets), order), F)
+        assert sol.residual <= 1e-12, L
+        u = sol.u.values * L**-power
+        if L in (4.0**-8, 4.0**7):
+            assert np.array_equal(u, ref), L
+        else:
+            assert np.abs(u - ref).max() <= 1e-12 * np.abs(ref).max(), L
 
 
 def test_eigenpairs_take_the_shift_from_the_records_mesh(cube2):
     """A record carries its own mesh, so its shift always fits its blocks.
 
-    The pencil of the cube dilated by 10 gives the unit cube's eigenvalues
-    times 10^-4.  With the unit cube's shift, the same blocks miss the
-    residual gate (relative residual 8.2e5).
+    The pencil of the cube dilated by 10 is solved at scale 16, with the
+    shift of its volume there (0.244), and gives the unit cube's eigenvalues
+    times 10^-4 (relative residual 2.8e-15).  The unit cube's full shift on
+    the same blocks in their own units misses the residual gate (relative
+    residual 2.9e7); its eigen shift, a tenth of that, reads 1.1e-12.
     """
     ref = solve_quadcurl_eig(cube2, 1, 2).values
     pen = build_quadcurl_pencil(Mesh(10.0 * cube2.vertices, cube2.tets), 1)
     vals = eigenpairs(pen, 2).values
+    assert pen.scale == 16.0
     assert np.abs(vals / 1e-4 - ref).max() <= 1e-9 * ref[0]
 
 
@@ -328,10 +368,11 @@ def test_quadcurl_eigenvectors_in_millimetres(cube2):
     """Order 2 on the cube dilated by 1e3 (a metre-sized part meshed in mm).
 
     The u block must solve the Schur-form problem K^T M_M^-1 K u = lam M_N u,
-    the one the block residual stands in for.  Its relative residual reads
-    2.3e-13 with the eigen shift at minus half the eigenvalue scale; with the
-    shift at 1/200 of that scale the block residual (2.8e-8) misses the
-    eigensolver's gate, and the eigenvectors lose 60-100x on other meshes.
+    the one the block residual stands in for.  Solved at unit scale (ell =
+    1024), its relative residual reads 1.2e-12 with the eigen shift at a
+    tenth of the unit-scale shift, 2.9e-13 at the full shift and 1.9e-11 at
+    a hundredth of it.  Before the unit scale, a hundredth missed the
+    eigensolver's gate here (block residual 2.8e-8).
     """
     pen = build_quadcurl_pencil(Mesh(1e3 * cube2.vertices, cube2.tets), 2)
     res = eigenpairs(pen, 3)
@@ -340,6 +381,44 @@ def test_quadcurl_eigenvectors_in_millimetres(cube2):
     R = pen.K.mat.T @ scipy.linalg.solve(pen.M_M.to_dense(), KU) - MU * res.values
     schur = np.linalg.norm(R, axis=0) / (res.values * np.linalg.norm(MU, axis=0))
     assert schur.max() <= 1e-10
+
+
+def _counting_projector(factor, monkeypatch):
+    """Wrap the factor's projector; the list it returns gets the columns of
+    every shift-invert iterate it projects."""
+    project, columns = factor.project, []
+
+    def counting(z):
+        columns.append(z.size // z.shape[0])
+        return project(z)
+
+    monkeypatch.setattr(factor, "project", counting)
+    return columns
+
+
+def test_eigen_route_reports_its_shift_invert_applications(bench_workloads, monkeypatch):
+    """``applications`` counts the projected shift-invert applications.
+
+    On an ``eig-k1`` class mesh (the benchmark's jittered order-1 n = 5 cube)
+    at count 3, the eigen shift at a tenth of the unit-scale shift converges
+    in Lanczos's first 20-vector subspace (21 applications); the full shift
+    takes a restart (37).  A count equal to the operator's rank takes one
+    application per nonzero row of B, the columns of the Rayleigh-Ritz
+    spanning set.
+    """
+    verts, tets = bench_workloads.jittered_cube(5, np.random.default_rng(0))
+    pen = build_quadcurl_pencil(Mesh(verts, tets), 1)
+    columns = _counting_projector(pen.eigen_factor, monkeypatch)
+    res = eigenpairs(pen, 3)
+    assert res.applications == sum(columns) == len(columns) <= 25
+    monkeypatch.setattr(systems, "_EIGEN_SHIFT_FRACTION", 1.0)
+    assert eigenpairs(build_quadcurl_pencil(Mesh(verts, tets), 1), 3).applications >= 36
+
+    small = build_quadcurl_pencil(generate_cube_mesh(2), 1)
+    columns = _counting_projector(small.eigen_factor, monkeypatch)
+    res = eigenpairs(small, small.n_free - small.p_free)
+    assert res.applications == sum(columns) == small.n_free
+    assert len(columns) == 1
 
 
 def test_eig_count_validation(cube2):
