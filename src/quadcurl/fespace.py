@@ -4,10 +4,11 @@ A space couples a mesh with one reference family, ``edge`` or ``nodal``.  Its
 layout is ``reference.DOFS_PER_ENTITY[(family, order)]``, the DoFs k per
 vertex, edge and face, laid on the topology the mesh built: entity types in
 that order, and slot j of entity e is global DoF offset + k e + j.
-Interpolation walks the same table: a nodal DoF is the field at the mean of
-the entity's corners (a vertex or an edge midpoint), and the edge DoFs are
-``reference.entity_moments`` on the mesh's edges and faces, the functionals
-that also define the reference dual basis.
+Interpolation walks the same table and applies ``reference.entity_dofs`` to
+the mesh's entities, the functionals that also define the reference dual
+basis: a nodal DoF is the field at the mean of the entity's corners (a vertex
+or an edge midpoint), and the edge DoFs are tangential moments on the mesh's
+edges and faces.
 
 Since cells store ascending vertex indices, each global entity is traversed
 identically by every cell that shares it and local DoFs map to global DoFs
@@ -50,7 +51,7 @@ import numpy as np
 from .errors import SpaceError
 from .mesh import Mesh
 from .quadrature import tet_rule
-from .reference import DOFS_PER_ENTITY, entity_moments, get_element
+from .reference import DOFS_PER_ENTITY, entity_dofs, get_element
 
 INTERP_DEGREE = 13  # quadrature degree for entity moments of analytic fields
 SAMPLE_DEGREE = 10  # tet rule at which loads and error norms sample analytic fields
@@ -112,8 +113,6 @@ class FESpace:
     free_dofs: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        if (self.family, self.order) not in DOFS_PER_ENTITY:
-            raise SpaceError(f"no {self.family!r} space of order {self.order!r}")
         self.element = get_element(self.family, self.order)
         cells, free, offset = [], [], 0
         for k, (tet_entities, corners, boundary) in zip(
@@ -200,17 +199,16 @@ def map_points(mesh: Mesh, degree: int) -> np.ndarray:
 def reference_basis(space: FESpace, degree: int) -> tuple[np.ndarray, np.ndarray]:
     """Reference basis values and derivatives at a tet rule's points, each (Q, n, c).
 
-    Nodal values get a trailing axis of length 1, so both families push
-    forward through the (T, d, c) maps of :func:`push_forward`.  The tables
-    are tabulated once per (family, order, degree) and shared read-only.
+    Nodal values have one component, so both families push forward through
+    the (T, d, c) maps of :func:`push_forward`.  The tables are tabulated
+    once per (family, order, degree) and shared read-only.
     """
     return _reference_tables(space.family, space.order, degree)
 
 
 @lru_cache(maxsize=None)  # bounded: only degrees 0..MAX_DEGREE succeed
 def _reference_tables(family: str, order: int, degree: int):
-    vals, derivs = get_element(family, order).tabulate(tet_rule(degree).points)
-    tables = vals.reshape(derivs.shape[:2] + (-1,)), derivs
+    tables = get_element(family, order).tabulate(tet_rule(degree).points)
     for t in tables:
         t.flags.writeable = False
     return tables
@@ -252,17 +250,10 @@ def interpolate(space: FESpace, fn, degree: int = INTERP_DEGREE) -> DofVector:
     the given degree.  For the nodal family, fn maps (..., 3) to scalars,
     taken at vertices (and edge midpoints for order 2).
     """
-    values = []
-    for k, (_, corners, _) in zip(DOFS_PER_ENTITY[space.family, space.order],
-                                  _entities(space.mesh)):
-        if k == 0:
-            continue
-        points = space.mesh.vertices[corners]
-        if space.family == "nodal":
-            values.append(fn(points.mean(axis=1)))
-        else:
-            values.append(entity_moments(fn, points, space.order, degree).ravel())
-    return DofVector(space, np.concatenate(values))
+    return DofVector(space, np.concatenate([
+        entity_dofs(space.family, fn, space.mesh.vertices[corners], space.order, degree).ravel()
+        for k, (_, corners, _) in zip(DOFS_PER_ENTITY[space.family, space.order],
+                                      _entities(space.mesh)) if k]))
 
 
 # --- norms and errors -------------------------------------------------------

@@ -1,19 +1,24 @@
 """Shape functions on the reference tetrahedron.
 
-Two families are provided:
+One construction serves both families: an element of order k is the dual
+basis of a monomial list against the family's DoFs (:func:`entity_dofs`),
+found by inverting the matrix of those DoFs applied to the monomials.  The
+basis values and derivatives are the monomials' values and curls (edge) or
+gradients (nodal), multiplied by the same inverse.
 
 * ``edge``: the first-kind curl-conforming spaces of order 1 and 2,
 
-      R_k = (P_{k-1})^3  (+)  { p homogeneous of degree k : x . p = 0 },
+      R_k = (P_{k-1})^3  (+)  x cross (homogeneous P_{k-1})^3,
 
-  with dimensions 6 and 20.  Degrees of freedom are tangential moments on
-  edges (k moments per edge against 1 and 2s-1) and, for k = 2, two constant
-  tangential moments per face.  The dual basis is found by inverting the
-  moment matrix of an explicit monomial basis; for k = 1 this reproduces the
-  classical functions lam_a grad lam_b - lam_b grad lam_a.
+  with dimensions 6 and 20.  The monomials are P_{k-1} e_d, then x cross (m e_d)
+  for each degree-(k-1) monomial m, leaving out d = z where z divides m: those
+  terms complement the kernel {q x} of x cross.  Degrees of freedom are
+  tangential moments on edges (k moments per edge against 1 and 2s-1) and,
+  for k = 2, two constant tangential moments per face.  For k = 1 the dual
+  basis is the classical lam_a grad lam_b - lam_b grad lam_a.
 
-* ``nodal``: scalar Lagrange elements of order 1 and 2 (vertex values, plus
-  edge midpoint values for order 2).
+* ``nodal``: scalar Lagrange elements of order 1 and 2, the monomials of P_k
+  dual to the values at the vertices, plus the edge midpoints for order 2.
 
 All moment functionals are written against the parametrizations
 
@@ -24,8 +29,8 @@ with the *unnormalized* direction vectors and the parametric measure.  These
 functionals commute with the covariant pull-back of any affine map that sends
 reference vertices to physical vertices in order, which is what makes a single
 global degree of freedom per mesh entity well defined.  They are coded once,
-in :func:`entity_moments`: the dual basis applies it to the reference tet's
-edges and faces, and ``fespace.interpolate`` to the mesh's.
+in :func:`entity_dofs`: the dual basis applies it to the reference tet's
+entities, and ``fespace.interpolate`` to the mesh's.
 """
 
 from __future__ import annotations
@@ -42,15 +47,17 @@ REF_VERTS = np.array(
     [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
 )
 
-# DoFs per (vertex, edge, face) of each (family, order).  An element lists its
-# DoFs type by type, in LOCAL_EDGES / LOCAL_FACES order, so 4v + 6e + 4f = ndofs.
+# DoFs per (vertex, edge, face) of each (family, order): the one table of the
+# elements that exist.  An element lists its DoFs type by type, in
+# LOCAL_EDGES / LOCAL_FACES order, so 4v + 6e + 4f = ndofs.
 DOFS_PER_ENTITY = {("edge", 1): (0, 1, 0), ("edge", 2): (0, 2, 2),
                    ("nodal", 1): (1, 0, 0), ("nodal", 2): (1, 1, 0)}
+_LOCAL_ENTITIES = (np.arange(4)[:, None], LOCAL_EDGES, LOCAL_FACES)
 
 # --- tiny exponent-dict polynomials -----------------------------------------
 # A scalar polynomial is {exponent tuple: coeff}, the exponents of (x, y, z)
 # here (manufactured.py uses the same ring over cos and sin of pi x_k); a
-# vector field is a 3-tuple.
+# vector field is a tuple of components: 3 for the edge family, 1 for nodal.
 
 Poly = dict
 
@@ -97,47 +104,52 @@ def poly_sub(a: Poly, b: Poly) -> Poly:
     return out
 
 
-def _poly_shift(p: Poly, axis: int) -> Poly:
-    """Multiply a polynomial by the coordinate along one axis."""
-    out = {}
-    for exp, c in p.items():
-        new = list(exp)
-        new[axis] += 1
-        out[tuple(new)] = c
-    return out
+# --- monomial bases ------------------------------------------------------------
 
 
-def _edge_monomials(order: int):
-    """Monomial basis of R_order as vector exponent-dict polynomials."""
+def _exponents(degree: int) -> list[tuple[int, int, int]]:
+    """Exponents of the monomials of P_degree, by degree, x before y before z."""
+    return [(i, j, s - i - j) for s in range(degree + 1)
+            for i in range(s, -1, -1) for j in range(s - i, -1, -1)]
 
-    def unit(d, p=(0, 0, 0)):
-        vp = ({}, {}, {})
-        vp[d].update({tuple(p): 1.0})
-        return vp
 
-    def cross_x(q):
-        # x cross q for vector polynomial q
-        qx, qy, qz = q
-        return (
-            poly_sub(_poly_shift(qz, 1), _poly_shift(qy, 2)),
-            poly_sub(_poly_shift(qx, 2), _poly_shift(qz, 0)),
-            poly_sub(_poly_shift(qy, 0), _poly_shift(qx, 1)),
-        )
+def _shift(exp, axis: int) -> tuple[int, int, int]:
+    """Exponent of x_axis times the monomial with exponent exp."""
+    return tuple(n + (i == axis) for i, n in enumerate(exp))
 
-    X, Y, Z = (1, 0, 0), (0, 1, 0), (0, 0, 1)
-    if order == 1:
-        consts = [unit(d) for d in range(3)]
-        rots = [cross_x(unit(d)) for d in range(3)]
-        return consts + rots
-    if order == 2:
-        p1 = [unit(d, p) for d in range(3) for p in [(0, 0, 0), X, Y, Z]]
-        # x cross (f e_d) for the eight monomials f e_d spanning a complement
-        # of the radial kernel span{x} in homogeneous degree-1 vector fields.
-        homo = [cross_x(unit(0, f)) for f in (X, Y, Z)]
-        homo += [cross_x(unit(1, f)) for f in (X, Y, Z)]
-        homo += [cross_x(unit(2, f)) for f in (X, Y)]
-        return p1 + homo
-    raise SpaceError(f"edge family supports orders 1 and 2, got {order}")
+
+def _edge_monomials(order: int) -> list:
+    """Monomial basis of R_order: P_{k-1} e_d, then the x cross (m e_d)."""
+    fields = []
+    for d in range(3):
+        for exp in _exponents(order - 1):
+            vp = ({}, {}, {})
+            vp[d][exp] = 1.0
+            fields.append(vp)
+    top = [e for e in _exponents(order - 1) if sum(e) == order - 1]
+    for d in range(3):
+        a, b = (d + 1) % 3, (d + 2) % 3  # x cross e_d = x_b e_a - x_a e_b
+        for exp in top:
+            if d == 2 and exp[2]:  # m e_z with z | m: the rest complement {q x}
+                continue
+            vp = ({}, {}, {})
+            vp[a][_shift(exp, b)] = 1.0
+            vp[b][_shift(exp, a)] = -1.0
+            fields.append(vp)
+    return fields
+
+
+def _nodal_monomials(order: int) -> list:
+    return [({exp: 1.0},) for exp in _exponents(order)]
+
+
+def _grad(vp):
+    """Gradient of a one-component polynomial field."""
+    return tuple(poly_diff(vp[0], axis) for axis in range(3))
+
+
+# Per family: the monomial basis of an order, and the derivative it maps.
+_FAMILIES = {"edge": (_edge_monomials, vec_curl), "nodal": (_nodal_monomials, _grad)}
 
 
 # --- degree-of-freedom functionals -------------------------------------------
@@ -166,90 +178,69 @@ def entity_moments(fn, corners: np.ndarray, order: int, degree: int) -> np.ndarr
     return moments.reshape(len(corners), -1, *moments.shape[3:])
 
 
-class EdgeElement:
-    """Curl-conforming reference element of order 1 or 2."""
+def entity_dofs(family: str, fn, corners: np.ndarray, order: int, degree: int) -> np.ndarray:
+    """The family's DoFs of a field on entities with (entities, corners, 3) corners.
 
-    def __init__(self, order: int):
+    Edge family: :func:`entity_moments`.  Nodal family: the field at the
+    corners' mean, a vertex or an edge midpoint, so fn maps points
+    (entities, 3) to values (entities, ...).
+    """
+    if family == "edge":
+        return entity_moments(fn, corners, order, degree)
+    return fn(corners.mean(axis=1))
+
+
+class Element:
+    """Reference element of one family and order (see the module docstring)."""
+
+    def __init__(self, family: str, order: int):
+        self.family = family
         self.order = order
-        self.monomials = _edge_monomials(order)
+        monomials, derivative = _FAMILIES[family]
+        self.monomials = monomials(order)
+        self.derivatives = [derivative(m) for m in self.monomials]
         self.ndofs = len(self.monomials)
-        V = np.empty((self.ndofs, self.ndofs))
-        for j, mono in enumerate(self.monomials):
-            V[:, j] = self.apply_functionals(lambda pts, m=mono: vec_eval(m, pts)[:, None, :])[:, 0]
-        self.coeff = np.linalg.inv(V)
+        # One column per monomial: batching them moves the edge DoFs' einsum,
+        # and so the order-2 tables, at roundoff.
+        self.coeff = np.linalg.inv(np.hstack([
+            self.apply_functionals(lambda pts, m=m: vec_eval(m, pts)[:, None])
+            for m in self.monomials]))
 
     def apply_functionals(self, field_fn) -> np.ndarray:
         """Apply every DoF functional to fields given by field_fn.
 
-        field_fn maps reference points (n, 3) to values (n, m, 3); the result
-        has shape (ndofs, m): the edge moments, then (order 2) the face ones.
+        field_fn maps reference points (n, 3) to values (n, m, c); the result
+        has shape (ndofs, m), the DoFs in the element's order.
         """
 
         def fn(pts):
             vals = field_fn(pts.reshape(-1, 3))
-            return vals.reshape(pts.shape[:2] + vals.shape[1:])
+            return vals.reshape(pts.shape[:-1] + vals.shape[1:])
 
+        # Edge moments come as (entities, k, m), nodal values as (entities, m, 1):
+        # both are k DoFs per entity, entity by entity.
         degree = 2 * self.order + 2
-        blocks = [entity_moments(fn, REF_VERTS[local], self.order, degree)
-                  for k, local in zip(DOFS_PER_ENTITY["edge", self.order][1:],
-                                      (LOCAL_EDGES, LOCAL_FACES)) if k]
-        return np.concatenate([b.reshape(-1, b.shape[-1]) for b in blocks])
+        return np.concatenate([
+            entity_dofs(self.family, fn, REF_VERTS[local], self.order, degree)
+            .reshape(k * len(local), -1)
+            for k, local in zip(DOFS_PER_ENTITY[self.family, self.order], _LOCAL_ENTITIES) if k])
 
     def tabulate(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Basis values and curls at reference points: two (n, ndofs, 3) arrays."""
+        """Basis values (n, ndofs, c) and curls or gradients (n, ndofs, 3) at
+        reference points; c is 3 for the edge family and 1 for the nodal."""
         mv = np.stack([vec_eval(m, points) for m in self.monomials], axis=1)
-        mc = np.stack([vec_eval(vec_curl(m), points) for m in self.monomials], axis=1)
+        md = np.stack([vec_eval(m, points) for m in self.derivatives], axis=1)
         vals = np.einsum("qjc,ji->qic", mv, self.coeff)
-        curls = np.einsum("qjc,ji->qic", mc, self.coeff)
-        return vals, curls
-
-
-class NodalElement:
-    """Scalar Lagrange reference element of order 1 or 2."""
-
-    def __init__(self, order: int):
-        if order not in (1, 2):
-            raise SpaceError(f"nodal family supports orders 1 and 2, got {order}")
-        self.order = order
-        self.ndofs = 4 if order == 1 else 10
-
-    @staticmethod
-    def _bary(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        x, y, z = points[..., 0], points[..., 1], points[..., 2]
-        lam = np.stack([1.0 - x - y - z, x, y, z], axis=-1)
-        dlam = np.array(
-            [[-1.0, -1.0, -1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
-        )
-        return lam, dlam
-
-    def tabulate(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Basis values (n, ndofs) and gradients (n, ndofs, 3)."""
-        lam, dlam = self._bary(points)
-        n = points.shape[0]
-        if self.order == 1:
-            vals = lam
-            grads = np.broadcast_to(dlam, (n, 4, 3)).copy()
-            return vals, grads
-        vals = np.empty((n, 10))
-        grads = np.empty((n, 10, 3))
-        for v in range(4):
-            vals[:, v] = lam[:, v] * (2.0 * lam[:, v] - 1.0)
-            grads[:, v, :] = (4.0 * lam[:, v] - 1.0)[:, None] * dlam[v]
-        for e, (a, b) in enumerate(LOCAL_EDGES):
-            vals[:, 4 + e] = 4.0 * lam[:, a] * lam[:, b]
-            grads[:, 4 + e, :] = 4.0 * (
-                lam[:, a][:, None] * dlam[b] + lam[:, b][:, None] * dlam[a]
-            )
-        return vals, grads
+        derivs = np.einsum("qjc,ji->qic", md, self.coeff)
+        return vals, derivs
 
 
 @lru_cache(maxsize=None)
-def get_element(family: str, order: int):
-    if family == "edge":
-        return EdgeElement(order)
-    if family == "nodal":
-        return NodalElement(order)
-    raise SpaceError(f"unknown family {family!r} (expected 'edge' or 'nodal')")
+def get_element(family: str, order: int) -> Element:
+    if (family, order) not in DOFS_PER_ENTITY:
+        raise SpaceError(f"no {family!r} element of order {order!r}"
+                         f" (supported: {sorted(DOFS_PER_ENTITY)})")
+    return Element(family, order)
 
 
 @lru_cache(maxsize=None)
@@ -269,4 +260,3 @@ def ref_gradient_matrix(order: int) -> np.ndarray:
     g[np.abs(g) < 1e-12] = 0.0
     g.flags.writeable = False
     return g
-

@@ -26,8 +26,7 @@ def eval_at(vec: DofVector, ref_points):
     vals, derivs = space.element.tabulate(np.asarray(ref_points, dtype=np.float64))
     coeffs = vec.values[space.cell_dofs]
     fields = [np.tensordot(coeffs, ref, axes=(1, 1)) @ A.transpose(0, 2, 1)
-              for ref, A in zip((vals.reshape(derivs.shape[:2] + (-1,)), derivs),
-                                push_forward(space))]
+              for ref, A in zip((vals, derivs), push_forward(space))]
     if space.family == "nodal":
         fields[0] = fields[0][..., 0]
     return tuple(fields)

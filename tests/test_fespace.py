@@ -201,26 +201,36 @@ def _single_random_tet():
     return Mesh(verts, np.array([[0, 1, 2, 3]]))
 
 
-@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("family,order", [
+    pytest.param("edge", 1, id="1"), pytest.param("edge", 2, id="2"),
+    pytest.param("nodal", 1, id="nodal-1"), pytest.param("nodal", 2, id="nodal-2"),
+])
 @pytest.mark.parametrize("mesh_cell", [
     pytest.param(lambda: (_single_random_tet(), 0), id="random-tet"),
     pytest.param(lambda: (jittered_cube_mesh(2), 17), id="jittered-cell"),
 ])
-def test_interpolation_commutes_with_covariant_pullback(order, mesh_cell):
-    """A cell's global DoFs of f are the reference DoFs of x_hat -> J^T f(x_0 + J x_hat)."""
+def test_interpolation_commutes_with_covariant_pullback(family, order, mesh_cell):
+    """A cell's global DoFs of f are the reference DoFs of the pulled-back field:
+    x_hat -> J^T f(x_0 + J x_hat) for the edge family, f(x_0 + J x_hat) for the nodal."""
     mesh, t = mesh_cell()
-    space = make_space(mesh, "edge", order)
+    space = make_space(mesh, family, order)
 
     def f(x):
         x, y, z = np.moveaxis(np.asarray(x), -1, 0)
+        if family == "nodal":
+            return np.sin(2.0 * y) * np.exp(z) + np.cos(x + 3.0 * z)
         return np.stack([np.sin(2.0 * y) * np.exp(z), np.cos(x + 3.0 * z),
                          np.exp(x * y) - z], axis=-1)
 
+    x0, J = mesh.vertices[mesh.tets[t, 0]], mesh.jac[t]
+
+    def pulled_back(xh):
+        fx = f(x0 + xh @ J.T)
+        return (fx @ J)[:, None, :] if family == "edge" else fx[:, None, None]
+
     # Same rule on both sides: the reference dual basis integrates at 2k + 2.
     got = interpolate(space, f, degree=2 * order + 2).values[space.cell_dofs[t]]
-    x0, J = mesh.vertices[mesh.tets[t, 0]], mesh.jac[t]
-    want = space.element.apply_functionals(
-        lambda xh: (f(x0 + xh @ J.T) @ J)[:, None, :])[:, 0]
+    want = space.element.apply_functionals(pulled_back)[:, 0]
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 

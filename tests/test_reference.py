@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from quadcurl.errors import SpaceError
+from quadcurl.fespace import make_space
+from quadcurl.quadrature import tet_rule
 from quadcurl.reference import DOFS_PER_ENTITY, get_element, ref_gradient_matrix
 
 RNG = np.random.default_rng(42)
@@ -145,6 +147,36 @@ def test_gradient_matrix_order1_is_signed_incidence():
     assert np.abs(G - expected).max() < 1e-12
 
 
+def lagrange_closed_form(order, points):
+    """P1 and P2 Lagrange shape functions written out: values (n, ndofs) and
+    gradients (n, ndofs, 3).  Order 1: lam_v.  Order 2: lam_v (2 lam_v - 1) at
+    the vertices, then 4 lam_a lam_b at the edge midpoints."""
+    lam, dlam = barycentric(points), barycentric_gradients()
+    if order == 1:
+        return lam, np.broadcast_to(dlam, (len(points), 4, 3))
+    vals = np.empty((len(points), 10))
+    grads = np.empty((len(points), 10, 3))
+    for v in range(4):
+        vals[:, v] = lam[:, v] * (2.0 * lam[:, v] - 1.0)
+        grads[:, v] = (4.0 * lam[:, v] - 1.0)[:, None] * dlam[v]
+    for e, (a, b) in enumerate(LOCAL_EDGE_PAIRS):
+        vals[:, 4 + e] = 4.0 * lam[:, a] * lam[:, b]
+        grads[:, 4 + e] = 4.0 * (lam[:, a, None] * dlam[b] + lam[:, b, None] * dlam[a])
+    return vals, grads
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("where", ["interior", "rule"])
+def test_nodal_matches_closed_form(order, where):
+    """The dual basis of P_k against point values is the Lagrange basis."""
+    pts = interior_points(20) if where == "interior" else tet_rule(10).points
+    vals, grads = get_element("nodal", order).tabulate(pts)
+    want_vals, want_grads = lagrange_closed_form(order, pts)
+    assert vals.shape == want_vals.shape + (1,)
+    assert np.abs(vals[..., 0] - want_vals).max() <= 1e-14
+    assert np.abs(grads - want_grads).max() <= 1e-14
+
+
 def test_nodal_partition_of_unity():
     pts = interior_points(6)
     for order in (1, 2):
@@ -160,7 +192,7 @@ def test_nodal_order2_kronecker_property():
     mids = np.array([(verts[a] + verts[b]) / 2 for a, b in LOCAL_EDGE_PAIRS])
     nodes = np.vstack([verts, mids])
     vals, _ = el.tabulate(nodes)
-    assert np.abs(vals - np.eye(10)).max() < 1e-12
+    assert np.abs(vals[..., 0] - np.eye(10)).max() < 1e-12
 
 
 def test_dofs_per_entity_count_the_element_dofs():
@@ -170,11 +202,11 @@ def test_dofs_per_entity_count_the_element_dofs():
         assert 4 * v + 6 * e + 4 * f == get_element(family, order).ndofs
 
 
-def test_unknown_family_rejected():
+@pytest.mark.parametrize("family,order", [("edge", 0), ("edge", 3), ("nodal", 0),
+                                          ("nodal", 3), ("face", 1)])
+def test_unsupported_order_rejected(family, order, cube2):
+    """DOFS_PER_ENTITY alone decides which elements and spaces exist."""
     with pytest.raises(SpaceError):
-        get_element("face", 1)
-
-
-def test_unsupported_order_rejected():
+        get_element(family, order)
     with pytest.raises(SpaceError):
-        get_element("edge", 3)
+        make_space(cube2, family, order)
