@@ -24,15 +24,14 @@ operator's values are then one ``np.bincount`` of its local blocks over the
 slots; the contributions to an entry add in element order.  The result does
 not depend on the order of the element loop beyond roundoff (~1e-13
 relative), which also makes a partitioned/merged parallel assembly
-admissible.  The pattern is the row space's ``FESpace.coupling``, built on
-the space's first operator and kept with it, so the operators a record
-assembles on one row space are sorted once between them.
+admissible.  The pattern is the space's ``FESpace.coupling``, built on the
+space's first operator and kept with it, so the operators a record
+assembles on one space are sorted once between them.
 
-Matrices are returned on the active DoF set of the space arguments: the full
-layout for unconstrained spaces, and the free subset for constrained ones.
-A constrained row or column space keeps the pattern's entries in its free
-rows or columns, a gather that sorts nothing again, so no operator is built
-on the full layout and then sliced.
+Every operator is returned on the full layout of its spaces.  The records
+of ``systems`` keep the free rows and columns through :func:`_restrict`, a
+gather on the CSR arrays that sorts nothing again, so the entries kept are
+bitwise the full layout's.
 """
 
 from __future__ import annotations
@@ -73,53 +72,41 @@ class SparseMatrix:
                 fh.write(f"{r} {c} {v:.17g}\n")
 
 
-def _check_edge_pair(row_space: FESpace, col_space: FESpace) -> None:
-    if row_space.family != "edge" or col_space.family != "edge":
-        raise SpaceError("curl-curl assembly needs edge spaces")
-    if row_space.order != col_space.order:
-        raise SpaceError("row/col spaces differ in order")
-    if row_space.mesh is not col_space.mesh:
-        raise SpaceError("row/col spaces live on different meshes")
+def _scatter(pattern: _Pattern, vals) -> SparseMatrix:
+    """Sum values onto a full-layout pattern: the operator's CSR matrix.
 
-
-def _active_position(space: FESpace) -> np.ndarray:
-    """Position of every full-layout DoF in the active set, -1 where inactive."""
-    if not space.constrained:
-        return np.arange(space.ndofs)
-    pos = np.full(space.ndofs, -1)
-    pos[space.free_dofs] = np.arange(space.num_free)
-    return pos
-
-
-def _scatter(row_space: FESpace, col_space: FESpace, pattern: _Pattern, vals) -> SparseMatrix:
-    """Sum values onto a full-layout pattern, then keep the active DoF sets.
-
-    ``pattern`` is the row space's ``coupling`` for mass and curl-curl, and
-    one built for the call for the gradient map.  ``vals`` holds one value
-    per input pair of the pattern, in its shape; the values at one position
-    add in the order of the pairs.
+    ``pattern`` is the space's ``coupling`` for mass and curl-curl, and one
+    built for the call for the gradient map.  ``vals`` holds one value per
+    input pair of the pattern, in its shape; the values at one position add
+    in the order of the pairs.
     """
     data = np.bincount(pattern.slot.ravel(), np.ravel(vals), minlength=pattern.nnz)
-    return _restrict(row_space, col_space, pattern.indptr, pattern.indices, data)
+    return SparseMatrix(sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape))
 
 
-def _restrict(row_space: FESpace, col_space: FESpace, indptr, indices, data) -> SparseMatrix:
-    """The CSR matrix (data, indices, indptr) of the full layout on the active DoF sets.
+def _restrict(mat: SparseMatrix, rows: FESpace | None, cols: FESpace | None) -> SparseMatrix:
+    """The free rows of ``rows`` and the free columns of ``cols`` of a
+    full-layout operator; None keeps every row or column.
 
-    A constrained space keeps the entries in its free rows or columns, a
-    gather through a mask on the pattern, so nothing is sorted again; the
-    entries kept are bitwise the full layout's.
+    A gather through a mask on the CSR arrays, so nothing is sorted again;
+    the entries kept are bitwise the full layout's.
     """
-    if row_space.constrained or col_space.constrained:
-        col_pos = _active_position(col_space)
-        keep = np.repeat(_active_position(row_space) >= 0, np.diff(indptr))
-        keep &= col_pos[indices] >= 0
-        keep = np.flatnonzero(keep)
-        indptr = np.searchsorted(keep, indptr[np.append(row_space.active_dofs, row_space.ndofs)])
-        indices = col_pos[indices[keep]]
-        data = data[keep]
-    shape = (row_space.num_active, col_space.num_active)
-    return SparseMatrix(sp.csr_matrix((data, indices, indptr), shape=shape))
+    csr = mat.mat
+    (m, n), indptr = csr.shape, csr.indptr
+    row_dofs = np.arange(m) if rows is None else rows.free_dofs
+    col_dofs = np.arange(n) if cols is None else cols.free_dofs
+    # In the CSR's own index dtype, so the new CSR takes the arrays uncast.
+    col_pos = np.full(n, -1, dtype=csr.indices.dtype)
+    col_pos[col_dofs] = np.arange(len(col_dofs))
+    col_pos = col_pos.take(csr.indices)  # per entry
+    keep = np.zeros(m, dtype=bool)
+    keep[row_dofs] = True
+    keep = np.repeat(keep, np.diff(indptr))
+    keep &= col_pos >= 0
+    keep = np.flatnonzero(keep)
+    indptr = np.searchsorted(keep, indptr[np.append(row_dofs, m)]).astype(indptr.dtype)
+    return SparseMatrix(sp.csr_matrix((csr.data[keep], col_pos[keep], indptr),
+                                      shape=(len(row_dofs), len(col_dofs))))
 
 
 @lru_cache(maxsize=None)
@@ -149,22 +136,17 @@ def _gram(space: FESpace, half: int, degree: int) -> np.ndarray:
 
 
 def assemble_mass(space: FESpace, degree: int | None = None) -> SparseMatrix:
-    """Mass matrix (phi_j, phi_i) on the active DoF set of the space."""
+    """Mass matrix (phi_j, phi_i) on the full layout of the space."""
     local = _gram(space, 0, degree if degree is not None else 2 * space.order)
-    return _scatter(space, space, space.coupling, local)
+    return _scatter(space.coupling, local)
 
 
-def assemble_curlcurl(row_space: FESpace, col_space: FESpace | None = None, degree: int | None = None) -> SparseMatrix:
-    """Curl-curl matrix (curl phi_j, curl phi_i) on the row/col active sets.
-
-    With distinct constraint flags this directly yields the rectangular
-    coupling block between the constrained and unconstrained space.
-    """
-    if col_space is None:
-        col_space = row_space
-    _check_edge_pair(row_space, col_space)
-    local = _gram(row_space, 1, degree if degree is not None else 2 * row_space.order - 2)
-    return _scatter(row_space, col_space, row_space.coupling, local)
+def assemble_curlcurl(space: FESpace, degree: int | None = None) -> SparseMatrix:
+    """Curl-curl matrix (curl phi_j, curl phi_i) on the full layout of an edge space."""
+    if space.family != "edge":
+        raise SpaceError("curl-curl assembly needs an edge space")
+    local = _gram(space, 1, degree if degree is not None else 2 * space.order - 2)
+    return _scatter(space.coupling, local)
 
 
 def assemble_gradient_map(nodal_space: FESpace, edge_space: FESpace) -> SparseMatrix:
@@ -189,7 +171,7 @@ def assemble_gradient_map(nodal_space: FESpace, edge_space: FESpace) -> SparseMa
     nz = vals != 0.0
     pairs = _Pattern((edge_space.ndofs, nodal_space.ndofs),
                      np.broadcast_to(rows[:, None], vals.shape)[nz], nodal_space.cell_dofs[owner][nz])
-    return _scatter(edge_space, nodal_space, pairs, vals[nz])
+    return _scatter(pairs, vals[nz])
 
 
 def assemble_load(space: FESpace, f, degree: int = SAMPLE_DEGREE) -> DofVector:

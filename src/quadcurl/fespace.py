@@ -12,11 +12,9 @@ edges and faces.
 
 Since cells store ascending vertex indices, each global entity is traversed
 identically by every cell that shares it and local DoFs map to global DoFs
-without sign or permutation fixes.
-
-The constrained variants (essential boundary condition u x n = 0, or scalar
-trace zero) keep the full-length DoF layout and record the free subset: the
-DoFs on entities off the topology's boundary masks.
+without sign or permutation fixes.  ``free_dofs`` are the DoFs on entities
+off the topology's boundary masks, the ones left by the essential boundary
+condition (u x n = 0, or scalar trace zero); U_{0,h} and U_h are one layout.
 
 Geometry.  The maps from the reference tet are affine, x = x_0 + J x_hat, and
 the mesh keeps J, J^{-1} and det J of every tet.  A basis function with
@@ -74,6 +72,7 @@ class _Pattern:
     """
 
     def __init__(self, shape: tuple[int, int], rows, cols):
+        self.shape = shape
         keys = rows * shape[1] + cols
         slot_shape = keys.shape
         keys = keys.ravel()
@@ -107,7 +106,6 @@ class FESpace:
     mesh: Mesh
     family: str
     order: int
-    constrained: bool
     ndofs: int = field(init=False)
     cell_dofs: np.ndarray = field(init=False)
     free_dofs: np.ndarray = field(init=False)
@@ -132,7 +130,7 @@ class FESpace:
         """Pattern of the DoF pairs that share a tet, on the full layout.
 
         Built on first use and kept as long as the space, so every operator
-        assembled with this space as its row space scatters onto one sort.
+        assembled on this space scatters onto one sort.
         """
         dofs = self.cell_dofs
         return _Pattern((self.ndofs, self.ndofs), dofs[:, :, None], dofs[:, None, :])
@@ -141,19 +139,10 @@ class FESpace:
     def num_free(self) -> int:
         return len(self.free_dofs)
 
-    @property
-    def active_dofs(self) -> np.ndarray:
-        """DoFs carried by assembled operators: the free set when constrained."""
-        return self.free_dofs if self.constrained else np.arange(self.ndofs)
-
-    @property
-    def num_active(self) -> int:
-        return self.num_free if self.constrained else self.ndofs
-
-    def embed(self, active_values: np.ndarray) -> "DofVector":
-        """Expand a vector over active DoFs to a full-length DofVector."""
+    def embed(self, free_values: np.ndarray) -> "DofVector":
+        """Expand a vector over the free DoFs to a full-length DofVector, zero elsewhere."""
         full = np.zeros(self.ndofs)
-        full[self.active_dofs] = active_values
+        full[self.free_dofs] = free_values
         return DofVector(self, full)
 
 
@@ -173,9 +162,9 @@ class DofVector:
             )
 
 
-def make_space(mesh: Mesh, family: str, order: int, constrained: bool = False) -> FESpace:
+def make_space(mesh: Mesh, family: str, order: int) -> FESpace:
     """Build a global space on the mesh's topology."""
-    return FESpace(mesh, family, order, constrained)
+    return FESpace(mesh, family, order)
 
 
 # --- geometry ---------------------------------------------------------------

@@ -144,7 +144,9 @@ class ConvergenceTable:
     ``headers`` names the columns; ``rows`` holds one list per refinement
     level in header order. Rates are h-ratio normalized,
     rate_l = log(e_{l-1}/e_l) / log(h_{l-1}/h_l), which reduces to the plain
-    log2 ratio when h halves between levels. The first row has no rate.
+    log2 ratio when h halves between levels. The first row has no rate, and
+    neither has a row whose error or previous error is not positive, or whose
+    h_max equals the previous row's (the rate would divide by log 1 = 0).
     """
 
     problem: str
@@ -157,10 +159,11 @@ class ConvergenceTable:
 
 
 def observed_rates(hs: Sequence[float], errs: Sequence[float]) -> list:
-    """Per-level convergence rates; None for the first level."""
+    """Per-level convergence rates; None for the first level and where the
+    rate is undefined (see ``ConvergenceTable``)."""
     out: list = [None]
     for i in range(1, len(errs)):
-        if errs[i] <= 0.0 or errs[i - 1] <= 0.0:
+        if errs[i] <= 0.0 or errs[i - 1] <= 0.0 or hs[i] == hs[i - 1]:
             out.append(None)
             continue
         out.append(math.log(errs[i - 1] / errs[i]) / math.log(hs[i - 1] / hs[i]))
@@ -342,10 +345,10 @@ def _info_table(mesh: Mesh, order: int) -> ConvergenceTable:
         ("boundary_faces", int(topo.boundary_faces.sum())),
         ("h_max", mesh.h_max),
         ("order", order),
-        ("N_edge_constrained", sp.u0.num_free),
-        ("M_edge_full", sp.uf.num_active),
-        ("P_nodal_constrained", sp.s0.num_free),
-        ("dof_pencil", sp.u0.num_free + sp.uf.num_active),
+        ("N_edge_constrained", sp.edge.num_free),
+        ("M_edge_full", sp.edge.ndofs),
+        ("P_nodal_constrained", sp.nodal.num_free),
+        ("dof_pencil", sp.edge.num_free + sp.edge.ndofs),
     ]
     table.rows.extend([list(p) for p in pairs])
     return table

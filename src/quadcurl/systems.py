@@ -8,8 +8,8 @@ so a record built once serves every eigen and source solve on its mesh.
 * ``CurlCurlSystem``, the curl-curl (Maxwell) problem on U_{0,h}:
   A = C0, B = M0, Y = G0, the gradients of the free nodal space S_h.
 * ``PencilSystem``, the fourth-order (quad-curl) problem, assembled WITHOUT
-  divergence multipliers: with K(i,j) = (curl phi_j^0, curl phi_i)
-  rectangular between the constrained and unconstrained edge spaces, the
+  divergence multipliers: with K(i,j) = (curl phi_j^0, curl phi_i), the
+  curl-curl matrix of the edge space with its columns on the free DoFs, the
   pencil
 
       [ 0   K^T ] [u]          [ M_N  0 ] [u]
@@ -74,24 +74,23 @@ from .solvers import EigenResult, ShiftedFactor, gen_sym_eig, saddle_solve, shif
 
 @dataclass(eq=False)
 class Spaces:
-    """Edge/nodal space triple shared by the solvers on one mesh."""
+    """The edge and nodal spaces of one mesh, shared by a record's blocks.
 
-    u0: FESpace  # constrained edge space U_{0,h}
-    uf: FESpace  # unconstrained edge space U_h
-    s0: FESpace  # constrained nodal space S_h
+    U_h is the edge space's full layout and U_{0,h} its free DoFs; S_h is the
+    nodal space's free DoFs.
+    """
+
+    edge: FESpace
+    nodal: FESpace
 
 
 def setup_spaces(mesh: Mesh, order: int) -> Spaces:
-    return Spaces(
-        u0=make_space(mesh, "edge", order, constrained=True),
-        uf=make_space(mesh, "edge", order, constrained=False),
-        s0=make_space(mesh, "nodal", order, constrained=True),
-    )
+    return Spaces(edge=make_space(mesh, "edge", order), nodal=make_space(mesh, "nodal", order))
 
 
 def _interior_spaces(mesh: Mesh, order: int) -> Spaces:
     s = setup_spaces(mesh, order)
-    if s.u0.num_free == 0:
+    if s.edge.num_free == 0:
         raise SpaceError("mesh has no interior edge DoFs; the system is empty")
     return s
 
@@ -132,7 +131,7 @@ def _scaled(mat: sp.csr_matrix, factor: float) -> sp.csr_matrix:
 
 @dataclass(eq=False)
 class CurlCurlSystem(_Record):
-    """Blocks of the curl-curl (Maxwell) operator on U_{0,h}, on active DoF sets."""
+    """Blocks of the curl-curl (Maxwell) operator on U_{0,h}, on free DoFs."""
 
     C0: SparseMatrix  # (N x N): (curl phi_j^0, curl phi_i^0)
     M0: SparseMatrix  # U_{0,h} mass
@@ -151,22 +150,22 @@ class CurlCurlSystem(_Record):
 
 
 def build_curlcurl_system(mesh: Mesh, order: int) -> CurlCurlSystem:
-    """Assemble C0, M0 and the gradient map G0 on their active DoF sets.
+    """Assemble C0, M0 and the gradient map G0: the free rows and columns.
 
-    C0 and M0 both scatter onto ``u0.coupling``, so the edge pairs are sorted once.
+    C0 and M0 both scatter onto ``edge.coupling``, so the edge pairs are sorted once.
     """
     s = _interior_spaces(mesh, order)
     return CurlCurlSystem(
-        C0=assemble_curlcurl(s.u0, s.u0),
-        M0=assemble_mass(s.u0),
-        G0=assemble_gradient_map(s.s0, s.u0),
+        C0=_restrict(assemble_curlcurl(s.edge), s.edge, s.edge),
+        M0=_restrict(assemble_mass(s.edge), s.edge, s.edge),
+        G0=_restrict(assemble_gradient_map(s.nodal, s.edge), s.edge, s.nodal),
         spaces=s,
     )
 
 
 @dataclass(eq=False)
 class PencilSystem(_Record):
-    """Blocks of the fourth-order eigenvalue pencil, on active DoF sets."""
+    """Blocks of the fourth-order eigenvalue pencil: U_{0,h} on free DoFs, U_h in full."""
 
     K: SparseMatrix  # (M x N): (curl phi_j^0, curl phi_i), columns on free DoFs
     M_N: SparseMatrix  # U_{0,h} mass
@@ -229,25 +228,25 @@ def _pad_rows(mat: sp.csr_matrix, shape: tuple[int, int]) -> sp.csr_matrix:
 
 
 def build_quadcurl_pencil(mesh: Mesh, order: int) -> PencilSystem:
-    """Assemble K, M_N, M_M and the gradient map G0 on their active DoF sets.
+    """Assemble M_M in full, and K, M_N and the gradient map G0 on the free DoFs.
 
-    K and M_M both scatter onto ``uf.coupling``, so the edge pairs are sorted
-    once.  M_M is the mass on the full layout of U_h, so M_N, the U_{0,h}
-    mass, is its free rows and columns.
+    K and M_M both scatter onto ``edge.coupling``, so the edge pairs are
+    sorted once.  K is the curl-curl matrix's free columns, and M_N, the
+    U_{0,h} mass, is M_M's free rows and columns.
     """
     s = _interior_spaces(mesh, order)
-    M_M = assemble_mass(s.uf)
+    M_M = assemble_mass(s.edge)
     return PencilSystem(
-        K=assemble_curlcurl(s.uf, s.u0),
-        M_N=_restrict(s.u0, s.u0, M_M.mat.indptr, M_M.mat.indices, M_M.mat.data),
+        K=_restrict(assemble_curlcurl(s.edge), None, s.edge),
+        M_N=_restrict(M_M, s.edge, s.edge),
         M_M=M_M,
-        G0=assemble_gradient_map(s.s0, s.u0),
+        G0=_restrict(assemble_gradient_map(s.nodal, s.edge), s.edge, s.nodal),
         spaces=s,
     )
 
 
 def _volume(system: CurlCurlSystem | PencilSystem) -> float:
-    return float(system.spaces.u0.mesh.volumes().sum())
+    return float(system.spaces.edge.mesh.volumes().sum())
 
 
 def _shift(system: CurlCurlSystem | PencilSystem) -> float:
@@ -315,7 +314,7 @@ def solve_source(system: CurlCurlSystem | PencilSystem, load: np.ndarray) -> Sou
     solution with the same F scales back to u ell^(power-1), phi ell and
     p / ell.  Raises SpaceError when F does not have length N.
     """
-    s = system.spaces
+    edge, nodal = system.spaces.edge, system.spaces.nodal
     N = system.n_free
     F = np.asarray(load, dtype=np.float64)
     if F.shape != (N,):
@@ -326,15 +325,15 @@ def solve_source(system: CurlCurlSystem | PencilSystem, load: np.ndarray) -> Sou
     ell = system.scale
     x[:N] *= ell ** (system.shift_power - 1)
     x[N:] *= ell
-    p = s.s0.embed(pvals / ell)
+    p = nodal.embed(pvals / ell)
     # ||p_h||^2 = sum_t |det J_t| p_t^T R p_t over the local mass blocks: no
     # S_h mass, and no pattern for it, is assembled for one number.
-    p_t = p.values[s.s0.cell_dofs]
-    norm_p = np.sqrt(float(np.einsum("ti,tij,tj->", p_t, _gram(s.s0, 0, 2 * s.s0.order), p_t)))
+    p_t = p.values[nodal.cell_dofs]
+    norm_p = np.sqrt(float(np.einsum("ti,tij,tj->", p_t, _gram(nodal, 0, 2 * nodal.order), p_t)))
     norm_u = np.sqrt(ell * float(x[:N] @ (factor.B @ x)[:N]))  # B is M_N / ell
     return SourceSolution(
-        u=s.u0.embed(x[:N]),
-        phi=DofVector(s.uf, x[N:]) if system.m_total else None,
+        u=edge.embed(x[:N]),
+        phi=DofVector(edge, x[N:]) if system.m_total else None,
         p=p,
         residual=res,
         p_ratio=norm_p / max(norm_u, 1e-300) if norm_p > 0 else 0.0,
@@ -344,8 +343,8 @@ def solve_source(system: CurlCurlSystem | PencilSystem, load: np.ndarray) -> Sou
 
 def _solve_load(system: CurlCurlSystem | PencilSystem, f) -> SourceSolution:
     """solve_source on the load vector of the callable f."""
-    s = system.spaces
-    return solve_source(system, assemble_load(s.uf, f).values[s.u0.free_dofs])
+    edge = system.spaces.edge
+    return solve_source(system, assemble_load(edge, f).values[edge.free_dofs])
 
 
 def solve_curlcurl_source(mesh: Mesh, order: int, f) -> SourceSolution:

@@ -4,7 +4,7 @@ divergence of the manufactured cases."""
 
 import numpy as np
 
-from quadcurl.assembly import assemble_gradient_map, assemble_mass
+from quadcurl.assembly import _restrict, assemble_gradient_map, assemble_mass
 from quadcurl.fespace import DofVector, FESpace, push_forward
 
 
@@ -33,15 +33,21 @@ def eval_at(vec: DofVector, ref_points):
 
 
 def divergence_residual(edge_space: FESpace, nodal_space: FESpace, u) -> float:
-    """Discrete divergence residual ||G^T M0 u|| / ||M0 u|| (0 for u = 0)."""
-    M0 = assemble_mass(edge_space)
-    G0 = assemble_gradient_map(nodal_space, edge_space)
-    vals = u.values[edge_space.active_dofs] if isinstance(u, DofVector) else np.asarray(u)
-    Mu = M0.mat @ vals
+    """Discrete divergence residual ||G^T M u|| / ||M u|| (0 for u = 0).
+
+    G maps the free nodal DoFs (S_h).  A DofVector u lives in U_h, the edge
+    space's full layout; an array u in U_{0,h}, its free DoFs, where M and G
+    keep the free rows.
+    """
+    rows = None if isinstance(u, DofVector) else edge_space
+    M = _restrict(assemble_mass(edge_space), rows, rows)
+    G = _restrict(assemble_gradient_map(nodal_space, edge_space), rows, nodal_space)
+    vals = u.values if isinstance(u, DofVector) else np.asarray(u)
+    Mu = M.mat @ vals
     den = np.linalg.norm(Mu)
     if den == 0.0:
         return 0.0
-    return float(np.linalg.norm(G0.mat.T @ Mu) / den)
+    return float(np.linalg.norm(G.mat.T @ Mu) / den)
 
 
 def boundary_trace_violation(case, samples_per_face: int = 40) -> float:

@@ -30,13 +30,13 @@ def test_edge_space_dof_counts(cube2):
 
 
 def test_constrained_counts(cube2, cube3):
-    assert make_space(cube2, "edge", 1, constrained=True).num_free == 26
-    assert make_space(cube3, "edge", 1, constrained=True).num_free == 117
-    assert make_space(cube2, "nodal", 1, constrained=True).num_free == 1
-    assert make_space(cube3, "nodal", 1, constrained=True).num_free == 8
-    assert make_space(cube2, "edge", 2, constrained=True).num_free == 196
+    assert make_space(cube2, "edge", 1).num_free == 26
+    assert make_space(cube3, "edge", 1).num_free == 117
+    assert make_space(cube2, "nodal", 1).num_free == 1
+    assert make_space(cube3, "nodal", 1).num_free == 8
+    assert make_space(cube2, "edge", 2).num_free == 196
     # nodal order 2 frees interior vertices and interior edges
-    assert make_space(cube2, "nodal", 2, constrained=True).num_free == 1 + 26
+    assert make_space(cube2, "nodal", 2).num_free == 1 + 26
 
 
 def _layout_oracle(mesh, family, order):
@@ -81,18 +81,11 @@ def test_layout_matches_written_out_branches(make_mesh, family, order):
     """The DOFS_PER_ENTITY layout is bitwise the one written out per (family, order)."""
     mesh = make_mesh()
     ndofs, cell_dofs, free_dofs = _layout_oracle(mesh, family, order)
-    for constrained in (False, True):
-        space = make_space(mesh, family, order, constrained)
-        assert space.ndofs == ndofs
-        for got, want in ((space.cell_dofs, cell_dofs), (space.free_dofs, free_dofs)):
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
-
-
-def test_unconstrained_active_is_all(cube2):
-    space = make_space(cube2, "edge", 1)
-    assert space.num_active == space.ndofs
-    assert np.array_equal(space.active_dofs, np.arange(space.ndofs))
+    space = make_space(mesh, family, order)
+    assert space.ndofs == ndofs
+    for got, want in ((space.cell_dofs, cell_dofs), (space.free_dofs, free_dofs)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -235,11 +228,12 @@ def test_interpolation_commutes_with_covariant_pullback(family, order, mesh_cell
 
 
 def test_embed_scatters_free_dofs(cube2):
-    space = make_space(cube2, "edge", 1, constrained=True)
-    active = np.arange(1.0, space.num_free + 1)
-    full = space.embed(active)
+    space = make_space(cube2, "edge", 1)
+    free = np.arange(1.0, space.num_free + 1)
+    full = space.embed(free)
     assert full.values.shape == (space.ndofs,)
     assert np.count_nonzero(full.values) == space.num_free
+    assert np.array_equal(full.values[space.free_dofs], free)
     bmask = np.ones(space.ndofs, dtype=bool)
     bmask[space.free_dofs] = False
     assert np.abs(full.values[bmask]).max() == 0.0
@@ -379,7 +373,7 @@ def test_reference_tables_cached_read_only(family, order, cube2):
     assert np.array_equal(derivs, fresh_derivs)
     assert vals.shape[:2] == derivs.shape[:2] == (len(points), space.element.ndofs)
 
-    again = reference_basis(make_space(cube2, family, order, constrained=True), SAMPLE_DEGREE)
+    again = reference_basis(make_space(cube2, family, order), SAMPLE_DEGREE)
     assert again[0] is vals and again[1] is derivs
     for table in (vals, derivs):
         with pytest.raises(ValueError):

@@ -11,7 +11,8 @@ import pytest
 
 from meshes import five_tet_cube_mesh, write_gmsh
 from quadcurl import (
-    ConvergenceTable, convergence_study, emit_csv, observed_rates, quadcurl_sin3_case, run_cli,
+    ConvergenceTable, convergence_study, emit_csv, generate_cube_mesh, observed_rates,
+    quadcurl_sin3_case, run_cli,
 )
 from quadcurl import harness
 from quadcurl.errors import UsageError
@@ -63,6 +64,15 @@ def test_observed_rates_handles_uneven_refinement():
 def test_observed_rates_skips_nonpositive_errors():
     rates = observed_rates([0.5, 0.25, 0.125], [1.0, 0.0, 0.5])
     assert rates == [None, None, None]
+
+
+def test_observed_rates_skips_equal_mesh_sizes():
+    """Two levels with one h_max have no rate: log(h_{l-1}/h_l) is 0."""
+    assert observed_rates([0.5, 0.5, 0.25], [1.0, 0.9, 0.2]) == [
+        None, None, pytest.approx(math.log2(4.5), abs=1e-13)]
+    table = convergence_study("interp", 1, [2, 3], mesh_factory=lambda n: generate_cube_mesh(2))
+    assert table.column("h_max")[0] == table.column("h_max")[1]
+    assert table.column("rate") == [None, None]
 
 
 def test_interp_study_table():
@@ -207,6 +217,20 @@ def test_cli_stdout_default(capsys):
     assert values["vertices"] == "27"
     assert values["boundary_edges"] == "72"
     assert values["dof_pencil"] == "124"
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("n", [2, 3])
+def test_cli_info_matches_mesh_combinatorics(n, order, capsys, bench_workloads):
+    """``info``'s space dimensions equal the benchmark's counts from the Kuhn
+    cube's combinatorics: N free edge DoFs, M edge DoFs, P free nodal DoFs."""
+    assert run_cli(["info", "--mesh", f"cube:n={n}", "--order", str(order)]) == 0
+    values = dict(ln.split(",") for ln in capsys.readouterr().out.splitlines()[1:])
+    dims = bench_workloads.space_dims(n, order)
+    assert int(values["N_edge_constrained"]) == dims["N"]
+    assert int(values["M_edge_full"]) == dims["M"]
+    assert int(values["P_nodal_constrained"]) == dims["P"]
+    assert int(values["dof_pencil"]) == dims["N"] + dims["M"]
 
 
 @pytest.mark.parametrize("argv", [

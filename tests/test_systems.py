@@ -1,4 +1,6 @@
+import re
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,10 +77,10 @@ def test_operator_stacking_bitwise_equals_bmat(order, n):
     pytest.param(five_tet_cube_mesh(4), id="fivetet4"),
 ])
 def test_pencil_edge_mass_on_free_dofs_is_bitwise_the_assembled_one(mesh, order):
-    """M_N, the free rows and columns of M_M, stores exactly what assembling
-    the U_{0,h} mass on its own stores."""
+    """M_N, the free rows and columns of M_M, stores exactly what the
+    curl-curl record's U_{0,h} mass M0, restricted from its own assembly, stores."""
     pen = build_quadcurl_pencil(mesh, order)
-    want = assemble_mass(pen.spaces.u0).mat
+    want = build_curlcurl_system(mesh, order).M0.mat
     got = pen.M_N.mat
     assert got.shape == want.shape
     for part in ("indptr", "indices", "data"):
@@ -131,7 +133,7 @@ def _slice_count(system, values, tau):
     """What the inertia of A - tau B must read if ``values`` are all the
     eigenvalues below tau: the M of the w block, the P gradient modes at 0,
     and the nonzero eigenvalues below tau."""
-    return system.m_total + system.spaces.s0.num_free + int((values < tau).sum())
+    return system.m_total + system.spaces.nodal.num_free + int((values < tau).sum())
 
 
 @pytest.mark.parametrize("build, mesh, order", [
@@ -200,7 +202,7 @@ def test_eigenvectors_discretely_divergence_free(cube3):
     assert res.div_residuals.max() < 1e-8
     s = pen.spaces
     for i in range(4):
-        direct = divergence_residual(s.u0, s.s0, res.vectors[:, i])
+        direct = divergence_residual(s.edge, s.nodal, res.vectors[:, i])
         assert direct < 1e-8
 
 
@@ -249,7 +251,7 @@ def test_record_factors_each_route_once(build, cube2, monkeypatch):
     results = []
     for _ in range(2):
         results += [eigenpairs(system, 2), solve_source(system, load)]
-    n, P = system.n_free + system.m_total, system.spaces.s0.num_free
+    n, P = system.n_free + system.m_total, system.spaces.nodal.num_free
     assert made == [(n, n), (P, P)] * 2  # the eigen route's, then the source route's
     assert system.eigen_factor.sigma == 0.1 * systems._shift(system) < 0.0
     assert system.source_factor.sigma == systems._SHIFT_FRACTION * systems._shift(system)
@@ -263,8 +265,8 @@ def test_record_factors_each_route_once(build, cube2, monkeypatch):
 def test_divergence_residual_calibration(pencil2):
     s = pencil2.spaces
     grad_field = pencil2.G0.mat @ np.ones(pencil2.p_free)
-    assert divergence_residual(s.u0, s.s0, grad_field) > 0.1
-    assert divergence_residual(s.u0, s.s0, np.zeros(pencil2.n_free)) == 0.0
+    assert divergence_residual(s.edge, s.nodal, grad_field) > 0.1
+    assert divergence_residual(s.edge, s.nodal, np.zeros(pencil2.n_free)) == 0.0
 
 
 def test_quadcurl_eig_matches_dense_schur(cube2, cube3):
@@ -441,9 +443,10 @@ def test_maxwell_lowest_modes(cube2):
 
 def test_maxwell_eig_matches_dense(cube3):
     s = setup_spaces(cube3, 1)
-    C0 = assemble_curlcurl(s.u0, s.u0).to_dense()
-    M0 = assemble_mass(s.u0).to_dense()
-    P = s.s0.num_free
+    free = np.ix_(s.edge.free_dofs, s.edge.free_dofs)
+    C0 = assemble_curlcurl(s.edge).to_dense()[free]
+    M0 = assemble_mass(s.edge).to_dense()[free]
+    P = s.nodal.num_free
     dense = scipy.linalg.eigh(C0, M0, eigvals_only=True)
     assert np.abs(dense[:P]).max() < 1e-8 * dense[P]
     res = solve_maxwell_eig(cube3, 1, 5)
@@ -482,15 +485,16 @@ def test_gradient_load_is_absorbed_by_multiplier(cube2):
     mesh = generate_cube_mesh(2)
     sol = solve_curlcurl_source(mesh, 1, fgrad)
     s = setup_spaces(mesh, 1)
-    M0 = assemble_mass(s.u0)
-    G0 = assemble_gradient_map(s.s0, s.u0)
-    F = assemble_load(s.uf, fgrad).values[s.u0.free_dofs]
-    stiff = (G0.mat.T @ (M0.mat @ G0.mat)).toarray()
-    p_star = np.linalg.solve(stiff, G0.mat.T @ F)
-    p_free = sol.p.values[s.s0.free_dofs]
+    free, nodal_free = s.edge.free_dofs, s.nodal.free_dofs
+    M0 = assemble_mass(s.edge).mat[free][:, free]
+    G0 = assemble_gradient_map(s.nodal, s.edge).mat[free][:, nodal_free]
+    F = assemble_load(s.edge, fgrad).values[free]
+    stiff = (G0.T @ (M0 @ G0)).toarray()
+    p_star = np.linalg.solve(stiff, G0.T @ F)
+    p_free = sol.p.values[nodal_free]
     assert np.abs(p_free - p_star).max() < 1e-10 * np.abs(p_star).max()
-    u_free = sol.u.values[s.u0.free_dofs]
-    assert np.sqrt(u_free @ (M0.mat @ u_free)) < 0.05
+    u_free = sol.u.values[free]
+    assert np.sqrt(u_free @ (M0 @ u_free)) < 0.05
 
 
 def test_quadcurl_source_zero_load(cube2):
@@ -514,19 +518,20 @@ def test_quadcurl_source_manufactured_errors(cube2):
 
 
 @pytest.mark.parametrize("order", [1, 2])
-@pytest.mark.parametrize("constrained", [True, False])
-def test_curl_annihilates_edge_space_gradients(order, constrained):
+@pytest.mark.parametrize("nodal_free", [True, False])
+def test_curl_annihilates_edge_space_gradients(order, nodal_free):
     """GM^T K = 0 to roundoff: curl grad = 0, so phi = M_M^-1 K u is discretely
     divergence-free in U_h without a multiplier, against interior and
     boundary nodal gradients alike."""
     mesh = jittered_cube_mesh(2, seed=19)
     pen = build_quadcurl_pencil(mesh, order)
-    s = pen.spaces
-    nodal = s.s0 if constrained else make_space(mesh, "nodal", order, constrained=False)
-    GM = assemble_gradient_map(nodal, s.uf)
-    GMK = (GM.mat.T @ pen.K.mat).tocsr()
-    scale = abs(GM.mat).max() * abs(pen.K.mat).max()
-    assert GMK.shape == (nodal.num_active, pen.n_free)
+    nodal = pen.spaces.nodal
+    GM = assemble_gradient_map(nodal, pen.spaces.edge).mat
+    if nodal_free:
+        GM = GM[:, nodal.free_dofs]
+    GMK = (GM.T @ pen.K.mat).tocsr()
+    scale = abs(GM).max() * abs(pen.K.mat).max()
+    assert GMK.shape == (nodal.num_free if nodal_free else nodal.ndofs, pen.n_free)
     assert np.abs(GMK.data).max() <= 1e-13 * scale
 
 
@@ -540,14 +545,15 @@ def test_source_multipliers_match_closed_form():
     """
     mesh = jittered_cube_mesh(4, seed=7)
     s = setup_spaces(mesh, 1)
-    M0 = assemble_mass(s.u0).mat
-    G0 = assemble_gradient_map(s.s0, s.u0).mat
+    free, nodal_free = s.edge.free_dofs, s.nodal.free_dofs
+    M0 = assemble_mass(s.edge).mat[free][:, free]
+    G0 = assemble_gradient_map(s.nodal, s.edge).mat[free][:, nodal_free]
     case = quadcurl_sin3_case()
-    F = assemble_load(s.uf, case.f).values[s.u0.free_dofs]
+    F = assemble_load(s.edge, case.f).values[free]
     p_star = np.linalg.solve((G0.T @ M0 @ G0).toarray(), G0.T @ F)
     for sol in (solve_quadcurl_source(mesh, 1, case.f),
                 solve_curlcurl_source(mesh, 1, case.f)):
-        p = sol.p.values[s.s0.free_dofs]
+        p = sol.p.values[nodal_free]
         assert np.abs(p - p_star).max() <= 1e-12 * np.abs(p_star).max()
 
 
@@ -614,9 +620,10 @@ def test_multiplier_norm_matches_the_assembled_nodal_mass(order):
     pen = build_quadcurl_pencil(jittered_cube_mesh(3, seed=6), order)
     s = pen.spaces
     sol = solve_source(pen, np.random.default_rng(order).standard_normal(pen.n_free))
-    p = sol.p.values[s.s0.free_dofs]
-    u = sol.u.values[s.u0.free_dofs]
-    norm_p = np.sqrt(p @ (assemble_mass(s.s0).mat @ p))
+    nodal_free = s.nodal.free_dofs
+    p = sol.p.values[nodal_free]
+    u = sol.u.values[s.edge.free_dofs]
+    norm_p = np.sqrt(p @ (assemble_mass(s.nodal).mat[nodal_free][:, nodal_free] @ p))
     assert norm_p > 0.0
     want = norm_p / np.sqrt(u @ (pen.M_N.mat @ u))
     assert abs(sol.p_ratio - want) <= 1e-14 * want
@@ -641,13 +648,26 @@ def test_inverse_power_iteration_reaches_first_eigenvalue(pencil2):
         Mu = pencil2.M_N.mat @ u
         Mu /= np.linalg.norm(Mu)
         sol = solve_source(pencil2, Mu)
-        u = sol.u.values[s.u0.free_dofs]
+        u = sol.u.values[s.edge.free_dofs]
         phi = sol.phi.values
         lam = (phi @ (pencil2.M_M.mat @ phi)) / (u @ (pencil2.M_N.mat @ u))
     eig = eigenpairs(pencil2, 1)
     assert lam == pytest.approx(eig.values[0], rel=1e-6)
     assert eig.values[0] == pytest.approx(738.7206201, rel=1e-8)
-    assert divergence_residual(s.uf, s.s0, sol.phi) <= 1e-10
+    assert divergence_residual(s.edge, s.nodal, sol.phi) <= 1e-10
+
+
+def test_readme_example_reaches_first_eigenvalue():
+    """Every python block of README.md runs; its inverse-power iteration
+    reaches the eigen route's lambda_1."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", text, re.S | re.M)
+    assert blocks
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    lam, lam1 = namespace["lam"], namespace["lam1"]
+    assert abs(lam - lam1) <= 1e-10 * lam1
 
 
 def test_maxwell_inverse_power_iteration_reaches_first_eigenvalue(cube2):
@@ -657,7 +677,7 @@ def test_maxwell_inverse_power_iteration_reaches_first_eigenvalue(cube2):
     divergence-free subspace, so the gradient modes at zero never attract it.
     """
     system = build_curlcurl_system(cube2, 1)
-    M0, free = system.M0.mat, system.spaces.u0.free_dofs
+    M0, free = system.M0.mat, system.spaces.edge.free_dofs
     u = np.random.default_rng(0).standard_normal(system.n_free)
     for _ in range(60):  # lambda_1 / lambda_2 = 0.87
         Mu = M0 @ u
@@ -667,12 +687,13 @@ def test_maxwell_inverse_power_iteration_reaches_first_eigenvalue(cube2):
 
 
 def test_setup_spaces_share_the_meshs_topology(cube2):
-    """u0, uf and s0 all read the one topology the mesh built."""
+    """One edge space (U_h, and U_{0,h} as its free DoFs) and one nodal space
+    both read the one topology the mesh built."""
     topo = cube2.topology
     s = setup_spaces(cube2, 2)
-    assert all(space.mesh.topology is topo for space in (s.u0, s.uf, s.s0))
-    assert s.uf.ndofs == 2 * topo.num_edges + 2 * topo.num_faces
-    assert s.s0.ndofs == cube2.num_vertices + topo.num_edges
+    assert all(space.mesh.topology is topo for space in (s.edge, s.nodal))
+    assert s.edge.ndofs == 2 * topo.num_edges + 2 * topo.num_faces
+    assert s.nodal.ndofs == cube2.num_vertices + topo.num_edges
 
 
 @pytest.mark.parametrize("make", [
@@ -694,12 +715,11 @@ def test_array_records_compare_by_identity(make):
     assert table[a] == "a" and table[b] == "b"
 
 
-@pytest.mark.parametrize("build, row_space", [
-    (build_curlcurl_system, "u0"), (build_quadcurl_pencil, "uf")])
-def test_record_sorts_two_patterns_and_its_row_space_keeps_one(build, row_space, monkeypatch):
-    """A record makes exactly two patterns: its row space's edge coupling,
-    which every edge block scatters onto, and the gradient map's.  The
-    coupling stays on the space; the mesh keeps no pattern."""
+@pytest.mark.parametrize("build", [build_curlcurl_system, build_quadcurl_pencil])
+def test_record_sorts_two_patterns_and_its_row_space_keeps_one(build, monkeypatch):
+    """A record makes exactly two patterns: its edge space's coupling, which
+    every edge block scatters onto, and the gradient map's.  The coupling
+    stays on the space; the mesh keeps no pattern."""
     made = []
     init = _Pattern.__init__
 
@@ -710,7 +730,7 @@ def test_record_sorts_two_patterns_and_its_row_space_keeps_one(build, row_space,
     monkeypatch.setattr(_Pattern, "__init__", counting)
     mesh = jittered_cube_mesh(2, seed=6)
     system = build(mesh, 2)
-    space = getattr(system.spaces, row_space)
+    space = system.spaces.edge
     assert len(made) == 2
     assert space.coupling is space.coupling is made[0]
     assert len(made) == 2  # reading it again sorts nothing
