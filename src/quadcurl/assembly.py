@@ -28,10 +28,8 @@ admissible.  The pattern is the space's ``FESpace.coupling``, built on the
 space's first operator and kept with it, so the operators a record
 assembles on one space are sorted once between them.
 
-Every operator is returned on the full layout of its spaces.  The records
-of ``systems`` keep the free rows and columns through :func:`_restrict`, a
-gather on the CSR arrays that sorts nothing again, so the entries kept are
-bitwise the full layout's.
+Every operator is returned on the full layout of its spaces; which rows and
+columns carry a boundary condition is the records' business (``systems``).
 """
 
 from __future__ import annotations
@@ -82,31 +80,6 @@ def _scatter(pattern: _Pattern, vals) -> SparseMatrix:
     """
     data = np.bincount(pattern.slot.ravel(), np.ravel(vals), minlength=pattern.nnz)
     return SparseMatrix(sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape))
-
-
-def _restrict(mat: SparseMatrix, rows: FESpace | None, cols: FESpace | None) -> SparseMatrix:
-    """The free rows of ``rows`` and the free columns of ``cols`` of a
-    full-layout operator; None keeps every row or column.
-
-    A gather through a mask on the CSR arrays, so nothing is sorted again;
-    the entries kept are bitwise the full layout's.
-    """
-    csr = mat.mat
-    (m, n), indptr = csr.shape, csr.indptr
-    row_dofs = np.arange(m) if rows is None else rows.free_dofs
-    col_dofs = np.arange(n) if cols is None else cols.free_dofs
-    # In the CSR's own index dtype, so the new CSR takes the arrays uncast.
-    col_pos = np.full(n, -1, dtype=csr.indices.dtype)
-    col_pos[col_dofs] = np.arange(len(col_dofs))
-    col_pos = col_pos.take(csr.indices)  # per entry
-    keep = np.zeros(m, dtype=bool)
-    keep[row_dofs] = True
-    keep = np.repeat(keep, np.diff(indptr))
-    keep &= col_pos >= 0
-    keep = np.flatnonzero(keep)
-    indptr = np.searchsorted(keep, indptr[np.append(row_dofs, m)]).astype(indptr.dtype)
-    return SparseMatrix(sp.csr_matrix((csr.data[keep], col_pos[keep], indptr),
-                                      shape=(len(row_dofs), len(col_dofs))))
 
 
 @lru_cache(maxsize=None)

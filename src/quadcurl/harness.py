@@ -44,7 +44,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .assembly import SparseMatrix
-from .errors import QuadCurlError, UsageError
+from .errors import GmshParseError, QuadCurlError, UsageError
 from .fespace import integrate_errors, interpolate, make_space
 from .manufactured import curlcurl_sine_case, quadcurl_sin3_case, smooth_field
 from .mesh import Mesh, generate_cube_mesh, read_gmsh
@@ -247,10 +247,12 @@ def parse_mesh_spec(spec: str) -> Mesh:
     if spec.startswith("file:"):
         path = spec[len("file:"):]
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
             raise UsageError(f"mesh file unreadable: {exc}")
+        except UnicodeDecodeError as exc:
+            raise GmshParseError(f"mesh file is not UTF-8 text: {exc}") from None
         return read_gmsh(text)
     raise UsageError(f"bad mesh spec {spec!r}; expected cube:n=<int> or file:<path>")
 

@@ -80,7 +80,9 @@ class Mesh:
     _mapped_points: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.vertices = _freeze(np.ascontiguousarray(self.vertices, dtype=np.float64))
+        # A copy: freezing the caller's own array, or a view of it, would
+        # lock it or leave the mesh movable through it.
+        self.vertices = _freeze(np.array(self.vertices, dtype=np.float64, order="C"))
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
             raise MeshError("vertices must have shape (V, 3)")
         if not np.isfinite(self.vertices).all():
@@ -187,9 +189,12 @@ def read_gmsh(text: str) -> Mesh:
     fmt = section("MeshFormat")
     if not fmt:
         raise GmshParseError("empty $MeshFormat section")
-    version = fmt[0].split()[0]
+    version, *kind = fmt[0].split()
     if not version.startswith("2."):
         raise GmshParseError(f"unsupported msh format version {version} (need 2.x ASCII)")
+    if kind[:1] != ["0"]:
+        raise GmshParseError(f"$MeshFormat {fmt[0]!r}: binary .msh is not supported "
+                             "(need ASCII, file-type 0)")
 
     node_lines = section("Nodes")
     try:

@@ -60,7 +60,6 @@ import scipy.sparse as sp
 from .assembly import (
     SparseMatrix,
     _gram,
-    _restrict,
     assemble_curlcurl,
     assemble_gradient_map,
     assemble_load,
@@ -86,13 +85,6 @@ class Spaces:
 
 def setup_spaces(mesh: Mesh, order: int) -> Spaces:
     return Spaces(edge=make_space(mesh, "edge", order), nodal=make_space(mesh, "nodal", order))
-
-
-def _interior_spaces(mesh: Mesh, order: int) -> Spaces:
-    s = setup_spaces(mesh, order)
-    if s.edge.num_free == 0:
-        raise SpaceError("mesh has no interior edge DoFs; the system is empty")
-    return s
 
 
 # The source route factors A - rho B, rho = _SHIFT_FRACTION * _shift: a
@@ -152,15 +144,11 @@ class CurlCurlSystem(_Record):
 def build_curlcurl_system(mesh: Mesh, order: int) -> CurlCurlSystem:
     """Assemble C0, M0 and the gradient map G0: the free rows and columns.
 
-    C0 and M0 both scatter onto ``edge.coupling``, so the edge pairs are sorted once.
+    The blocks are the pencil's: C0 is K's free rows, M0 is M_N and G0 is G0.
     """
-    s = _interior_spaces(mesh, order)
-    return CurlCurlSystem(
-        C0=_restrict(assemble_curlcurl(s.edge), s.edge, s.edge),
-        M0=_restrict(assemble_mass(s.edge), s.edge, s.edge),
-        G0=_restrict(assemble_gradient_map(s.nodal, s.edge), s.edge, s.nodal),
-        spaces=s,
-    )
+    pen = _edge_blocks(mesh, order)
+    return CurlCurlSystem(C0=SparseMatrix(pen.K.mat[pen.spaces.edge.free_dofs]),
+                          M0=pen.M_N, G0=pen.G0, spaces=pen.spaces)
 
 
 @dataclass(eq=False)
@@ -227,22 +215,34 @@ def _pad_rows(mat: sp.csr_matrix, shape: tuple[int, int]) -> sp.csr_matrix:
     return sp.csr_matrix((mat.data.copy(), mat.indices.copy(), indptr), shape=shape)
 
 
+def _edge_blocks(mesh: Mesh, order: int) -> PencilSystem:
+    """The spaces and the blocks K, M_N, M_M and G0, which both records share.
+
+    Each operator is assembled once on the full layout, and the free rows
+    and columns are scipy's CSR slices of it.  K and M_M both scatter onto
+    ``edge.coupling``, so the edge pairs are sorted once.
+    """
+    s = setup_spaces(mesh, order)
+    free = s.edge.free_dofs
+    if len(free) == 0:
+        raise SpaceError("mesh has no interior edge DoFs; the system is empty")
+    M_M = assemble_mass(s.edge)
+    return PencilSystem(
+        K=SparseMatrix(assemble_curlcurl(s.edge).mat[:, free]),
+        M_N=SparseMatrix(M_M.mat[free][:, free]),
+        M_M=M_M,
+        G0=SparseMatrix(assemble_gradient_map(s.nodal, s.edge).mat[free][:, s.nodal.free_dofs]),
+        spaces=s,
+    )
+
+
 def build_quadcurl_pencil(mesh: Mesh, order: int) -> PencilSystem:
     """Assemble M_M in full, and K, M_N and the gradient map G0 on the free DoFs.
 
-    K and M_M both scatter onto ``edge.coupling``, so the edge pairs are
-    sorted once.  K is the curl-curl matrix's free columns, and M_N, the
-    U_{0,h} mass, is M_M's free rows and columns.
+    K is the curl-curl matrix's free columns, and M_N, the U_{0,h} mass, is
+    M_M's free rows and columns.
     """
-    s = _interior_spaces(mesh, order)
-    M_M = assemble_mass(s.edge)
-    return PencilSystem(
-        K=_restrict(assemble_curlcurl(s.edge), None, s.edge),
-        M_N=_restrict(M_M, s.edge, s.edge),
-        M_M=M_M,
-        G0=_restrict(assemble_gradient_map(s.nodal, s.edge), s.edge, s.nodal),
-        spaces=s,
-    )
+    return _edge_blocks(mesh, order)
 
 
 def _volume(system: CurlCurlSystem | PencilSystem) -> float:

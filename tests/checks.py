@@ -1,10 +1,12 @@
 """Checks used only by the tests: a pointwise evaluator of discrete fields,
-the discrete divergence of edge-space fields and the boundary traces and
-divergence of the manufactured cases."""
+the discrete divergence of edge-space fields, an oracle for the blocks a
+record keeps, and the boundary traces and divergence of the manufactured
+cases."""
 
 import numpy as np
+import scipy.sparse as sp
 
-from quadcurl.assembly import _restrict, assemble_gradient_map, assemble_mass
+from quadcurl.assembly import assemble_gradient_map, assemble_mass
 from quadcurl.fespace import DofVector, FESpace, push_forward
 
 
@@ -39,15 +41,51 @@ def divergence_residual(edge_space: FESpace, nodal_space: FESpace, u) -> float:
     space's full layout; an array u in U_{0,h}, its free DoFs, where M and G
     keep the free rows.
     """
-    rows = None if isinstance(u, DofVector) else edge_space
-    M = _restrict(assemble_mass(edge_space), rows, rows)
-    G = _restrict(assemble_gradient_map(nodal_space, edge_space), rows, nodal_space)
+    rows = slice(None) if isinstance(u, DofVector) else edge_space.free_dofs
+    M = assemble_mass(edge_space).mat[rows][:, rows]
+    G = assemble_gradient_map(nodal_space, edge_space).mat[rows][:, nodal_space.free_dofs]
     vals = u.values if isinstance(u, DofVector) else np.asarray(u)
-    Mu = M.mat @ vals
+    Mu = M @ vals
     den = np.linalg.norm(Mu)
     if den == 0.0:
         return 0.0
-    return float(np.linalg.norm(G.mat.T @ Mu) / den)
+    return float(np.linalg.norm(G.T @ Mu) / den)
+
+
+def coo_scatter(space, local, row_dofs, col_dofs) -> sp.csr_matrix:
+    """The triplet path the coupling pattern replaced: local blocks (T, n, n)
+    as COO triplets, those outside the kept rows or columns dropped, then
+    compressed."""
+    def position(dofs):
+        pos = np.full(space.ndofs, -1)
+        pos[dofs] = np.arange(len(dofs))
+        return pos
+
+    r, c, v = np.broadcast_arrays(position(row_dofs)[space.cell_dofs[:, :, None]],
+                                  position(col_dofs)[space.cell_dofs[:, None, :]], local)
+    keep = (r >= 0) & (c >= 0)
+    shape = (len(row_dofs), len(col_dofs))
+    return sp.coo_matrix((v[keep], (r[keep], c[keep])), shape=shape).tocsr()
+
+
+def nonzero_pattern(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, indices) of the nonzeros of a dense matrix, row by row."""
+    r, c = np.nonzero(dense)
+    return np.concatenate([[0], np.cumsum(np.bincount(r, minlength=dense.shape[0]))]), c
+
+
+def assert_block_of(got: sp.csr_matrix, full: sp.csr_matrix, row_dofs, col_dofs, pattern) -> None:
+    """``got`` is the block (row_dofs, col_dofs) of the full-layout operator
+    ``full``, without scipy's slicing: sorted indices in ``full``'s index
+    dtype, the (indptr, indices) of ``pattern``, and data bitwise the dense
+    full layout's at those positions."""
+    dense = full.toarray()[np.ix_(row_dofs, col_dofs)]
+    assert got.shape == dense.shape and got.has_sorted_indices
+    indptr, indices = pattern
+    assert got.indptr.dtype == got.indices.dtype == full.indices.dtype
+    assert np.array_equal(got.indptr, indptr) and np.array_equal(got.indices, indices)
+    want = dense[np.repeat(np.arange(dense.shape[0]), np.diff(indptr)), indices]
+    assert got.data.dtype == want.dtype and got.data.tobytes() == want.tobytes()
 
 
 def boundary_trace_violation(case, samples_per_face: int = 40) -> float:

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from checks import eval_at
+from checks import assert_block_of, coo_scatter, eval_at, nonzero_pattern
 from meshes import five_tet_cube_mesh, jittered_cube_mesh
 from quadcurl import (
     DofVector, SparseMatrix, assemble_curlcurl, assemble_gradient_map, assemble_load,
     assemble_mass, build_curlcurl_system, build_quadcurl_pencil, generate_cube_mesh,
     interpolate, make_space,
 )
-from quadcurl.assembly import _gram, _reference_tensor, _restrict
+from quadcurl.assembly import _gram, _reference_tensor
 from quadcurl.errors import SpaceError
 from quadcurl.fespace import SAMPLE_DEGREE, reference_basis
 from quadcurl.mesh import Mesh
@@ -155,15 +155,13 @@ def test_gradient_map_lowest_order_is_signed_incidence(cube2):
 @pytest.mark.parametrize("order", [1, 2])
 def test_gradient_map_matches_triplet_reference_without_zeros(order, free):
     """One owner row per edge DoF equals scattering every tet's block, minus
-    zeros, on the full layout and on the free rows and columns."""
+    zeros, on the full layout and on a record's free rows and columns."""
     from quadcurl.reference import ref_gradient_matrix
 
     mesh = jittered_cube_mesh(2, seed=17)
     edge = make_space(mesh, "edge", order)
     nodal = make_space(mesh, "nodal", order)
-    G = assemble_gradient_map(nodal, edge)
-    if free:
-        G = _restrict(G, edge, nodal)
+    G = build_quadcurl_pencil(mesh, order).G0 if free else assemble_gradient_map(nodal, edge)
     assert np.all(G.mat.data != 0.0)
 
     g_ref = ref_gradient_matrix(order)
@@ -268,78 +266,63 @@ PATTERN_MESHES = {
 
 
 def test_rectangular_curlcurl_block():
-    """Every record block is bitwise the full-layout operator sliced by scipy.
+    """Every record block is bitwise its rows and columns of the full-layout operator.
 
     K = C[:, free], M_N = M[free][:, free] (and C0, M0 likewise), G0 =
-    G[free][:, nodal free] and M_M = M, compared on indptr, indices and data,
-    on Kuhn, jittered and five-tet meshes at orders 1 and 2.
+    G[free][:, nodal free] and M_M = M, against an oracle that slices no
+    sparse matrix: the pattern of triplet compression over the kept rows and
+    columns (of the dense slice's nonzeros for G0, which stores no zero) and
+    the dense full layout's values, on Kuhn, jittered and five-tet meshes at
+    orders 1 and 2.
     """
     for make_mesh in PATTERN_MESHES.values():
         for order in (1, 2):
             mesh = make_mesh()
             pen, cc = build_quadcurl_pencil(mesh, order), build_curlcurl_system(mesh, order)
             edge, nodal = pen.spaces.edge, pen.spaces.nodal
-            free, nodal_free = edge.free_dofs, nodal.free_dofs
+            every, free, nodal_free = np.arange(edge.ndofs), edge.free_dofs, nodal.free_dofs
             C, M = assemble_curlcurl(edge).mat, assemble_mass(edge).mat
             G = assemble_gradient_map(nodal, edge).mat
+            curls, masses = _gram(edge, 1, 2 * order - 2), _gram(edge, 0, 2 * order)
+            g_pattern = nonzero_pattern(G.toarray()[np.ix_(free, nodal_free)])
             cases = [
-                (pen.K, C[:, free]),
-                (pen.M_N, M[free][:, free]),
-                (pen.M_M, M),
-                (pen.G0, G[free][:, nodal_free]),
-                (cc.C0, C[free][:, free]),
-                (cc.M0, M[free][:, free]),
-                (cc.G0, G[free][:, nodal_free]),
+                (pen.K, C, every, free, curls),
+                (pen.M_N, M, free, free, masses),
+                (pen.M_M, M, every, every, masses),
+                (cc.C0, C, free, free, curls),
+                (cc.M0, M, free, free, masses),
             ]
-            for got, want in cases:
-                got = got.mat
-                assert got.shape == want.shape and got.has_sorted_indices
-                for a, b in ((got.indptr, want.indptr), (got.indices, want.indices),
-                             (got.data, want.data)):
-                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            for got, full, rows, cols, local in cases:
+                want = coo_scatter(edge, local, rows, cols)
+                assert_block_of(got.mat, full, rows, cols, (want.indptr, want.indices))
+            for got in (pen.G0, cc.G0):
+                assert_block_of(got.mat, G, free, nodal_free, g_pattern)
 
 
 # --- the coupling pattern against triplet compression ----------------------
-
-def _coo_scatter(space, local, row_dofs, col_dofs):
-    """The triplet path the pattern replaced: local blocks (T, n, n) as COO
-    triplets, those outside the kept rows or columns dropped, then compressed."""
-    def position(dofs):
-        pos = np.full(space.ndofs, -1)
-        pos[dofs] = np.arange(len(dofs))
-        return pos
-
-    r, c, v = np.broadcast_arrays(position(row_dofs)[space.cell_dofs[:, :, None]],
-                                  position(col_dofs)[space.cell_dofs[:, None, :]], local)
-    keep = (r >= 0) & (c >= 0)
-    shape = (len(row_dofs), len(col_dofs))
-    return sp.coo_matrix((v[keep], (r[keep], c[keep])), shape=shape).tocsr()
-
 
 @pytest.mark.parametrize("order", [1, 2])
 @pytest.mark.parametrize("mesh_name", sorted(PATTERN_MESHES))
 def test_pattern_matches_triplet_compression(mesh_name, order):
     """Same indptr and indices as COO compression, data within 2 ulp of max|entry|.
 
-    Covers the full layout and its free rows and columns.  Only the order in
-    which an entry's contributions add may differ: the pattern adds them in
-    element order, the compression in its sort order.
+    Covers the full layouts the pattern is built on; the free blocks the
+    records keep are checked against the same compression by
+    :func:`test_rectangular_curlcurl_block`.  Only the order in which an
+    entry's contributions add may differ: the pattern adds them in element
+    order, the compression in its sort order.
     """
     mesh = PATTERN_MESHES[mesh_name]()
     edge = make_space(mesh, "edge", order)
     nodal = make_space(mesh, "nodal", order)
-    every, free = np.arange(edge.ndofs), edge.free_dofs
-    C = assemble_curlcurl(edge)
-    curls = _gram(edge, 1, 2 * order - 2)
+    every, nodal_every = np.arange(edge.ndofs), np.arange(nodal.ndofs)
     cases = [
         (assemble_mass(edge), edge, every, every, _gram(edge, 0, 2 * order)),
-        (_restrict(C, edge, edge), edge, free, free, curls),
-        (_restrict(C, None, edge), edge, every, free, curls),
-        (_restrict(assemble_mass(nodal), nodal, nodal), nodal, nodal.free_dofs,
-         nodal.free_dofs, _gram(nodal, 0, 2 * order)),
+        (assemble_curlcurl(edge), edge, every, every, _gram(edge, 1, 2 * order - 2)),
+        (assemble_mass(nodal), nodal, nodal_every, nodal_every, _gram(nodal, 0, 2 * order)),
     ]
     for got, space, row_dofs, col_dofs, local in cases:
-        want = _coo_scatter(space, local, row_dofs, col_dofs)
+        want = coo_scatter(space, local, row_dofs, col_dofs)
         assert got.shape == want.shape
         assert np.array_equal(got.mat.indptr, want.indptr)
         assert np.array_equal(got.mat.indices, want.indices)

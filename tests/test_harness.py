@@ -296,6 +296,31 @@ def test_cli_maxwell_dump(tmp_path, capsys):
     assert sorted(os.listdir(dump)) == ["C0.txt", "G0.txt", "M0.txt"]
 
 
+# CLI runs whose --dump-matrices files are kept in tests/data/golden/dump_<name>/
+GOLDEN_DUMPS = {
+    "eig_cube2_order1": ["eig", "--mesh", "cube:n=2", "--order", "1"],
+    "maxwell_cube2_order1": ["maxwell", "--mesh", "cube:n=2", "--order", "1"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DUMPS))
+def test_cli_dump_matches_golden(name, tmp_path, capsys):
+    """Every dumped matrix agrees with its golden copy: the header, rows and
+    columns exactly, the values to 1e-13 of the matrix's max|entry|."""
+    dump, want_dir = tmp_path / "d", GOLDEN / f"dump_{name}"
+    assert run_cli(GOLDEN_DUMPS[name] + ["--dump-matrices", str(dump)]) == 0
+    capsys.readouterr()
+    assert sorted(os.listdir(dump)) == sorted(os.listdir(want_dir))
+    for file in os.listdir(want_dir):
+        got, want = ((d / file).read_text().splitlines() for d in (dump, want_dir))
+        assert got[0] == want[0]
+        assert len(got) == len(want)
+        rows = [[ln.split() for ln in lines[1:]] for lines in (got, want)]
+        assert [r[:2] for r in rows[0]] == [r[:2] for r in rows[1]]
+        g, w = (np.array([float(r[2]) for r in rs]) for rs in rows)
+        assert np.abs(g - w).max(initial=0.0) <= 1e-13 * np.abs(w).max(initial=0.0)
+
+
 @pytest.mark.parametrize("argv", [
     ["eig", "--mesh", "cube:n=2", "--num", "30"],
     ["maxwell", "--mesh", "cube:n=1", "--num", "5"],
@@ -305,6 +330,21 @@ def test_cli_failed_solve_dumps_nothing(argv, tmp_path, capsys):
     assert run_cli(argv + ["--dump-matrices", str(dump)]) == 1
     assert capsys.readouterr().err.startswith("error:")
     assert not dump.exists() or os.listdir(dump) == []
+
+
+@pytest.mark.parametrize("content, reason", [
+    pytest.param(b"\xff\xfe\x00binary", "not UTF-8", id="not-utf8"),
+    pytest.param(b"$MeshFormat\n2.2 1 8\n$EndMeshFormat\n", "binary .msh", id="binary-file-type"),
+])
+def test_cli_unreadable_mesh_file_is_one_error_line(content, reason, tmp_path, capsys):
+    """A mesh file that is not UTF-8 text, or declares binary .msh, exits 1
+    with one ``error:`` line and no output."""
+    path = tmp_path / "bad.msh"
+    path.write_bytes(content)
+    assert run_cli(["info", "--mesh", f"file:{path}"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1 and reason in err
 
 
 def test_cli_unwritable_dump_directory_exit_2(tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 from meshes import five_tet_cube_mesh, jittered_cube_mesh, write_gmsh
 from quadcurl import Mesh, build_topology, generate_cube_mesh, read_gmsh
 from quadcurl.errors import GmshParseError, MeshError, NonConformingMeshError
+from quadcurl.harness import parse_mesh_spec
 from quadcurl.mesh import FACE_EDGES, LOCAL_EDGES, LOCAL_FACES
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -125,6 +126,24 @@ def test_one_dimensional_tets_rejected():
     verts = np.eye(4, 3)
     with pytest.raises(MeshError):
         Mesh(verts, np.array([0, 1, 2, 3]))
+
+
+def test_mesh_copies_the_caller_vertices():
+    """The caller's array stays writeable, and writing to it or to the base
+    of a view of it leaves the mesh's vertices where they were."""
+    cube = generate_cube_mesh(2)
+    base = cube.vertices.copy()
+    v = base.copy()
+    mesh = Mesh(v, cube.tets)
+    assert v.flags.writeable and mesh.vertices is not v
+    v += 0.3
+    base_big = np.concatenate([base, base])
+    view = Mesh(base_big[: len(base)], cube.tets)
+    base_big[13] += 0.3
+    for m in (mesh, view):
+        assert not m.vertices.flags.writeable
+        assert np.array_equal(m.vertices, base)
+        assert m.h_max == cube.h_max
 
 
 def test_nonfinite_vertex_rejected():
@@ -298,6 +317,21 @@ def test_gmsh_version_4_rejected():
     text = REF_TET_MSH.replace("2.2 0 8", "4.1 0 8")
     with pytest.raises(GmshParseError, match="version"):
         read_gmsh(text)
+
+
+def test_gmsh_binary_file_type_rejected():
+    text = REF_TET_MSH.replace("2.2 0 8", "2.2 1 8")
+    with pytest.raises(GmshParseError, match="binary .msh"):
+        read_gmsh(text)
+
+
+def test_gmsh_utf8_physical_names_accepted(tmp_path):
+    """A UTF-8 $PhysicalNames section reads through the CLI's file spec."""
+    path = tmp_path / "named.msh"
+    names = '$PhysicalNames\n1\n3 1 "Würfel"\n$EndPhysicalNames\n'
+    named = REF_TET_MSH.replace("$EndMeshFormat\n", "$EndMeshFormat\n" + names)
+    path.write_text(named, encoding="utf-8")
+    assert parse_mesh_spec(f"file:{path}").num_tets == 1
 
 
 def test_gmsh_missing_section():

@@ -8,7 +8,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 import quadcurl
-from checks import divergence_residual
+from checks import assert_block_of, coo_scatter, divergence_residual
 from meshes import five_tet_cube_mesh, jittered_cube_mesh
 from quadcurl import (
     Mesh, build_curlcurl_system, build_quadcurl_pencil, convergence_study, curlcurl_sine_case,
@@ -16,7 +16,7 @@ from quadcurl import (
     solve_maxwell_eig, solve_quadcurl_eig, solve_quadcurl_source, solve_source,
 )
 from quadcurl.assembly import (
-    assemble_curlcurl, assemble_gradient_map, assemble_load, assemble_mass,
+    _gram, assemble_curlcurl, assemble_gradient_map, assemble_load, assemble_mass,
 )
 from quadcurl.errors import EigenSolveError, SpaceError
 from quadcurl.fespace import _Pattern, make_space
@@ -77,16 +77,17 @@ def test_operator_stacking_bitwise_equals_bmat(order, n):
     pytest.param(five_tet_cube_mesh(4), id="fivetet4"),
 ])
 def test_pencil_edge_mass_on_free_dofs_is_bitwise_the_assembled_one(mesh, order):
-    """M_N, the free rows and columns of M_M, stores exactly what the
-    curl-curl record's U_{0,h} mass M0, restricted from its own assembly, stores."""
+    """M_N, the free rows and columns of M_M, and the curl-curl record's
+    U_{0,h} mass M0 each store exactly the free block of the assembled mass:
+    triplet compression's pattern and the dense full layout's values.  M_N
+    owns its data."""
     pen = build_quadcurl_pencil(mesh, order)
-    want = build_curlcurl_system(mesh, order).M0.mat
-    got = pen.M_N.mat
-    assert got.shape == want.shape
-    for part in ("indptr", "indices", "data"):
-        a, b = getattr(got, part), getattr(want, part)
-        assert a.dtype == b.dtype and np.array_equal(a, b)
-    assert not np.shares_memory(got.data, pen.M_M.mat.data)
+    edge = pen.spaces.edge
+    free = edge.free_dofs
+    want = coo_scatter(edge, _gram(edge, 0, 2 * order), free, free)
+    for got in (pen.M_N, build_curlcurl_system(mesh, order).M0):
+        assert_block_of(got.mat, pen.M_M.mat, free, free, (want.indptr, want.indices))
+    assert not np.shares_memory(pen.M_N.mat.data, pen.M_M.mat.data)
 
 
 @pytest.mark.parametrize("order", [1, 2])
