@@ -12,10 +12,10 @@ reference table r_qi (Q points, n basis functions, c components),
 which is the one kernel :func:`_gram` behind the edge mass (A = J^{-T} on
 values), the curl-curl matrix (A = J / det J on curls) and the nodal mass
 (a 1x1 map).  Loads pull f back instead, f(x) . (A r_i) = (A^T f) . r_i, and
-contract once with the reference table.  Default quadrature degrees are the
-exact ones, 2k for mass and 2k - 2 for curl-curl at order k, and loads
-sample f at ``fespace.SAMPLE_DEGREE``.  Every reference table is the one
-``fespace`` keeps per (family, order, degree).
+contract once with the reference table.  Each integral has one rule: the
+exact one for Gram blocks of order-k values or derivatives (``half`` 0, 1),
+degree 2k - 2 half, and ``fespace.SAMPLE_DEGREE`` for loads; its reference
+table is the one ``fespace`` keeps per (family, order, degree).
 
 Local blocks land on a coupling pattern: the CSR pattern of the full-layout
 DoF pairs that share a tet, built by one stable argsort of the (T, n, n) pair
@@ -83,9 +83,10 @@ def _scatter(pattern: _Pattern, vals) -> SparseMatrix:
 
 
 @lru_cache(maxsize=None)
-def _reference_tensor(family: str, order: int, half: int, degree: int) -> np.ndarray:
+def _reference_tensor(family: str, order: int, half: int) -> np.ndarray:
     """R[ab, ij] of the module docstring, (c * c, n * n) and read-only: the
-    contraction of the shared table of the degree-``degree`` rule, once per key."""
+    contraction of the shared table of the exact rule, once per key."""
+    degree = 2 * order - 2 * half
     ref = _reference_tables(family, order, degree)[half]
     _, n, c = ref.shape
     R = np.einsum("q,qia,qjb->abij", tet_rule(degree).weights, ref, ref).reshape(c * c, n * n)
@@ -93,14 +94,13 @@ def _reference_tensor(family: str, order: int, half: int, degree: int) -> np.nda
     return R
 
 
-def _gram(space: FESpace, half: int, degree: int) -> np.ndarray:
-    """Local blocks int_t (A_t r_i) . (A_t r_j), shape (T, n, n).
+def _gram(space: FESpace, half: int) -> np.ndarray:
+    """Local blocks int_t (A_t r_i) . (A_t r_j), shape (T, n, n), exactly.
 
     r is the space's reference table of values (``half`` 0) or derivatives
-    (``half`` 1) at the points of the degree-``degree`` rule, and A_t its
-    push-forward from :func:`push_forward`.
+    (``half`` 1), and A_t its push-forward from :func:`push_forward`.
     """
-    R = _reference_tensor(space.family, space.order, half, degree)
+    R = _reference_tensor(space.family, space.order, half)
     maps = push_forward(space)
     A, absdet = maps[half], maps[2]
     n = space.element.ndofs
@@ -108,18 +108,16 @@ def _gram(space: FESpace, half: int, degree: int) -> np.ndarray:
     return (G.reshape(len(absdet), -1) @ R).reshape(-1, n, n)
 
 
-def assemble_mass(space: FESpace, degree: int | None = None) -> SparseMatrix:
+def assemble_mass(space: FESpace) -> SparseMatrix:
     """Mass matrix (phi_j, phi_i) on the full layout of the space."""
-    local = _gram(space, 0, degree if degree is not None else 2 * space.order)
-    return _scatter(space.coupling, local)
+    return _scatter(space.coupling, _gram(space, 0))
 
 
-def assemble_curlcurl(space: FESpace, degree: int | None = None) -> SparseMatrix:
+def assemble_curlcurl(space: FESpace) -> SparseMatrix:
     """Curl-curl matrix (curl phi_j, curl phi_i) on the full layout of an edge space."""
     if space.family != "edge":
         raise SpaceError("curl-curl assembly needs an edge space")
-    local = _gram(space, 1, degree if degree is not None else 2 * space.order - 2)
-    return _scatter(space.coupling, local)
+    return _scatter(space.coupling, _gram(space, 1))
 
 
 def assemble_gradient_map(nodal_space: FESpace, edge_space: FESpace) -> SparseMatrix:
@@ -147,14 +145,14 @@ def assemble_gradient_map(nodal_space: FESpace, edge_space: FESpace) -> SparseMa
     return _scatter(pairs, vals[nz])
 
 
-def assemble_load(space: FESpace, f, degree: int = SAMPLE_DEGREE) -> DofVector:
-    """Load vector entries (f, phi_i) over the full DoF layout."""
+def assemble_load(space: FESpace, f) -> DofVector:
+    """Load vector entries (f, phi_i) over the full DoF layout, at ``SAMPLE_DEGREE``."""
     value_map, _, absdet = push_forward(space)
-    ref, _ = reference_basis(space, degree)
+    ref, _ = reference_basis(space)
     Q, n, c = ref.shape
     T = len(absdet)
-    pulled = f(map_points(space.mesh, degree)).reshape(T, Q, -1) @ value_map
-    pulled *= tet_rule(degree).weights[:, None]
+    pulled = f(map_points(space.mesh)).reshape(T, Q, -1) @ value_map
+    pulled *= tet_rule(SAMPLE_DEGREE).weights[:, None]
     local = absdet[:, None] * (pulled.reshape(T, Q * c) @ ref.transpose(0, 2, 1).reshape(Q * c, n))
     out = np.bincount(space.cell_dofs.ravel(), local.ravel(), minlength=space.ndofs)
     return DofVector(space, out)

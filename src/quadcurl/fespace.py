@@ -29,10 +29,10 @@ This is the only place where the family changes the math: every element
 integral and field evaluation is a contraction of a reference table with
 these maps.
 
-Sampling.  Fields are evaluated only at tet-rule points, so the reference
-tables (:func:`reference_basis`) and the mapped points (:func:`map_points`)
-are keyed by the rule's degree; loads and error norms sample at
-``SAMPLE_DEGREE``.
+Sampling.  Loads and error norms sample analytic fields at the points of
+one tet rule, ``SAMPLE_DEGREE``, through the reference tables of
+:func:`reference_basis` and the points of :func:`map_points`; the entity
+moments of :func:`interpolate` integrate at ``INTERP_DEGREE``.
 
 Errors.  :func:`integrate_errors` evaluates a field and integrates a norm
 only for the exact fields it is given: a None exact field means that norm is
@@ -170,29 +170,29 @@ def make_space(mesh: Mesh, family: str, order: int) -> FESpace:
 # --- geometry ---------------------------------------------------------------
 
 
-def map_points(mesh: Mesh, degree: int) -> np.ndarray:
-    """Points of the degree-``degree`` tet rule on every tet: (T, Q, 3), read-only.
+def map_points(mesh: Mesh) -> np.ndarray:
+    """Points of the ``SAMPLE_DEGREE`` tet rule on every tet: (T, Q, 3), read-only.
 
-    The mesh keeps its last mapping under its degree, so a source solve's
-    load and error integrals all get the same array object, which owns its
-    memory; the manufactured fields rely on it to take the trig once.
+    The mesh keeps the mapping, so a source solve's load and error integrals
+    all get the same array object, which owns its memory; the manufactured
+    fields rely on it to take the trig once.
     """
-    if mesh._mapped_points is None or mesh._mapped_points[0] != degree:
+    if mesh._mapped_points is None:
         origin = mesh.vertices[mesh.tets[:, 0]]
-        points = origin[:, None, :] + tet_rule(degree).points @ mesh.jac.transpose(0, 2, 1)
+        points = origin[:, None, :] + tet_rule(SAMPLE_DEGREE).points @ mesh.jac.transpose(0, 2, 1)
         points.flags.writeable = False
-        mesh._mapped_points = (degree, points)
-    return mesh._mapped_points[1]
+        mesh._mapped_points = points
+    return mesh._mapped_points
 
 
-def reference_basis(space: FESpace, degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """Reference basis values and derivatives at a tet rule's points, each (Q, n, c).
+def reference_basis(space: FESpace) -> tuple[np.ndarray, np.ndarray]:
+    """Reference basis values and derivatives at ``SAMPLE_DEGREE`` points, each (Q, n, c).
 
     Nodal values have one component, so both families push forward through
     the (T, d, c) maps of :func:`push_forward`.  The tables are tabulated
-    once per (family, order, degree) and shared read-only.
+    once per (family, order) and shared read-only.
     """
-    return _reference_tables(space.family, space.order, degree)
+    return _reference_tables(space.family, space.order, SAMPLE_DEGREE)
 
 
 @lru_cache(maxsize=None)  # bounded: only degrees 0..MAX_DEGREE succeed
@@ -219,11 +219,11 @@ def push_forward(space: FESpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # --- evaluation -------------------------------------------------------------
 
 
-def _cell_field(vec: DofVector, degree: int, half: int) -> np.ndarray:
-    """Values (half 0) or derivatives (half 1) of a field at the degree-``degree``
+def _cell_field(vec: DofVector, half: int) -> np.ndarray:
+    """Values (half 0) or derivatives (half 1) of a field at the ``SAMPLE_DEGREE``
     rule's points on every tet, a fresh (T, Q, 3) array; nodal values are (T, Q)."""
     space = vec.space
-    ref, A = reference_basis(space, degree)[half], push_forward(space)[half]
+    ref, A = reference_basis(space)[half], push_forward(space)[half]
     field = np.tensordot(vec.values[space.cell_dofs], ref, axes=(1, 1)) @ A.transpose(0, 2, 1)
     return field[..., 0] if space.family == "nodal" and half == 0 else field
 
@@ -231,16 +231,17 @@ def _cell_field(vec: DofVector, degree: int, half: int) -> np.ndarray:
 # --- interpolation ----------------------------------------------------------
 
 
-def interpolate(space: FESpace, fn, degree: int = INTERP_DEGREE) -> DofVector:
+def interpolate(space: FESpace, fn) -> DofVector:
     """Interpolation of an analytic field by the space's DoF functionals.
 
     For the edge family, fn maps points (..., 3) to vector values (..., 3)
-    and the edge/face moment functionals are evaluated with a quadrature of
-    the given degree.  For the nodal family, fn maps (..., 3) to scalars,
-    taken at vertices (and edge midpoints for order 2).
+    and the edge/face moment functionals are evaluated with the
+    ``INTERP_DEGREE`` rules.  For the nodal family, fn maps (..., 3) to
+    scalars, taken at vertices (and edge midpoints for order 2).
     """
     return DofVector(space, np.concatenate([
-        entity_dofs(space.family, fn, space.mesh.vertices[corners], space.order, degree).ravel()
+        entity_dofs(space.family, fn, space.mesh.vertices[corners], space.order,
+                    INTERP_DEGREE).ravel()
         for k, (_, corners, _) in zip(DOFS_PER_ENTITY[space.family, space.order],
                                       _entities(space.mesh)) if k]))
 
@@ -248,33 +249,33 @@ def interpolate(space: FESpace, fn, degree: int = INTERP_DEGREE) -> DofVector:
 # --- norms and errors -------------------------------------------------------
 
 
-def integrate_errors(
-    vec: DofVector,
-    exact_value=None,
-    exact_deriv=None,
-    degree: int = SAMPLE_DEGREE,
-) -> tuple[float | None, float | None]:
-    """L2 norms of (u_h - exact_value) and of the derivative mismatch.
+def _l2_norm(field: np.ndarray, absdet: np.ndarray, weights: np.ndarray) -> float:
+    """sqrt(sum_t |det J_t| sum_q w_q |field_tq|^2) of a (T, Q[, c]) field at a rule's points."""
+    field = field.reshape(len(absdet), len(weights), -1)
+    # Squared components added in order: bitwise a sum over the component
+    # axis, without numpy's reduction overhead on a length-3 axis.
+    sq = field[..., 0] * field[..., 0]
+    for c in range(1, field.shape[2]):
+        sq += field[..., c] * field[..., c]
+    return float(np.sqrt(absdet @ sq @ weights))
+
+
+def integrate_errors(vec: DofVector, exact_value=None,
+                     exact_deriv=None) -> tuple[float | None, float | None]:
+    """L2 norms of (u_h - exact_value) and of the derivative mismatch, at the
+    ``SAMPLE_DEGREE`` rule.
 
     The derivative is the curl for the edge family and the gradient for the
     nodal family.  None for either exact field means that norm is not
     computed: that half of u_h is not evaluated, and its slot is None.
     """
     mesh = vec.space.mesh
-    rule = tet_rule(degree)
-    absdet = np.abs(mesh.jac_det)
 
     def error(half, exact):
         if exact is None:
             return None
-        err = _cell_field(vec, degree, half)
-        err -= exact(map_points(mesh, degree))
-        # Squared components added in order: bitwise a sum over the component
-        # axis, without numpy's reduction overhead on a length-3 axis.
-        err = err.reshape(len(absdet), len(rule.weights), -1)
-        sq = err[..., 0] * err[..., 0]
-        for c in range(1, err.shape[2]):
-            sq += err[..., c] * err[..., c]
-        return float(np.sqrt(absdet @ sq @ rule.weights))
+        err = _cell_field(vec, half)
+        err -= exact(map_points(mesh))
+        return _l2_norm(err, np.abs(mesh.jac_det), tet_rule(SAMPLE_DEGREE).weights)
 
     return error(0, exact_value), error(1, exact_deriv)

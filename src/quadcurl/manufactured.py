@@ -20,9 +20,9 @@ and the output is scaled by pi^m at the end.  The blocks read slices of one
 (6, npts) table of c_k and s_k, whose rows are filled as the fields need
 them.  All fields share the table of the last read-only point array they
 saw: a source solve samples its load and the exact fields of its error
-integrals at ``fespace.SAMPLE_DEGREE``, on the one array ``fespace.map_points``
-keeps for the mesh and that degree, so it takes sin and cos of those points
-once.
+integrals on the one array of ``fespace.SAMPLE_DEGREE`` points that
+``fespace.map_points`` keeps for the mesh, so it takes sin and cos of those
+points once.
 
 The fourth-order case uses the potential psi = sin^3(pi x) sin^3(pi y)
 sin^3(pi z) and u = curl(0, 0, psi).  The cubed sines matter: they make both

@@ -65,8 +65,7 @@ class Mesh:
     vertex d+1 minus vertex 0, ``jac_inv`` and ``jac_det``) and the
     ``topology`` that every space on the mesh reads; a face of more than two
     tets raises NonConformingMeshError.  ``fespace.map_points`` keeps its
-    last mapping of a tet rule here, under the rule's degree.  Meshes compare
-    by identity.
+    mapping of the sampling rule's points here.  Meshes compare by identity.
     """
 
     vertices: np.ndarray
@@ -76,8 +75,8 @@ class Mesh:
     jac_inv: np.ndarray = field(init=False, repr=False)
     jac_det: np.ndarray = field(init=False, repr=False)
     topology: Topology = field(init=False, repr=False)
-    # (rule degree, mapped points) of the last fespace.map_points call.
-    _mapped_points: tuple | None = field(default=None, init=False, repr=False)
+    # Set by the first fespace.map_points call.
+    _mapped_points: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         # A copy: freezing the caller's own array, or a view of it, would

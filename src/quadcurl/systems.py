@@ -20,6 +20,10 @@ so a record built once serves every eigen and source solve on its mesh.
   divergence-free, so gradient modes land exactly at zero; their
   multiplicity is dim(free S_h) = P.
 
+Y spans the kernel of A only on a domain without cavities, where each domain
+component has one boundary component, so building a record on any other
+domain raises SpaceError.
+
 The eigen route projects range(Y) out of every shift-invert iterate, so the
 gradient modes are never computed and no zero threshold is applied.  The
 source route solves [[A, B Y], [(B Y)^T, 0]] (x, p) = ((F, 0), 0): the
@@ -56,6 +60,7 @@ from typing import ClassVar
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .assembly import (
     SparseMatrix,
@@ -215,13 +220,44 @@ def _pad_rows(mat: sp.csr_matrix, shape: tuple[int, int]) -> sp.csr_matrix:
     return sp.csr_matrix((mat.data.copy(), mat.indices.copy(), indptr), shape=shape)
 
 
+def _cavities(mesh: Mesh) -> tuple[int, int, int]:
+    """(H, boundary components, domain components), H = their difference.
+
+    The boundary components are those of the graph of boundary edges, less
+    the interior vertices, which it leaves isolated; the domain components
+    are counted only when there are several boundary components.
+    """
+    t, V = mesh.topology, mesh.num_vertices
+
+    def components(edges) -> int:
+        # Edges are ranked lexicographically, so their first vertices give the CSR rows.
+        indptr = np.searchsorted(edges[:, 0], np.arange(V + 1))
+        graph = sp.csr_matrix((np.ones(len(edges)), edges[:, 1], indptr), shape=(V, V))
+        return int(connected_components(graph, directed=False)[0])
+
+    interior = V - int(np.count_nonzero(t.boundary_vertices))
+    boundary = components(t.edges[t.boundary_edges]) - interior
+    domain = components(t.edges) if boundary > 1 else 1
+    return boundary - domain, boundary, domain
+
+
 def _edge_blocks(mesh: Mesh, order: int) -> PencilSystem:
     """The spaces and the blocks K, M_N, M_M and G0, which both records share.
 
     Each operator is assembled once on the full layout, and the free rows
     and columns are scipy's CSR slices of it.  K and M_M both scatter onto
     ``edge.coupling``, so the edge pairs are sorted once.
+
+    Raises SpaceError on a domain with cavities: with u x n = 0, the kernel
+    of curl on U_{0,h} holds one discrete harmonic field per boundary
+    component beyond the first of each domain component, H in all, and
+    Y = [G0; 0] spans only grad S_h.
     """
+    H, boundary, domain = _cavities(mesh)
+    if H > 0:
+        raise SpaceError(
+            f"the boundary has {boundary} components on {domain} domain components, so H = {H}:"
+            f" the gradient block misses H discrete harmonic fields (cavities are not supported)")
     s = setup_spaces(mesh, order)
     free = s.edge.free_dofs
     if len(free) == 0:
@@ -329,7 +365,7 @@ def solve_source(system: CurlCurlSystem | PencilSystem, load: np.ndarray) -> Sou
     # ||p_h||^2 = sum_t |det J_t| p_t^T R p_t over the local mass blocks: no
     # S_h mass, and no pattern for it, is assembled for one number.
     p_t = p.values[nodal.cell_dofs]
-    norm_p = np.sqrt(float(np.einsum("ti,tij,tj->", p_t, _gram(nodal, 0, 2 * nodal.order), p_t)))
+    norm_p = np.sqrt(float(np.einsum("ti,tij,tj->", p_t, _gram(nodal, 0), p_t)))
     norm_u = np.sqrt(ell * float(x[:N] @ (factor.B @ x)[:N]))  # B is M_N / ell
     return SourceSolution(
         u=edge.embed(x[:N]),

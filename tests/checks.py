@@ -1,13 +1,14 @@
 """Checks used only by the tests: a pointwise evaluator of discrete fields,
-the discrete divergence of edge-space fields, an oracle for the blocks a
-record keeps, and the boundary traces and divergence of the manufactured
-cases."""
+the discrete divergence of edge-space fields, Gram matrices and loads under
+a chosen tet rule, an oracle for the blocks a record keeps, and the boundary
+traces and divergence of the manufactured cases."""
 
 import numpy as np
 import scipy.sparse as sp
 
 from quadcurl.assembly import assemble_gradient_map, assemble_mass
 from quadcurl.fespace import DofVector, FESpace, push_forward
+from quadcurl.quadrature import tet_rule
 
 
 def physical_points(mesh, ref_points) -> np.ndarray:
@@ -50,6 +51,34 @@ def divergence_residual(edge_space: FESpace, nodal_space: FESpace, u) -> float:
     if den == 0.0:
         return 0.0
     return float(np.linalg.norm(G.T @ Mu) / den)
+
+
+def _pushed_basis(space, half, rule) -> np.ndarray:
+    """Physical basis values (half 0) or derivatives (half 1) at a rule's
+    points: (T, Q, n, d)."""
+    ref = space.element.tabulate(rule.points)[half]
+    ref = ref.reshape(ref.shape[0], space.element.ndofs, -1)
+    return np.einsum("tdc,qnc->tqnd", push_forward(space)[half], ref)
+
+
+def gram_at_degree(space, half: int, degree: int) -> np.ndarray:
+    """Dense full-layout Gram matrix of the basis values (half 0) or
+    derivatives (half 1) under the degree-``degree`` tet rule."""
+    rule = tet_rule(degree)
+    phi = _pushed_basis(space, half, rule)
+    local = np.einsum("q,t,tqid,tqjd->tij", rule.weights, np.abs(space.mesh.jac_det), phi, phi)
+    every = np.arange(space.ndofs)
+    return coo_scatter(space, local, every, every).toarray()
+
+
+def load_at_degree(space, f, degree: int) -> np.ndarray:
+    """Full-layout load vector (f, phi_i) under the degree-``degree`` tet rule."""
+    rule = tet_rule(degree)
+    phi = _pushed_basis(space, 0, rule)
+    T, Q = phi.shape[:2]
+    fx = np.asarray(f(physical_points(space.mesh, rule.points))).reshape(T, Q, -1)
+    local = np.einsum("q,t,tqd,tqnd->tn", rule.weights, np.abs(space.mesh.jac_det), fx, phi)
+    return np.bincount(space.cell_dofs.ravel(), local.ravel(), minlength=space.ndofs)
 
 
 def coo_scatter(space, local, row_dofs, col_dofs) -> sp.csr_matrix:

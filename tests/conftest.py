@@ -43,6 +43,12 @@ def bench_spans():
 
 
 @pytest.fixture(scope="session")
+def bench_run():
+    """The benchmark's driver, ``bench/run.py``."""
+    return _bench_module("run")
+
+
+@pytest.fixture(scope="session")
 def bench_workloads():
     """The benchmark's request classes and meshes, ``bench/workloads.py``."""
     return _bench_module("workloads")

@@ -2,8 +2,8 @@
 
 The package itself only generates Kuhn-split cube meshes; the tests also need
 an isotropic structured cube mesh (alternating 5-tet subdivision), irregular
-meshes (jittered Delaunay), a polyhedral unit-ball mesh, and a Gmsh writer to
-round-trip the parser. Run this module directly to regenerate
+meshes (jittered Delaunay), Kuhn cubes with holes or cavities, a polyhedral
+unit-ball mesh, and a Gmsh writer to round-trip the parser. Run this module directly to regenerate
 ``tests/data/ball_h03.msh``.
 """
 
@@ -12,7 +12,7 @@ import os
 import numpy as np
 from scipy.spatial import Delaunay
 
-from quadcurl import Mesh
+from quadcurl import Mesh, generate_cube_mesh
 
 
 def five_tet_cube_mesh(n):
@@ -46,6 +46,13 @@ def five_tet_cube_mesh(n):
                              if sum(abs(x[t] - corner[t]) for t in range(3)) == 1]
                     tets.append([c[corner]] + [c[x] for x in mates])
     return Mesh(pts, np.array(tets, dtype=np.int64))
+
+
+def cube_without(n, removed):
+    """The Kuhn cube of n**3 subcubes without the tets for whose (T, 3)
+    centroids ``removed`` is True."""
+    mesh = generate_cube_mesh(n)
+    return Mesh(mesh.vertices, mesh.tets[~removed(mesh.vertices[mesh.tets].mean(axis=1))])
 
 
 def jittered_cube_mesh(n, seed=7, amp=0.28):

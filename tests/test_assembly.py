@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from checks import assert_block_of, coo_scatter, eval_at, nonzero_pattern
+from checks import (assert_block_of, coo_scatter, eval_at, gram_at_degree, load_at_degree,
+                    nonzero_pattern)
 from meshes import five_tet_cube_mesh, jittered_cube_mesh
 from quadcurl import (
     DofVector, SparseMatrix, assemble_curlcurl, assemble_gradient_map, assemble_load,
@@ -11,7 +12,7 @@ from quadcurl import (
 )
 from quadcurl.assembly import _gram, _reference_tensor
 from quadcurl.errors import SpaceError
-from quadcurl.fespace import SAMPLE_DEGREE, reference_basis
+from quadcurl.fespace import _reference_tables
 from quadcurl.mesh import Mesh
 from quadcurl.quadrature import tet_rule
 
@@ -47,19 +48,20 @@ def test_curlcurl_annihilates_discrete_gradients(order):
 
 
 @pytest.mark.parametrize(
-    "assemble, order",
+    "assemble, half, order",
     [
-        pytest.param(assemble_mass, 1, id="1"),
-        pytest.param(assemble_mass, 2, id="2"),
-        pytest.param(assemble_curlcurl, 1, id="curlcurl-1"),
-        pytest.param(assemble_curlcurl, 2, id="curlcurl-2"),
+        pytest.param(assemble_mass, 0, 1, id="1"),
+        pytest.param(assemble_mass, 0, 2, id="2"),
+        pytest.param(assemble_curlcurl, 1, 1, id="curlcurl-1"),
+        pytest.param(assemble_curlcurl, 1, 2, id="curlcurl-2"),
     ],
 )
-def test_default_quadrature_degree_saturates(assemble, order, cube2):
-    """The default degrees (2k for mass, 2k - 2 for curl-curl) are exact."""
+def test_default_quadrature_degree_saturates(assemble, half, order, cube2):
+    """The rules assembly uses (2k for mass, 2k - 2 for curl-curl) are exact:
+    a degree-(2k + 6) Gram matrix reads the same."""
     space = make_space(cube2, "edge", order)
     default = assemble(space).to_dense()
-    high = assemble(space, degree=2 * order + 6).to_dense()
+    high = gram_at_degree(space, half, 2 * order + 6)
     assert np.abs(default - high).max() < 1e-13 * np.abs(high).max()
 
 
@@ -207,6 +209,7 @@ def test_load_of_in_space_field_is_mass_action(order, cube2):
 
 
 def test_load_quadrature_degree_saturated(cube2):
+    """The load's SAMPLE_DEGREE rule reads a smooth load as a degree-14 rule does."""
     space = make_space(cube2, "edge", 2)
 
     def f(x):
@@ -217,8 +220,8 @@ def test_load_quadrature_degree_saturated(cube2):
         out[..., 2] = x[..., 0] ** 2
         return out
 
-    b10 = assemble_load(space, f, degree=SAMPLE_DEGREE).values
-    b14 = assemble_load(space, f, degree=14).values
+    b10 = assemble_load(space, f).values
+    b14 = load_at_degree(space, f, 14)
     assert np.abs(b10 - b14).max() < 1e-10 * np.abs(b14).max()
 
 
@@ -283,7 +286,7 @@ def test_rectangular_curlcurl_block():
             every, free, nodal_free = np.arange(edge.ndofs), edge.free_dofs, nodal.free_dofs
             C, M = assemble_curlcurl(edge).mat, assemble_mass(edge).mat
             G = assemble_gradient_map(nodal, edge).mat
-            curls, masses = _gram(edge, 1, 2 * order - 2), _gram(edge, 0, 2 * order)
+            curls, masses = _gram(edge, 1), _gram(edge, 0)
             g_pattern = nonzero_pattern(G.toarray()[np.ix_(free, nodal_free)])
             cases = [
                 (pen.K, C, every, free, curls),
@@ -317,9 +320,9 @@ def test_pattern_matches_triplet_compression(mesh_name, order):
     nodal = make_space(mesh, "nodal", order)
     every, nodal_every = np.arange(edge.ndofs), np.arange(nodal.ndofs)
     cases = [
-        (assemble_mass(edge), edge, every, every, _gram(edge, 0, 2 * order)),
-        (assemble_curlcurl(edge), edge, every, every, _gram(edge, 1, 2 * order - 2)),
-        (assemble_mass(nodal), nodal, nodal_every, nodal_every, _gram(nodal, 0, 2 * order)),
+        (assemble_mass(edge), edge, every, every, _gram(edge, 0)),
+        (assemble_curlcurl(edge), edge, every, every, _gram(edge, 1)),
+        (assemble_mass(nodal), nodal, nodal_every, nodal_every, _gram(nodal, 0)),
     ]
     for got, space, row_dofs, col_dofs, local in cases:
         want = coo_scatter(space, local, row_dofs, col_dofs)
@@ -357,15 +360,14 @@ def test_coupling_slot_map_hits_every_entry_once(family, order):
 @pytest.mark.parametrize("family, order", [("edge", 1), ("edge", 2), ("nodal", 1), ("nodal", 2)])
 @pytest.mark.parametrize("half", [0, 1])
 def test_reference_tensor_is_the_contraction_of_the_cached_table(family, order, half):
-    """R is bitwise the contraction of the table ``reference_basis`` serves,
-    read-only, and one object per (family, order, half, degree)."""
-    space = make_space(generate_cube_mesh(1), family, order)
+    """R is bitwise the contraction of the cached table at the exact rule,
+    degree 2k - 2 half, read-only, and one object per (family, order, half)."""
     degree = 2 * order - 2 * half
     rule = tet_rule(degree)
-    ref = reference_basis(space, degree)[half]
+    ref = _reference_tables(family, order, degree)[half]
     _, n, c = ref.shape
     want = np.einsum("q,qia,qjb->abij", rule.weights, ref, ref).reshape(c * c, n * n)
-    R = _reference_tensor(family, order, half, degree)
+    R = _reference_tensor(family, order, half)
     assert R.dtype == want.dtype and np.array_equal(R, want)
     assert not R.flags.writeable
-    assert _reference_tensor(family, order, half, degree) is R
+    assert _reference_tensor(family, order, half) is R

@@ -30,8 +30,22 @@ def test_bench_src_conv_smoke_run():
     assert result["correct"] is True and result["failed"] == 0
 
 
+@pytest.mark.parametrize("workload", ["eig-k2", "src-conv"])
+def test_bench_traced_smoke_run(workload, bench_run):
+    """A short traced run exits 0 with every request verified and reports
+    exactly the benchmark's per-layer metrics, so the tracer in
+    ``bench/spans.py`` still wraps the program."""
+    proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
+                           "--seed", "1", "--seconds", "0.3", "--trace", "1"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0
+    assert sorted(result["metrics"]) == sorted(bench_run.PER_LAYER)
+
+
 def test_traced_eig_solve_counts_assembled_matrices(bench_spans):
-    """The tracer reads ``out.mat.nnz`` and the space/degree parameter names."""
+    """The tracer reads ``out.mat.nnz`` and the space parameter names."""
     tracer = bench_spans.Tracer()
     with bench_spans.traced(quadcurl, tracer):
         request = tracer.begin(0)

@@ -127,11 +127,9 @@ def test_map_points_returns_one_readonly_array_per_rule():
     """Every caller in a source solve gets the same read-only array that owns
     its memory: the manufactured fields key their shared trig table on it."""
     mesh = jittered_cube_mesh(2, seed=4)
-    X = map_points(mesh, SAMPLE_DEGREE)
-    assert map_points(mesh, SAMPLE_DEGREE) is X
+    X = map_points(mesh)
+    assert map_points(mesh) is X
     assert not X.flags.writeable and X.base is None
-    assert map_points(mesh, 2) is not X
-    assert np.array_equal(map_points(mesh, SAMPLE_DEGREE), X)
 
 
 def test_nodal_interpolation_exact_for_polynomials(cube2):
@@ -209,11 +207,12 @@ def test_interpolation_commutes_with_covariant_pullback(family, order, mesh_cell
     space = make_space(mesh, family, order)
 
     def f(x):
+        """A polynomial of degree 4: both sides' moment rules are exact for it."""
         x, y, z = np.moveaxis(np.asarray(x), -1, 0)
         if family == "nodal":
-            return np.sin(2.0 * y) * np.exp(z) + np.cos(x + 3.0 * z)
-        return np.stack([np.sin(2.0 * y) * np.exp(z), np.cos(x + 3.0 * z),
-                         np.exp(x * y) - z], axis=-1)
+            return x * x * y * z - 2.0 * y**3 + z + 0.5
+        return np.stack([y * y * z * x - x + 1.0, x**3 - 2.0 * y * z + z**4,
+                         x * y * z - 3.0 * x * x * y + y], axis=-1)
 
     x0, J = mesh.vertices[mesh.tets[t, 0]], mesh.jac[t]
 
@@ -221,8 +220,9 @@ def test_interpolation_commutes_with_covariant_pullback(family, order, mesh_cell
         fx = f(x0 + xh @ J.T)
         return (fx @ J)[:, None, :] if family == "edge" else fx[:, None, None]
 
-    # Same rule on both sides: the reference dual basis integrates at 2k + 2.
-    got = interpolate(space, f, degree=2 * order + 2).values[space.cell_dofs[t]]
+    # The global moments integrate at INTERP_DEGREE, the reference dual basis
+    # at 2k + 2 >= 4 plus the degree of its test functions.
+    got = interpolate(space, f).values[space.cell_dofs[t]]
     want = space.element.apply_functionals(pulled_back)[:, 0]
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -287,19 +287,22 @@ def _exact_fields(family):
     return value, grad
 
 
-def _summed_axis_errors(vec, exact_value, exact_deriv, degree=10):
-    """Both norms with the squares reduced by .sum(axis=2): the oracle of the fused norm."""
+def _summed_axis_mismatches(vec, exact_value, exact_deriv, degree):
+    """The value and derivative mismatches at the degree-``degree`` rule's
+    points, and both norms with the squares reduced by .sum(axis=2): the
+    oracle of the fused norm."""
     mesh = vec.space.mesh
     rule = tet_rule(degree)
     vals, derivs = eval_at(vec, rule.points)
-    X = map_points(mesh, degree)
+    X = physical_points(mesh, rule.points)
     absdet = np.abs(mesh.jac_det)
 
     def norm(v):
         sq = (v * v).reshape(len(absdet), len(rule.weights), -1).sum(axis=2)
         return float(np.sqrt(absdet @ sq @ rule.weights))
 
-    return norm(vals - exact_value(X)), norm(derivs - exact_deriv(X))
+    mismatches = (vals - exact_value(X), derivs - exact_deriv(X))
+    return mismatches, tuple(norm(v) for v in mismatches)
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -308,19 +311,25 @@ def test_fused_norm_bitwise_equals_summed_axis(family, order):
     """Each norm, computed alone or with the other, is bitwise the .sum(axis=2) formula's.
 
     On the whole mesh a reordered sum of the squares rarely reaches the last
-    bit of the norm, so each tet is also checked alone with a one-point rule.
+    bit of the norm, so the norm ``integrate_errors`` sums with is also
+    checked on each tet alone with a one-point rule.
     """
     mesh = jittered_cube_mesh(2, seed=5)
     value, deriv = _exact_fields(family)
     rng = np.random.default_rng(order)
-    cells = [Mesh(mesh.vertices[tet], np.array([[0, 1, 2, 3]])) for tet in mesh.tets]
-    for m, degree in [(mesh, 10)] + [(cell, 1) for cell in cells]:
-        space = make_space(m, family, order)
-        vec = DofVector(space, rng.standard_normal(space.ndofs))
-        want = _summed_axis_errors(vec, value, deriv, degree)
-        assert integrate_errors(vec, value, deriv, degree) == want
-        assert integrate_errors(vec, exact_value=value, degree=degree) == (want[0], None)
-        assert integrate_errors(vec, exact_deriv=deriv, degree=degree) == (None, want[1])
+    space = make_space(mesh, family, order)
+    vec = DofVector(space, rng.standard_normal(space.ndofs))
+    _, want = _summed_axis_mismatches(vec, value, deriv, SAMPLE_DEGREE)
+    assert integrate_errors(vec, value, deriv) == want
+    assert integrate_errors(vec, exact_value=value) == (want[0], None)
+    assert integrate_errors(vec, exact_deriv=deriv) == (None, want[1])
+    weights = tet_rule(1).weights
+    for tet in mesh.tets:
+        cell = make_space(Mesh(mesh.vertices[tet], np.array([[0, 1, 2, 3]])), family, order)
+        vec = DofVector(cell, rng.standard_normal(cell.ndofs))
+        mismatches, want = _summed_axis_mismatches(vec, value, deriv, 1)
+        absdet = np.abs(cell.mesh.jac_det)
+        assert tuple(fespace._l2_norm(v, absdet, weights) for v in mismatches) == want
 
 
 @pytest.mark.parametrize("skipped", [0, 1])
@@ -331,9 +340,9 @@ def test_none_exact_field_is_neither_evaluated_nor_integrated(cube2, skipped, mo
     halves = []
     cell_field = fespace._cell_field
 
-    def recording_cell_field(v, degree, half):
+    def recording_cell_field(v, half):
         halves.append(half)
-        return cell_field(v, degree, half)
+        return cell_field(v, half)
 
     def raising(x):
         raise AssertionError("the kept exact field is called")
@@ -367,38 +376,32 @@ def test_reference_tables_cached_read_only(family, order, cube2):
     """Tables are tabulated once per (family, order, degree) and cannot be written."""
     space = make_space(cube2, family, order)
     points = tet_rule(SAMPLE_DEGREE).points
-    vals, derivs = reference_basis(space, SAMPLE_DEGREE)
+    vals, derivs = reference_basis(space)
     fresh_vals, fresh_derivs = space.element.tabulate(points)
     assert np.array_equal(vals, fresh_vals.reshape(vals.shape[:2] + (-1,)))
     assert np.array_equal(derivs, fresh_derivs)
     assert vals.shape[:2] == derivs.shape[:2] == (len(points), space.element.ndofs)
 
-    again = reference_basis(make_space(cube2, family, order), SAMPLE_DEGREE)
+    again = reference_basis(make_space(cube2, family, order))
     assert again[0] is vals and again[1] is derivs
     for table in (vals, derivs):
         with pytest.raises(ValueError):
             table[0, 0, 0] = 1.0
 
-    other = reference_basis(space, 2)
+    other = fespace._reference_tables(family, order, 2)
     assert other[0].shape[0] == tet_rule(2).num_points
     assert np.array_equal(other[1], space.element.tabulate(tet_rule(2).points)[1])
 
 
 def test_mapped_points_memoized_read_only():
-    """The mesh keeps its last mapping under its degree: equal to a fresh one
-    and not writable."""
+    """The mesh keeps its mapping: equal to a fresh one and not writable."""
     mesh = jittered_cube_mesh(2, seed=3)
     points = tet_rule(SAMPLE_DEGREE).points
-    mapped = map_points(mesh, SAMPLE_DEGREE)
-    fresh = map_points(Mesh(mesh.vertices, mesh.tets), SAMPLE_DEGREE)
+    mapped = map_points(mesh)
+    fresh = map_points(Mesh(mesh.vertices, mesh.tets))
     assert mapped is not fresh and np.array_equal(mapped, fresh)
     by_hand = mesh.vertices[mesh.tets[:, :1]] + np.einsum("tij,qj->tqi", mesh.jac, points)
     assert np.abs(mapped - by_hand).max() <= 1e-15
-    assert map_points(mesh, SAMPLE_DEGREE) is mapped
+    assert map_points(mesh) is mapped and mesh._mapped_points is mapped
     with pytest.raises(ValueError):
         mapped[0, 0, 0] = 1.0
-
-    other = map_points(mesh, 2)
-    assert other.shape == (mesh.num_tets, tet_rule(2).num_points, 3)
-    assert not other.flags.writeable
-    assert np.array_equal(map_points(mesh, SAMPLE_DEGREE), mapped)

@@ -385,6 +385,24 @@ def test_module_entry_point_prints_info_csv():
     assert "boundary_edges,72" in lines
 
 
+def test_cli_runs_on_the_declared_dependencies_alone():
+    """With sympy unimportable (it is only in the ``test`` extra), an eigen
+    run and a source study through ``run_cli`` exit 0 and load no sympy."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    code = ("import sys\n"
+            "sys.modules['sympy'] = None\n"
+            "from quadcurl import run_cli\n"
+            "codes = [run_cli(['eig', '--mesh', 'cube:n=2', '--num', '2']),\n"
+            "         run_cli(['source-conv', '--problem', 'quadcurl', '--levels', '2'])]\n"
+            "loaded = [m for m in sys.modules if m.split('.')[0] == 'sympy' and sys.modules[m]]\n"
+            "print(codes, loaded)\n")
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.splitlines()[-1] == "[0, 0] []"
+
+
 def test_cli_levels_table(capsys):
     code = run_cli(["eig", "--levels", "1,2", "--num", "1"])
     assert code == 0

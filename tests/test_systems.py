@@ -9,7 +9,7 @@ import scipy.sparse as sp
 
 import quadcurl
 from checks import assert_block_of, coo_scatter, divergence_residual
-from meshes import five_tet_cube_mesh, jittered_cube_mesh
+from meshes import cube_without, five_tet_cube_mesh, jittered_cube_mesh
 from quadcurl import (
     Mesh, build_curlcurl_system, build_quadcurl_pencil, convergence_study, curlcurl_sine_case,
     eigenpairs, generate_cube_mesh, quadcurl_sin3_case, setup_spaces, solve_curlcurl_source,
@@ -84,7 +84,7 @@ def test_pencil_edge_mass_on_free_dofs_is_bitwise_the_assembled_one(mesh, order)
     pen = build_quadcurl_pencil(mesh, order)
     edge = pen.spaces.edge
     free = edge.free_dofs
-    want = coo_scatter(edge, _gram(edge, 0, 2 * order), free, free)
+    want = coo_scatter(edge, _gram(edge, 0), free, free)
     for got in (pen.M_N, build_curlcurl_system(mesh, order).M0):
         assert_block_of(got.mat, pen.M_M.mat, free, free, (want.indptr, want.indices))
     assert not np.shares_memory(pen.M_N.mat.data, pen.M_M.mat.data)
@@ -762,6 +762,71 @@ def test_eig_invariant_under_relabelling_and_rigid_motion(solve, order):
     ref = solve(mesh, order, 3).values
     got = solve(moved, order, 3).values
     assert np.abs(got / ref - 1.0).max() <= 1e-12
+
+
+def _inside(centroids, low, high, axes=(0, 1, 2)) -> np.ndarray:
+    c = centroids[:, list(axes)]
+    return ((c > low) & (c < high)).all(axis=1)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("build, solve_eig, solve_load", [
+    (build_quadcurl_pencil, solve_quadcurl_eig, solve_quadcurl_source),
+    (build_curlcurl_system, solve_maxwell_eig, solve_curlcurl_source),
+])
+@pytest.mark.parametrize("make_mesh, tets, H", [
+    pytest.param(lambda: cube_without(3, lambda c: _inside(c, 1 / 3, 2 / 3)), 156, 1, id="one"),
+    pytest.param(lambda: cube_without(5, lambda c: _inside(c, 0.2, 0.4) | _inside(c, 0.6, 0.8)),
+                 738, 2, id="two"),
+])
+def test_domain_with_cavities_is_rejected_before_any_factor(make_mesh, tets, H, build, solve_eig,
+                                                            solve_load, order, monkeypatch):
+    """The Kuhn n = 3 cube without its middle subcube has two boundary
+    components on one domain component: the kernel of curl on U_{0,h} holds
+    H = 1 discrete harmonic field that Y = [G0; 0] does not span (H = 2 for
+    two cavities in the n = 5 cube).  Building the record raises SpaceError
+    naming H, so no solve makes a factor."""
+    def no_factor(*args):
+        raise AssertionError("a factor was made")
+
+    monkeypatch.setattr(systems, "shifted_factor", no_factor)
+    mesh = make_mesh()
+    assert mesh.num_tets == tets
+    message = rf"{H + 1} components on 1 domain components, so H = {H}:"
+    for run in (lambda: build(mesh, order), lambda: solve_eig(mesh, order, 1),
+                lambda: solve_load(mesh, order, lambda x: np.ones(np.shape(x)))):
+        with pytest.raises(SpaceError, match=message):
+            run()
+
+
+@pytest.mark.parametrize("order, quadcurl_first, maxwell_first", [
+    (1, 1359.873, 8.862970), (2, 1739.880, 9.799217)])
+def test_domain_with_a_through_hole_solves_by_both_routes(order, quadcurl_first, maxwell_first):
+    """A square through-hole, (1/3, 2/3)^2 x (0, 1) out of the Kuhn n = 3 cube,
+    leaves one boundary component (genus 1), so Y spans the kernel of curl
+    and both routes of both records solve."""
+    mesh = cube_without(3, lambda c: _inside(c, 1 / 3, 2 / 3, axes=(0, 1)))
+    assert mesh.num_tets == 144
+    for build, first in ((build_quadcurl_pencil, quadcurl_first),
+                         (build_curlcurl_system, maxwell_first)):
+        system = build(mesh, order)
+        assert eigenpairs(system, 1).values[0] == pytest.approx(first, rel=1e-6)
+        assert solve_source(system, np.ones(system.n_free)).residual < 1e-12
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("build", [build_quadcurl_pencil, build_curlcurl_system])
+def test_two_disjoint_cubes_solve_with_every_eigenvalue_twice(cube2, build, order):
+    """Two disjoint copies of the n = 2 cube have two boundary components on
+    two domain components (H = 0): each route solves, and the first
+    eigenvalues are the single cube's, each twice."""
+    two = Mesh(np.vstack([cube2.vertices, cube2.vertices + [2.0, 0.0, 0.0]]),
+               np.vstack([cube2.tets, cube2.tets + cube2.num_vertices]))
+    single = eigenpairs(build(cube2, order), 4).values
+    system = build(two, order)
+    got = eigenpairs(system, 4).values
+    assert np.abs(got / np.sort(np.repeat(single, 2))[:4] - 1.0).max() <= 1e-10
+    assert solve_source(system, np.ones(system.n_free)).residual < 1e-12
 
 
 def test_pencil_requires_interior_edges():
