@@ -149,7 +149,6 @@ class ConvergenceTable:
     h_max equals the previous row's (the rate would divide by log 1 = 0).
     """
 
-    problem: str
     headers: list = field(default_factory=list)
     rows: list = field(default_factory=list)
 
@@ -172,16 +171,16 @@ def observed_rates(hs: Sequence[float], errs: Sequence[float]) -> list:
 
 def convergence_study(
     problem: str,
-    orders,
+    order: int,
     levels: Sequence[int],
     num: int = 1,
     mesh_factory: Callable[[int], Mesh] = generate_cube_mesh,
 ) -> ConvergenceTable:
-    """Run one problem of ``PROBLEMS`` over refinement levels and collect a rate table.
+    """Run one problem of ``PROBLEMS`` at one order over refinement levels and
+    collect a rate table, one row per level.
 
-    ``orders`` may be a single order or a sequence; rows are emitted per
-    (order, level) pair. ``levels`` are cube subdivision counts, strictly
-    increasing.  A study whose measure returns an error gets a rate column.
+    ``levels`` are cube subdivision counts, strictly increasing.  A study
+    whose measure returns an error gets a rate column.
     """
     if problem not in PROBLEMS:
         raise UsageError(f"unknown problem id {problem!r}; choose from {tuple(PROBLEMS)}")
@@ -190,45 +189,35 @@ def convergence_study(
         raise UsageError("levels must be positive integers")
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise UsageError("levels must be strictly increasing")
-    if isinstance(orders, (int, np.integer)):
-        orders = [int(orders)]
 
     study = PROBLEMS[problem]
-    table = ConvergenceTable(problem=problem,
-                             headers=["order", "level", "h_max", "N", "M", *study.columns(num)])
-    for order in orders:
-        hs: list[float] = []
-        errs: list = []
-        rows: list[list] = []
-        for n in levels:
-            mesh = mesh_factory(n)
-            (N, M), values, err = study.measure(mesh, order, num)
-            hs.append(mesh.h_max)
-            errs.append(err)
-            rows.append([order, n, mesh.h_max, N, M, *values])
-        if errs[0] is not None:
-            for row, rate in zip(rows, observed_rates(hs, errs)):
-                row.append(rate)
-        table.rows.extend(rows)
+    table = ConvergenceTable(headers=["order", "level", "h_max", "N", "M", *study.columns(num)])
+    hs: list[float] = []
+    errs: list = []
+    for n in levels:
+        mesh = mesh_factory(n)
+        (N, M), values, err = study.measure(mesh, order, num)
+        hs.append(mesh.h_max)
+        errs.append(err)
+        table.rows.append([order, n, mesh.h_max, N, M, *values])
+    if errs[0] is not None:
+        for row, rate in zip(table.rows, observed_rates(hs, errs)):
+            row.append(rate)
     return table
 
 
-def emit_csv(table: ConvergenceTable, destination) -> None:
-    """Write a table as CSV (header + rows, 10 significant digits).
+def emit_csv(table: ConvergenceTable, stream) -> None:
+    """Write a table as CSV (header + rows, 10 significant digits) to a text stream.
 
-    ``destination`` is a path or a file-like object. Values round-trip
-    through ``float()`` to 10 digits; undefined fields are left empty.
+    Values round-trip through ``float()`` to 10 digits; undefined fields are
+    left empty.
     """
     if not table.rows:
         raise UsageError("cannot emit an empty table")
     text = ",".join(table.headers) + "\n"
     for row in table.rows:
         text += ",".join(_fmt(v) for v in row) + "\n"
-    if hasattr(destination, "write"):
-        destination.write(text)
-    else:
-        with open(destination, "w") as fh:
-            fh.write(text)
+    stream.write(text)
 
 
 def parse_mesh_spec(spec: str) -> Mesh:
@@ -268,11 +257,11 @@ def _dump_matrices(directory: str, system) -> None:
         raise UsageError(f"dump directory unwritable: {exc}")
 
 
-def _eig_single_table(problem: str, system, num: int) -> ConvergenceTable:
+def _eig_single_table(system, num: int) -> ConvergenceTable:
     """One record's eigenvalue table: index, lambda and N + M per row."""
     res = eigenpairs(system, num)
     dof = system.n_free + system.m_total
-    table = ConvergenceTable(problem=problem, headers=["index", "lambda", "dof"])
+    table = ConvergenceTable(headers=["index", "lambda", "dof"])
     table.rows.extend([i + 1, lam, dof] for i, lam in enumerate(res.values[:num]))
     return table
 
@@ -337,7 +326,7 @@ def _parse_levels(text: str) -> list:
 def _info_table(mesh: Mesh, order: int) -> ConvergenceTable:
     sp = setup_spaces(mesh, order)
     topo = mesh.topology
-    table = ConvergenceTable(problem="info", headers=["key", "value"])
+    table = ConvergenceTable(headers=["key", "value"])
     pairs = [
         ("vertices", mesh.vertices.shape[0]),
         ("tets", mesh.tets.shape[0]),
@@ -402,7 +391,7 @@ def run_cli(argv) -> int:
                 mesh = parse_mesh_spec(DEFAULT_MESH if args.mesh is None else args.mesh)
                 build = build_quadcurl_pencil if args.command == "eig" else build_curlcurl_system
                 system = build(mesh, args.order)
-                table = _eig_single_table(problem, system, args.num)
+                table = _eig_single_table(system, args.num)
                 if args.dump_matrices is not None:
                     _dump_matrices(args.dump_matrices, system)
         else:

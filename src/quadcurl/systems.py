@@ -114,11 +114,11 @@ class _Record:
 
     @cached_property
     def eigen_factor(self) -> ShiftedFactor:
-        return shifted_factor(*self.operator(self.scale), _EIGEN_SHIFT_FRACTION * _shift(self))
+        return shifted_factor(*self.operator(), _EIGEN_SHIFT_FRACTION * _shift(self))
 
     @cached_property
     def source_factor(self) -> ShiftedFactor:
-        return shifted_factor(*self.operator(self.scale), _SHIFT_FRACTION * _shift(self))
+        return shifted_factor(*self.operator(), _SHIFT_FRACTION * _shift(self))
 
 
 def _scaled(mat: sp.csr_matrix, factor: float) -> sp.csr_matrix:
@@ -141,8 +141,9 @@ class CurlCurlSystem(_Record):
     def n_free(self) -> int:
         return self.C0.shape[0]
 
-    def operator(self, scale: float = 1.0) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
-        """(A, B, Y) = (C0, M0, G0), on the mesh shrunk by ``scale`` (a power of two)."""
+    def operator(self) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
+        """(A, B, Y) = (C0, M0, G0) at unit scale, on the mesh shrunk by ``scale``."""
+        scale = self.scale
         return _scaled(self.C0.mat, scale), _scaled(self.M0.mat, 1.0 / scale), self.G0.mat
 
 
@@ -179,15 +180,15 @@ class PencilSystem(_Record):
     def p_free(self) -> int:
         return self.G0.shape[1]
 
-    def operator(self, scale: float = 1.0) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
-        """The (N+M) block pencil (A, B) and its gradient block Y = [G0; 0],
-        on the mesh shrunk by ``scale`` (a power of two).
+    def operator(self) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
+        """The (N+M) block pencil (A, B) and its gradient block Y = [G0; 0]
+        at unit scale, on the mesh shrunk by ``scale``.
 
         The upper rows of A are K^T, a compressed transpose; the lower rows
         are [K, -M_M], one compressed row stack.  A is their data and indices
         one after the other; B and Y pad the indptr of M_N and G0.
         """
-        N, M = self.n_free, self.m_total
+        N, M, scale = self.n_free, self.m_total, self.scale
         K = _scaled(self.K.mat, scale)
         KT = K.T.tocsr()
         lower = sp.hstack([K, self.M_M.mat * (-1.0 / scale)], format="csr")

@@ -70,6 +70,19 @@ def test_operator_stacking_bitwise_equals_bmat(order, n):
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("build", [build_quadcurl_pencil, build_curlcurl_system])
+def test_operator_is_the_unit_scale_operator(cube2, build):
+    """On the cube dilated by 4^3 or 4^-3, the record's scale is that
+    dilation, and operator() stores bitwise the unit cube's (A, B, Y)."""
+    want = build(cube2, 1).operator()
+    for L in (4.0**3, 4.0**-3):
+        record = build(Mesh(L * cube2.vertices, cube2.tets), 1)
+        assert record.scale == L
+        for got, ref in zip(record.operator(), want):
+            for part in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, part), getattr(ref, part)), (L, part)
+
+
 @pytest.mark.parametrize("order", [1, 2])
 @pytest.mark.parametrize("mesh", [
     pytest.param(generate_cube_mesh(3), id="kuhn3"),
